@@ -15,11 +15,11 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
+use panoptes::fleet::FleetOptions;
 use panoptes_analysis::facts::capture_facts;
 use panoptes_analysis::scan::{decodings, observations};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_analysis::summary::study_report;
-use panoptes_bench::experiments::Scale;
+use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
 use panoptes_bench::perf;
 use panoptes_simnet::clock::SimDuration;
 
@@ -28,10 +28,8 @@ use panoptes_simnet::clock::SimDuration;
 const PASSES: usize = 10;
 
 fn extraction(c: &mut Criterion) {
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
-    let crawls = run_full_crawl(&world, &world.sites, &config);
+    let (_, crawls) =
+        crawl_population_jobs(&Scale::quick(), &FleetOptions::with_jobs(1), 15).expect("crawl");
     let total_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum();
 
     let mut group = c.benchmark_group("analysis_extraction_quick");
@@ -73,11 +71,10 @@ fn extraction(c: &mut Criterion) {
 }
 
 fn full_report(c: &mut Criterion) {
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, SimDuration::from_secs(120), &config);
+    let scale = Scale { idle: SimDuration::from_secs(120), ..Scale::quick() };
+    let sequential = FleetOptions::with_jobs(1);
+    let (_, crawls) = crawl_population_jobs(&scale, &sequential, 15).expect("crawl");
+    let idles = idle_population_jobs(&scale, &sequential, 15).expect("idle");
     let total_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum::<u64>()
         + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();
 

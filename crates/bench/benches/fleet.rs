@@ -1,23 +1,21 @@
 //! Fleet executor benchmark: the paper's full study (15 browsers ×
-//! crawl + idle) at quick scale, sequential (`jobs=1`) against the
-//! fleet worker pool (`jobs=N`). Campaign units share no mutable
-//! state, so the parallel path's wall-clock speedup tracks the core
-//! count until it runs out of units — while
-//! `tests/fleet_determinism.rs` proves the output stays byte-identical
-//! whichever row of this bench produced it.
+//! crawl + idle, each phase captured then analysed) at quick scale,
+//! sequential (`jobs=1`) against the fleet worker pool (`jobs=N`).
+//! Campaign units share no mutable state, so the parallel path's
+//! wall-clock speedup tracks the core count until it runs out of units
+//! — while `tests/fleet_determinism.rs` proves the output stays
+//! byte-identical whichever row of this bench produced it.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use panoptes::fleet::FleetOptions;
-use panoptes_analysis::study::{run_full_crawl, run_full_idle, run_full_study_jobs};
 use panoptes_bench::experiments::Scale;
+use panoptes_bench::study::{Phase, Study};
 use panoptes_simnet::clock::SimDuration;
 
 fn fleet_full_study(c: &mut Criterion) {
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
-    let idle = SimDuration::from_secs(120);
+    let scale = Scale { idle: SimDuration::from_secs(120), ..Scale::quick() };
+    let study = Study { scale, population: 15 };
     let parallelism = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     // On a single-core host the pool can't beat sequential; still bench
     // a 4-wide pool so the executor's overhead stays visible.
@@ -26,26 +24,16 @@ fn fleet_full_study(c: &mut Criterion) {
     let mut group = c.benchmark_group("fleet_full_study_quick");
     group.sample_size(5);
     group.throughput(Throughput::Elements(30)); // 15 crawl + 15 idle units
-    group.bench_function("jobs=1 (sequential)", |b| {
-        b.iter(|| {
-            let crawls = run_full_crawl(&world, &world.sites, &config);
-            let idles = run_full_idle(&world, idle, &config);
-            black_box((crawls, idles))
-        })
-    });
-    for jobs in [2, wide] {
-        group.bench_function(&format!("jobs={jobs}"), |b| {
+    for jobs in [1, 2, wide] {
+        let name =
+            if jobs == 1 { "jobs=1 (sequential)".to_string() } else { format!("jobs={jobs}") };
+        group.bench_function(&name, |b| {
             b.iter(|| {
-                black_box(
-                    run_full_study_jobs(
-                        &world,
-                        &world.sites,
-                        &config,
-                        idle,
-                        &FleetOptions::with_jobs(jobs),
-                    )
-                    .expect("no unit failures"),
-                )
+                study
+                    .run(&[Phase::Crawl, Phase::Idle], &FleetOptions::with_jobs(jobs), |phase| {
+                        black_box(phase);
+                    })
+                    .expect("no unit failures")
             })
         });
     }

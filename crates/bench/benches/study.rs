@@ -7,8 +7,8 @@
 //!    ordered merge; on a single-core host this measures the partition
 //!    and merge overhead the determinism guarantee costs.
 //!
-//! `src/bin/bench_study.rs` records the same comparisons (plus the
-//! capture→analysis overlap) as `BENCH_study.json`.
+//! `src/bin/bench_study.rs` records the same comparisons as
+//! `BENCH_study.json`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
@@ -17,16 +17,15 @@ use panoptes_analysis::engine::{
     analyze_crawl_sharded, analyze_study, AnalysisResources, StudyAnalyses,
 };
 use panoptes_analysis::summary::{study_report_from, study_report_multipass};
-use panoptes_bench::experiments::Scale;
+use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
 use panoptes_simnet::clock::SimDuration;
 
 fn study_engine(c: &mut Criterion) {
     let mut scale = Scale::quick();
     scale.idle = SimDuration::from_secs(120);
-    let world = scale.world();
-    let config = scale.config();
-    let crawls = panoptes_analysis::study::run_full_crawl(&world, &world.sites, &config);
-    let idles = panoptes_analysis::study::run_full_idle(&world, scale.idle, &config);
+    let sequential = FleetOptions::with_jobs(1);
+    let (_, crawls) = crawl_population_jobs(&scale, &sequential, 15).expect("crawl");
+    let idles = idle_population_jobs(&scale, &sequential, 15).expect("idle");
     let res = AnalysisResources::standard();
     let total_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum::<u64>()
         + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();

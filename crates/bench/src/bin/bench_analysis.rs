@@ -26,12 +26,12 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
+use panoptes::fleet::FleetOptions;
 use panoptes_analysis::facts::capture_facts;
 use panoptes_analysis::scan::{decodings, observations};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_analysis::summary::study_report;
 use panoptes_bench::ab::{self, AbConfig, ArmStats};
-use panoptes_bench::experiments::Scale;
+use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
 use panoptes_bench::{mem, perf};
 use panoptes_simnet::clock::SimDuration;
 
@@ -58,11 +58,11 @@ fn main() {
     let protocol = AbConfig::new(WARMUPS, REPS);
 
     eprintln!("building quick-scale study capture…");
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, SimDuration::from_secs(120), &config);
+    let scale = Scale { idle: SimDuration::from_secs(120), ..Scale::quick() };
+    let sequential = FleetOptions::with_jobs(1);
+    let crawl = || crawl_population_jobs(&scale, &sequential, 15).expect("crawl").1;
+    let crawls = crawl();
+    let idles = idle_population_jobs(&scale, &sequential, 15).expect("idle");
     let crawl_flows: u64 = crawls.iter().map(|r| r.store.len() as u64).sum();
     let total_flows: u64 =
         crawl_flows + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();
@@ -76,7 +76,7 @@ fn main() {
     let extraction = ab::isolated(
         protocol,
         "cloning_reparse",
-        || run_full_crawl(&world, &world.sites, &config),
+        crawl,
         |fresh| {
             let mut sink = 0usize;
             for r in &fresh {
@@ -91,7 +91,7 @@ fn main() {
             clone_sinks.push(sink);
         },
         "snapshot_facts",
-        || run_full_crawl(&world, &world.sites, &config),
+        crawl,
         |fresh| {
             let mut sink = 0usize;
             for r in &fresh {

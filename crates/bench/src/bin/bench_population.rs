@@ -17,7 +17,7 @@
 use std::time::Instant;
 
 use panoptes::fleet::FleetOptions;
-use panoptes_bench::experiments::{crawl_population, crawl_population_jobs, Scale};
+use panoptes_bench::experiments::{crawl_population_jobs, Scale};
 
 fn main() {
     let mut out_path = "BENCH_population.json".to_string();
@@ -36,15 +36,15 @@ fn main() {
         (Scale::quick(), &[15, 100, 500])
     };
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let (jobs_1, jobs_8) = (FleetOptions::with_jobs(1), FleetOptions::with_jobs(8));
 
     // Determinism check at the largest N: the 8-worker fleet must
     // produce the same captures in the same (population) order as the
-    // sequential loop.
+    // sequential run.
     let n_check = *ns.last().unwrap();
     eprintln!("validating jobs-8 vs sequential captures at N={n_check}…");
-    let (_, sequential) = crawl_population(&scale, n_check);
-    let (_, parallel) =
-        crawl_population_jobs(&scale, &FleetOptions::with_jobs(8), n_check).expect("crawl fleet");
+    let (_, sequential) = crawl_population_jobs(&scale, &jobs_1, n_check).expect("crawl");
+    let (_, parallel) = crawl_population_jobs(&scale, &jobs_8, n_check).expect("crawl fleet");
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(s.profile.name, p.profile.name);
@@ -62,15 +62,14 @@ fn main() {
     for (i, &n) in ns.iter().enumerate() {
         eprintln!("population N={n}: sequential crawl…");
         let start = Instant::now();
-        let (_, results) = crawl_population(&scale, n);
+        let (_, results) = crawl_population_jobs(&scale, &jobs_1, n).expect("crawl");
         let jobs1_secs = start.elapsed().as_secs_f64();
         let flows: u64 = results.iter().map(|r| r.store.len() as u64).sum();
         drop(results);
 
         eprintln!("population N={n}: 8-worker crawl…");
         let start = Instant::now();
-        let (_, results) =
-            crawl_population_jobs(&scale, &FleetOptions::with_jobs(8), n).expect("crawl fleet");
+        let (_, results) = crawl_population_jobs(&scale, &jobs_8, n).expect("crawl fleet");
         let jobs8_secs = start.elapsed().as_secs_f64();
         drop(results);
 

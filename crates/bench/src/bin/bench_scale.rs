@@ -15,9 +15,10 @@
 
 use std::time::Instant;
 
-use panoptes_analysis::study::run_crawl_with;
+use panoptes::fleet::{self, FleetOptions};
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::{mem, perf};
+use panoptes_browsers::registry::population;
 use panoptes_web::generator::GeneratorConfig;
 use panoptes_web::World;
 
@@ -74,12 +75,14 @@ fn main() {
 
     // Crawl: one browser over every site — the per-browser unit of the
     // full study, at 100× the paper's web.
-    let profiles = panoptes_bench::experiments::population_for(&scale, 1);
+    let profiles = population(scale.seed, 1);
     let browser = profiles[0].name.clone();
     eprintln!("crawling {total_sites} sites as {browser}…");
     let config = scale.config();
     let crawl_start = Instant::now();
-    let results = run_crawl_with(&world, &world.sites, &config, &profiles);
+    let sequential = FleetOptions::with_jobs(1);
+    let results = fleet::run_crawl_jobs_with(&world, &world.sites, &config, &sequential, &profiles)
+        .expect("crawl");
     let crawl_secs = crawl_start.elapsed().as_secs_f64();
     let flows = results[0].store.len() as u64;
     assert!(flows >= total_sites as u64, "crawl captured fewer flows than sites");

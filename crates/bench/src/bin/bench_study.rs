@@ -11,10 +11,7 @@
 //! * **sharded fusion** — the fused pass split across 1/2/4/8 fleet
 //!   workers. `host_cpus` is recorded next to the timings: on a
 //!   single-core host the jobs>1 rows measure partition + merge
-//!   overhead, not scaling;
-//! * **capture→analysis overlap** — the full study end-to-end:
-//!   capture-everything-then-analyse vs the overlapped pipeline that
-//!   streams each sealed capture to an analysis worker.
+//!   overhead, not scaling.
 //!
 //! Before reporting anything it asserts every path renders the exact
 //! same report bytes.
@@ -28,9 +25,7 @@ use panoptes_analysis::engine::{
 };
 use panoptes_analysis::summary::{study_report_from, study_report_multipass};
 use panoptes_bench::ab::{self, AbConfig};
-use panoptes_bench::experiments::{
-    crawl_all_jobs, idle_all_jobs, study_all_overlapped, Scale,
-};
+use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
 use panoptes_bench::mem;
 use panoptes_simnet::clock::SimDuration;
 
@@ -61,16 +56,16 @@ fn main() {
         }
     }
     // Full run: the study's quick scale. --quick: a CI smoke scale.
-    let (mut scale, reps, e2e_reps) = if quick {
-        (Scale { popular: 8, sensitive: 5, ..Scale::quick() }, 3, 1)
+    let (mut scale, reps) = if quick {
+        (Scale { popular: 8, sensitive: 5, ..Scale::quick() }, 3)
     } else {
-        (Scale::quick(), 15, 2)
+        (Scale::quick(), 15)
     };
     scale.idle = SimDuration::from_secs(120);
     if let Some(n) = sites {
         // Deep-tail sites beyond the head set — the study then runs at
-        // `--sites N` scale through every path below (fleet, sharded,
-        // overlapped), still asserting byte-identical reports.
+        // `--sites N` scale through every path below (fused, sharded),
+        // still asserting byte-identical reports.
         scale = scale.with_sites(n);
     }
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -78,8 +73,9 @@ fn main() {
     let shard_jobs = [1usize, 2, 4, 8];
 
     eprintln!("capturing the study ({} + {} sites)…", scale.popular, scale.sensitive);
-    let (_, results) = crawl_all_jobs(&scale, &FleetOptions::default()).expect("crawl fleet");
-    let idles = idle_all_jobs(&scale, &FleetOptions::default()).expect("idle fleet");
+    let options = FleetOptions::default();
+    let (_, results) = crawl_population_jobs(&scale, &options, 15).expect("crawl fleet");
+    let idles = idle_population_jobs(&scale, &options, 15).expect("idle fleet");
     let flows: u64 = results.iter().map(|r| r.store.len() as u64).sum::<u64>()
         + idles.iter().map(|r| r.store.len() as u64).sum::<u64>();
 
@@ -99,14 +95,6 @@ fn main() {
             "sharded report diverged at jobs={jobs}"
         );
     }
-    let overlapped =
-        study_all_overlapped(&scale, &FleetOptions::with_jobs(4), &res).expect("overlap").1;
-    assert_eq!(
-        reference,
-        study_report_from(&overlapped.analyses),
-        "overlapped report diverged"
-    );
-    drop(overlapped);
 
     // Captures are warm from the validation pass (snapshots sealed,
     // per-flow facts memoised), so the timings below measure the pass
@@ -215,21 +203,6 @@ fn main() {
         }));
     }
 
-    eprintln!("end-to-end: capture barrier then analyse…");
-    let options = FleetOptions::with_jobs(4);
-    // End-to-end arms capture fresh fleets per rep (no shared warm
-    // state to exclude), so no warmup is burned on these long runs.
-    let barrier_secs = ab::best_of(AbConfig::new(0, e2e_reps), || {
-        let (_, crawls) = crawl_all_jobs(&scale, &options).expect("crawl fleet");
-        let idle_runs = idle_all_jobs(&scale, &options).expect("idle fleet");
-        std::hint::black_box(analyze_study(&crawls, &idle_runs, &res).crawls.len());
-    });
-    eprintln!("end-to-end: capture→analysis overlapped…");
-    let overlap_secs = ab::best_of(AbConfig::new(0, e2e_reps), || {
-        let (_, study) = study_all_overlapped(&scale, &options, &res).expect("overlap");
-        std::hint::black_box(study.analyses.crawls.len());
-    });
-
     let shard_rows: String = shard_jobs
         .iter()
         .zip(&shard_secs)
@@ -245,8 +218,7 @@ fn main() {
             "  \"report_bytes\": {report_bytes},\n",
             "  \"byte_identical\": {{\n",
             "    \"fused_vs_multipass\": true,\n",
-            "    \"sharded_jobs\": [1, 2, 4, 8],\n",
-            "    \"overlapped\": true\n",
+            "    \"sharded_jobs\": [1, 2, 4, 8]\n",
             "  }},\n",
             "  \"single_thread\": {{\n",
             "    \"render_pipeline\": {{\n",
@@ -271,11 +243,6 @@ fn main() {
             "{shard_rows}",
             "    \"note\": \"crawl analyses only; on a {host_cpus}-cpu host the jobs>1 rows measure shard partition + ordered-merge overhead, scaling needs cores\"\n",
             "  }},\n",
-            "  \"end_to_end_jobs_4\": {{\n",
-            "    \"barrier_secs\": {barrier_secs:.6},\n",
-            "    \"overlapped_secs\": {overlap_secs:.6},\n",
-            "    \"speedup\": {overlap_speedup:.2}\n",
-            "  }},\n",
             "{mem}\n",
             "}}\n",
         ),
@@ -293,9 +260,6 @@ fn main() {
         fused_secs = fused_secs,
         fusion_speedup = multipass_secs / fused_secs,
         shard_rows = shard_rows,
-        barrier_secs = barrier_secs,
-        overlap_secs = overlap_secs,
-        overlap_speedup = barrier_secs / overlap_secs,
         mem = mem::report_json(),
     );
 

@@ -2,28 +2,27 @@
 //!
 //! ```text
 //! repro [--quick] [--sites N] [--popular N] [--sensitive N] [--seed S]
-//!       [--jobs N] [--overlap] [--population N] [--only SECTION]
+//!       [--jobs N] [--population N] [--only SECTION]
 //! ```
 //!
-//! Sections: `table1 fig2 fig3 fig4 table2 fig5 leaks dns incognito
-//! sensitive transfers idle-dest listing1`. Default: everything at paper
-//! scale (500 + 500 sites, 10-minute idle).
+//! Sections: `table1 fig2 fig3 fig4 table2 leaks dns sensitive transfers
+//! listing1 identifiers cost incognito fig5 idle-dest`. Default:
+//! everything at paper scale (500 + 500 sites, 10-minute idle).
+//! `--only SECTION` runs only the phases that section needs: `--only
+//! fig2` runs neither the incognito re-crawls nor the idle experiment.
 //!
 //! `--sites N` grows the web beyond the paper's head set: sites past
 //! `popular + sensitive` come from the generator's deterministic deep
 //! tail (the head sites stay byte-identical, so `--sites 1000` at paper
-//! scale IS the paper's exact web). Composes with `--jobs`/`--overlap`
-//! like any other scale.
+//! scale IS the paper's exact web). Composes with `--jobs` like any
+//! other scale.
 //!
-//! `--jobs N` runs the browser campaigns across an N-worker fleet
-//! (default: the machine's available parallelism; `--jobs 1` forces the
-//! legacy sequential path). Every capture is analysed once by the fused
-//! single-pass engine and all sections render from those analyses.
-//! `--overlap` additionally removes the capture→analysis barrier: each
-//! campaign streams to an analysis worker the moment it seals, running
-//! crawl, idle and analysis on one worker pool. Output is byte-identical
-//! for every N, with and without `--overlap` — results always come back
-//! in profile order before rendering.
+//! `--jobs N` runs the campaigns and their analyses across an N-worker
+//! fleet (default: the machine's available parallelism; `--jobs 1` runs
+//! every unit in order on the main thread). Every capture is analysed
+//! once by the fused single-pass engine and all sections render from
+//! those analyses. Output is byte-identical for every N — results always
+//! come back in profile order before rendering.
 //!
 //! `--population N` runs the study over an N-browser population: the
 //! paper's 15 pinned browsers first, then deterministically sampled
@@ -41,103 +40,88 @@
 //! **stderr** after the run; `--trace-out FILE` enables the trace layer
 //! and writes the span/event JSONL there. Both leave stdout — the
 //! reproduction tables — byte-identical to a run without them.
+//!
+//! A bad command line (unknown flag, missing or unparsable value, empty
+//! population, unknown section) prints the usage line and exits 2.
 
-use panoptes::campaign::run_crawl;
-use panoptes::fleet::{self, FleetOptions, FleetUnit};
-use panoptes_analysis::engine::{
-    analyze_crawl, analyze_idle, analyze_study_jobs, AnalysisResources, CampaignAnalysis,
-    IdleAnalysis, StudyAnalyses,
-};
+use std::str::FromStr;
+
+use panoptes::fleet::FleetOptions;
+use panoptes_analysis::engine::StudyAnalyses;
 use panoptes_analysis::summary::study_report_from;
-use panoptes_bench::experiments::{
-    crawl_population, crawl_population_jobs, idle_population, idle_population_jobs,
-    study_population_overlapped, Scale,
-};
+use panoptes_bench::experiments::Scale;
 use panoptes_bench::render;
-use panoptes_browsers::registry::profile_by_name;
+use panoptes_bench::study::{Analysed, Phase, Study};
+
+const USAGE: &str = "repro [--quick] [--sites N] [--popular N] [--sensitive N] [--seed S] [--jobs N] [--population N] [--only SECTION] [--har DIR] [--json FILE] [--csv DIR] [--metrics] [--trace-out FILE]";
+
+/// Reports a bad command line and exits 2.
+fn usage_error(message: &str) -> ! {
+    eprintln!("repro: {message}\nusage: {USAGE}");
+    std::process::exit(2);
+}
+
+/// Parses the value that follows `flag`.
+fn value<T: FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
+    let Some(raw) = args.next() else {
+        usage_error(&format!("{flag} needs a value"));
+    };
+    raw.parse().unwrap_or_else(|_| usage_error(&format!("bad {flag} value {raw:?}")))
+}
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = std::env::args().skip(1);
     let mut scale = Scale::paper();
     let mut only: Option<String> = None;
     let mut har_dir: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut csv_dir: Option<String> = None;
     let mut jobs: Option<usize> = None;
-    let mut overlap = false;
     let mut population: usize = 15;
     let mut metrics = false;
     let mut trace_out: Option<String> = None;
     let mut sites: Option<u32> = None;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => scale = Scale::quick(),
-            "--sites" => {
-                i += 1;
-                sites = Some(args[i].parse().expect("--sites N"));
-            }
+            "--sites" => sites = Some(value(&mut args, "--sites")),
             "--metrics" => metrics = true,
-            "--trace-out" => {
-                i += 1;
-                trace_out = Some(args[i].clone());
-            }
-            "--jobs" => {
-                i += 1;
-                jobs = Some(args[i].parse().expect("--jobs N"));
-            }
-            "--overlap" => overlap = true,
-            "--population" => {
-                i += 1;
-                population = args[i].parse().expect("--population N");
-            }
-            "--popular" => {
-                i += 1;
-                scale.popular = args[i].parse().expect("--popular N");
-            }
-            "--sensitive" => {
-                i += 1;
-                scale.sensitive = args[i].parse().expect("--sensitive N");
-            }
-            "--seed" => {
-                i += 1;
-                scale.seed = args[i].parse().expect("--seed S");
-            }
-            "--only" => {
-                i += 1;
-                only = Some(args[i].clone());
-            }
-            "--har" => {
-                i += 1;
-                har_dir = Some(args[i].clone());
-            }
-            "--json" => {
-                i += 1;
-                json_path = Some(args[i].clone());
-            }
-            "--csv" => {
-                i += 1;
-                csv_dir = Some(args[i].clone());
-            }
+            "--trace-out" => trace_out = Some(value(&mut args, "--trace-out")),
+            "--jobs" => jobs = Some(value(&mut args, "--jobs")),
+            "--population" => population = value(&mut args, "--population"),
+            "--popular" => scale.popular = value(&mut args, "--popular"),
+            "--sensitive" => scale.sensitive = value(&mut args, "--sensitive"),
+            "--seed" => scale.seed = value(&mut args, "--seed"),
+            "--only" => only = Some(value(&mut args, "--only")),
+            "--har" => har_dir = Some(value(&mut args, "--har")),
+            "--json" => json_path = Some(value(&mut args, "--json")),
+            "--csv" => csv_dir = Some(value(&mut args, "--csv")),
             "--help" | "-h" => {
-                println!(
-                    "repro [--quick] [--sites N] [--popular N] [--sensitive N] [--seed S] [--jobs N] [--overlap] [--population N] [--only SECTION] [--har DIR] [--json FILE] [--csv DIR] [--metrics] [--trace-out FILE]"
-                );
+                println!("{USAGE}");
                 return;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            other => usage_error(&format!("unknown argument: {other}")),
         }
-        i += 1;
     }
     // Applied after the loop so `--sites` composes with `--quick` /
     // `--popular` / `--sensitive` regardless of flag order.
     if let Some(n) = sites {
         scale = scale.with_sites(n);
     }
+    let study = Study { scale, population };
+    if let Err(message) = study.validate(only.as_deref()) {
+        usage_error(&message);
+    }
     let want = |section: &str| only.as_deref().is_none_or(|o| o == section);
+    // The exports read the crawl (and the idle experiment) whatever
+    // `--only` prints.
+    let mut phases = Study::phases(only.as_deref());
+    if har_dir.is_some() || csv_dir.is_some() || json_path.is_some() {
+        phases.push(Phase::Crawl);
+    }
+    if csv_dir.is_some() || json_path.is_some() {
+        phases.push(Phase::Idle);
+    }
 
     // Telemetry goes to stderr / the trace file only: stdout (the
     // reproduction tables) stays byte-identical with or without it.
@@ -162,187 +146,58 @@ fn main() {
         Some(n) => FleetOptions::with_progress(n),
         None => FleetOptions::default().verbose(),
     };
-    let effective = fleet_options.effective_jobs(population);
-    let res = AnalysisResources::standard();
-
-    // In --overlap mode the idle campaigns run (and everything gets
-    // analysed) on the same pool as the crawls, so their analyses are
-    // ready before any rendering starts.
-    let mut overlapped_idles: Option<Vec<IdleAnalysis>> = None;
-
-    let (world, results, crawl_analyses) = if overlap {
-        eprintln!(
-            "overlapped study: crawl + idle + analysis, {population} browsers, {effective} worker(s)..."
-        );
-        match study_population_overlapped(&scale, &fleet_options, &res, population) {
-            Ok((world, study)) => {
-                overlapped_idles = Some(study.analyses.idles);
-                (world, study.results.crawls, study.analyses.crawls)
-            }
-            Err(e) => {
-                eprintln!("overlapped study failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        eprintln!("crawling {population} browsers ({effective} worker(s))...");
-        let (world, results) = if jobs == Some(1) {
-            // The legacy sequential path, kept reachable for A/B runs.
-            crawl_population(&scale, population)
-        } else {
-            match crawl_population_jobs(&scale, &fleet_options, population) {
-                Ok(out) => out,
-                Err(e) => {
-                    eprintln!("crawl fleet failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        let analyses: Vec<CampaignAnalysis> = if jobs == Some(1) {
-            results.iter().map(|r| analyze_crawl(r, &res)).collect()
-        } else {
-            match analyze_study_jobs(&results, &[], &res, &fleet_options) {
-                Ok(s) => s.crawls,
-                Err(e) => {
-                    eprintln!("analysis fleet failed: {e}");
-                    std::process::exit(1);
-                }
-            }
-        };
-        (world, results, analyses)
-    };
-
-    if let Some(dir) = &har_dir {
-        std::fs::create_dir_all(dir).expect("create --har directory");
-        for r in &results {
-            let path = format!("{dir}/{}.har", r.profile.name.replace(' ', "_").to_lowercase());
-            std::fs::write(&path, panoptes_mitm::har::store_to_har(&r.store))
-                .expect("write har file");
-            eprintln!("wrote {path}");
-        }
-    }
-
     // Sections print through the shared document builders (also used
-    // by the study server) so the two output paths cannot drift.
-    for (name, text) in render::crawl_sections(&results, &crawl_analyses) {
-        if want(name) {
-            print!("{text}");
-        }
-    }
-
-    if want("incognito") {
-        eprintln!("incognito re-crawls (Edge / Opera / UC International)...");
-        let config = scale.config();
-        let incog = config.clone().incognito();
-        let browsers = ["Edge", "Opera", "UC International"];
-        let raw_pairs: Vec<_> = if jobs == Some(1) {
-            browsers
-                .iter()
-                .map(|name| {
-                    let p = profile_by_name(name).expect("known browser");
-                    let normal = run_crawl(&world, &p, &world.sites, &config);
-                    let incognito = run_crawl(&world, &p, &world.sites, &incog);
-                    (normal, incognito)
-                })
-                .collect()
-        } else {
-            // Six units (3 browsers x 2 modes) over one pool; the
-            // incognito units override the campaign config per-unit.
-            let units: Vec<FleetUnit> = browsers
-                .iter()
-                .flat_map(|name| {
-                    let p = profile_by_name(name).expect("known browser");
-                    [
-                        FleetUnit::crawl(p.clone()),
-                        FleetUnit::crawl(p).with_config(incog.clone()),
-                    ]
-                })
-                .collect();
-            let outputs =
-                match fleet::run_units(&world, &world.sites, &config, &units, &fleet_options) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        eprintln!("incognito fleet failed: {e}");
-                        std::process::exit(1);
-                    }
-                };
-            let mut crawls =
-                outputs.into_iter().filter_map(panoptes::fleet::UnitOutput::into_crawl);
-            browsers
-                .iter()
-                .map(|_| {
-                    let normal = crawls.next().expect("normal crawl");
-                    let incognito = crawls.next().expect("incognito crawl");
-                    (normal, incognito)
-                })
-                .collect()
-        };
-        let pairs: Vec<_> = raw_pairs
-            .iter()
-            .map(|(n, i)| (analyze_crawl(n, &res), analyze_crawl(i, &res)))
-            .collect();
-        print!("{}", render::incognito_section(&pairs).1);
-    }
-
-    if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("create --csv directory");
-        std::fs::write(format!("{dir}/fig2.csv"), render::fig2_csv(&crawl_analyses))
-            .expect("fig2.csv");
-        std::fs::write(format!("{dir}/fig3.csv"), render::fig3_csv(&crawl_analyses))
-            .expect("fig3.csv");
-        eprintln!("wrote {dir}/fig2.csv, {dir}/fig3.csv");
-    }
-
-    if want("fig5") || want("idle-dest") || json_path.is_some() || csv_dir.is_some() {
-        let idle_analyses: Vec<IdleAnalysis> = match overlapped_idles.take() {
-            Some(analyses) => analyses, // already captured and analysed
-            None => {
-                eprintln!(
-                    "idle experiment ({population} browsers x {}s, {effective} worker(s))...",
-                    scale.idle.as_secs()
-                );
-                let idle = if jobs == Some(1) {
-                    idle_population(&scale, population)
-                } else {
-                    match idle_population_jobs(&scale, &fleet_options, population) {
-                        Ok(out) => out,
-                        Err(e) => {
-                            eprintln!("idle fleet failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                };
-                if jobs == Some(1) {
-                    idle.iter().map(analyze_idle).collect()
-                } else {
-                    match analyze_study_jobs(&[], &idle, &res, &fleet_options) {
-                        Ok(s) => s.idles,
-                        Err(e) => {
-                            eprintln!("idle analysis fleet failed: {e}");
-                            std::process::exit(1);
-                        }
-                    }
-                }
-            }
-        };
-        for (name, text) in render::idle_sections(&idle_analyses) {
+    // by the study server) so the two output paths cannot drift; each
+    // phase prints the moment it is analysed.
+    let mut crawl_analyses = Vec::new();
+    let outcome = study.run(&phases, &fleet_options, |analysed| {
+        for (name, text) in analysed.sections() {
             if want(name) {
                 print!("{text}");
             }
         }
-        if let Some(dir) = &csv_dir {
-            std::fs::write(
-                format!("{dir}/fig5.csv"),
-                render::fig5_csv(&idle_analyses, panoptes_simnet::SimDuration::from_secs(10)),
-            )
-            .expect("fig5.csv");
-            eprintln!("wrote {dir}/fig5.csv");
+        match analysed {
+            Analysed::Crawl { results, analyses } => {
+                if let Some(dir) = &har_dir {
+                    std::fs::create_dir_all(dir).expect("create --har directory");
+                    for r in &results {
+                        let name = r.profile.name.replace(' ', "_").to_lowercase();
+                        let path = format!("{dir}/{name}.har");
+                        std::fs::write(&path, panoptes_mitm::har::store_to_har(&r.store))
+                            .expect("write har file");
+                        eprintln!("wrote {path}");
+                    }
+                }
+                if let Some(dir) = &csv_dir {
+                    std::fs::create_dir_all(dir).expect("create --csv directory");
+                    std::fs::write(format!("{dir}/fig2.csv"), render::fig2_csv(&analyses))
+                        .expect("fig2.csv");
+                    std::fs::write(format!("{dir}/fig3.csv"), render::fig3_csv(&analyses))
+                        .expect("fig3.csv");
+                    eprintln!("wrote {dir}/fig2.csv, {dir}/fig3.csv");
+                }
+                crawl_analyses = analyses;
+            }
+            Analysed::Incognito(_) => {}
+            Analysed::Idle(idles) => {
+                if let Some(dir) = &csv_dir {
+                    let bucket = panoptes_simnet::SimDuration::from_secs(10);
+                    std::fs::write(format!("{dir}/fig5.csv"), render::fig5_csv(&idles, bucket))
+                        .expect("fig5.csv");
+                    eprintln!("wrote {dir}/fig5.csv");
+                }
+                if let Some(path) = &json_path {
+                    let crawls = std::mem::take(&mut crawl_analyses);
+                    let study = StudyAnalyses { crawls, idles };
+                    std::fs::write(path, study_report_from(&study)).expect("write --json file");
+                    eprintln!("wrote {path}");
+                }
+            }
         }
-        if let Some(path) = &json_path {
-            let study = StudyAnalyses { crawls: crawl_analyses, idles: idle_analyses };
-            std::fs::write(path, study_report_from(&study)).expect("write --json file");
-            eprintln!("wrote {path}");
-        }
+    });
+    if let Err(e) = outcome {
+        eprintln!("study failed: {e}");
+        std::process::exit(1);
     }
     if metrics {
         eprint!("{}", panoptes_obs::report::render(&panoptes_obs::metrics::snapshot()));

@@ -1,24 +1,14 @@
-//! Experiment drivers: one function per paper artefact.
-//!
-//! Every driver has a sequential form and a `_jobs` form running the
-//! same campaigns across the [`fleet`](panoptes::fleet) worker pool;
-//! both produce byte-identical results in the same order.
+//! The study's scale, and the raw-capture drivers for callers that
+//! analyse captures themselves. The whole study — capture, analysis and
+//! rendering — runs through [`Study`](crate::study::Study).
 
 use std::sync::Arc;
 
 use panoptes::campaign::CampaignResult;
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{FleetError, FleetOptions, UnitOutput};
+use panoptes::fleet::{self, FleetError, FleetOptions, UnitOutput};
 use panoptes::idle::IdleResult;
-use panoptes_analysis::engine::{
-    run_full_study_analyzed, run_study_analyzed_with, AnalysisResources, AnalyzedStudy,
-};
-use panoptes_analysis::study::{
-    run_crawl_jobs_with, run_crawl_with, run_full_crawl, run_full_crawl_jobs, run_full_idle,
-    run_full_idle_jobs, run_idle_jobs_with, run_idle_with,
-};
 use panoptes_browsers::registry::population;
-use panoptes_browsers::BrowserProfile;
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::generator::GeneratorConfig;
 use panoptes_web::World;
@@ -71,8 +61,8 @@ impl Scale {
     }
 
     /// The (cached, shared) world for this scale: the plan cache builds
-    /// it once per configuration and every driver — sequential, fleet,
-    /// bench — reuses the same immutable instance.
+    /// it once per configuration and every caller reuses the same
+    /// immutable instance.
     pub fn world(&self) -> Arc<World> {
         World::shared(&GeneratorConfig {
             seed: self.seed,
@@ -88,122 +78,29 @@ impl Scale {
     }
 }
 
-/// Runs the full 15-browser crawl at the given scale.
-pub fn crawl_all(scale: &Scale) -> (Arc<World>, Vec<CampaignResult>) {
-    let world = scale.world();
-    let config = scale.config();
-    let results = run_full_crawl(&world, &world.sites, &config);
-    (world, results)
-}
-
-/// Runs the 15-browser idle experiment at the given scale.
-pub fn idle_all(scale: &Scale) -> Vec<IdleResult> {
-    let world = scale.world();
-    run_full_idle(&world, scale.idle, &scale.config())
-}
-
-/// Runs the full 15-browser crawl across the fleet worker pool.
-///
-/// Output is identical to [`crawl_all`] — same results, same order —
-/// for any worker count; only wall-clock time differs.
-pub fn crawl_all_jobs(
-    scale: &Scale,
-    options: &FleetOptions,
-) -> Result<(Arc<World>, Vec<CampaignResult>), FleetError<UnitOutput>> {
-    let world = scale.world();
-    let config = scale.config();
-    let results = run_full_crawl_jobs(&world, &world.sites, &config, options)?;
-    Ok((world, results))
-}
-
-/// Runs the 15-browser idle experiment across the fleet worker pool.
-pub fn idle_all_jobs(
-    scale: &Scale,
-    options: &FleetOptions,
-) -> Result<Vec<IdleResult>, FleetError<UnitOutput>> {
-    let world = scale.world();
-    run_full_idle_jobs(&world, scale.idle, &scale.config(), options)
-}
-
-/// Runs the full study — crawl **and** idle campaigns — with the
-/// capture→analysis barrier removed: each unit's capture streams to an
-/// analysis worker as soon as it seals, so detectors run while other
-/// browsers are still crawling. Results and analyses come back in
-/// profile order, byte-identical to the barrier drivers above.
-pub fn study_all_overlapped(
-    scale: &Scale,
-    options: &FleetOptions,
-    res: &AnalysisResources,
-) -> Result<(Arc<World>, AnalyzedStudy), FleetError<()>> {
-    let world = scale.world();
-    let study =
-        run_full_study_analyzed(&world, &world.sites, &scale.config(), scale.idle, options, res)?;
-    Ok((world, study))
-}
-
-/// The browser population for a `--population N` run: the paper's 15
-/// pinned browsers first, then variants sampled deterministically from
-/// the scale's seed. `population_for(scale, 15)` is exactly the paper
-/// set, so the default reproduction stays byte-identical.
-pub fn population_for(scale: &Scale, n: usize) -> Vec<BrowserProfile> {
-    population(scale.seed, n)
-}
-
-/// [`crawl_all`] over an `n`-browser population, sequentially.
-pub fn crawl_population(scale: &Scale, n: usize) -> (Arc<World>, Vec<CampaignResult>) {
-    let world = scale.world();
-    let config = scale.config();
-    let results = run_crawl_with(&world, &world.sites, &config, &population_for(scale, n));
-    (world, results)
-}
-
-/// [`idle_all`] over an `n`-browser population, sequentially.
-pub fn idle_population(scale: &Scale, n: usize) -> Vec<IdleResult> {
-    let world = scale.world();
-    run_idle_with(&world, scale.idle, &scale.config(), &population_for(scale, n))
-}
-
-/// [`crawl_all_jobs`] over an `n`-browser population.
+/// Crawls every browser of an `n`-browser population — the paper's 15
+/// pinned browsers first, then variants sampled from the scale's seed —
+/// across the fleet worker pool, results in population order.
 pub fn crawl_population_jobs(
     scale: &Scale,
     options: &FleetOptions,
     n: usize,
 ) -> Result<(Arc<World>, Vec<CampaignResult>), FleetError<UnitOutput>> {
     let world = scale.world();
-    let config = scale.config();
+    let profiles = population(scale.seed, n);
     let results =
-        run_crawl_jobs_with(&world, &world.sites, &config, options, &population_for(scale, n))?;
+        fleet::run_crawl_jobs_with(&world, &world.sites, &scale.config(), options, &profiles)?;
     Ok((world, results))
 }
 
-/// [`idle_all_jobs`] over an `n`-browser population.
+/// Runs the idle experiment for every browser of an `n`-browser
+/// population across the fleet worker pool.
 pub fn idle_population_jobs(
     scale: &Scale,
     options: &FleetOptions,
     n: usize,
 ) -> Result<Vec<IdleResult>, FleetError<UnitOutput>> {
     let world = scale.world();
-    run_idle_jobs_with(&world, scale.idle, &scale.config(), options, &population_for(scale, n))
-}
-
-/// [`study_all_overlapped`] over an `n`-browser population: `2n` fleet
-/// units (crawl + idle per browser) with the capture→analysis barrier
-/// removed.
-pub fn study_population_overlapped(
-    scale: &Scale,
-    options: &FleetOptions,
-    res: &AnalysisResources,
-    n: usize,
-) -> Result<(Arc<World>, AnalyzedStudy), FleetError<()>> {
-    let world = scale.world();
-    let study = run_study_analyzed_with(
-        &world,
-        &world.sites,
-        &scale.config(),
-        scale.idle,
-        options,
-        res,
-        &population_for(scale, n),
-    )?;
-    Ok((world, study))
+    let profiles = population(scale.seed, n);
+    fleet::run_idle_jobs_with(&world, scale.idle, &scale.config(), options, &profiles)
 }

@@ -163,10 +163,8 @@ impl<T> fmt::Debug for FleetError<T> {
 
 impl<T> std::error::Error for FleetError<T> {}
 
-/// Extracts the human-readable message from a caught panic payload —
-/// shared by the fleet's own unit isolation and by downstream overlapped
-/// pipelines that isolate their own worker panics the same way.
-pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+/// Extracts the human-readable message from a caught panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -198,9 +196,9 @@ where
     let started_at = Instant::now();
     let _fleet_span =
         panoptes_obs::trace::span_with("fleet.execute", None, || format!("{n} units, {jobs} jobs"));
-    // Runtime-class: which work runs through the fleet (vs the
-    // sequential or overlapped paths) is a property of the execution
-    // mode, not the workload.
+    // Runtime-class: which work runs through the fleet (vs the serving
+    // layer's pool) is a property of the execution mode, not the
+    // workload.
     panoptes_obs::count!("fleet.units.submitted", Runtime, n as u64);
     if options.progress {
         panoptes_obs::progress::emit(
@@ -459,10 +457,10 @@ impl UnitOutput {
 }
 
 /// Runs one campaign unit to completion — the single execution core
-/// shared by [`run_units`], the overlap engine's pipelined runner, and
-/// the serving layer's interleaved scheduler. The unit's own config
-/// override wins over the fleet-wide `config`; no progress is emitted
-/// here (callers narrate with their own [`FleetOptions`] tag).
+/// shared by [`run_units`] and the serving layer's interleaved
+/// scheduler. The unit's own config override wins over the fleet-wide
+/// `config`; no progress is emitted here (callers narrate with their
+/// own [`FleetOptions`] tag).
 pub fn run_unit(
     world: &World,
     sites: &[SiteSpec],
@@ -535,42 +533,37 @@ fn labels_for_progress(name: &str, kind: &str) -> String {
     format!("{name} {kind}")
 }
 
-/// The full paper study (crawl + idle per browser) as one fleet.
-pub struct StudyOutput {
-    /// Crawl results, one per profile, in profile order.
-    pub crawls: Vec<CampaignResult>,
-    /// Idle results, one per profile, in profile order.
-    pub idles: Vec<IdleResult>,
-}
-
-/// Runs crawl **and** idle units for every profile in `profiles` across
-/// one shared worker pool — idle units fill workers while long crawls
-/// drain, so the pool never idles before the tail.
-pub fn run_study(
+/// Crawls `sites` with every browser in `profiles` across the worker
+/// pool. Results come back in profile order whatever the execution
+/// order; a panicking campaign fails only its own unit.
+pub fn run_crawl_jobs_with(
     world: &World,
     sites: &[SiteSpec],
     config: &CampaignConfig,
-    profiles: &[BrowserProfile],
-    idle: SimDuration,
     options: &FleetOptions,
-) -> Result<StudyOutput, FleetError<UnitOutput>> {
-    let mut units = Vec::with_capacity(profiles.len() * 2);
-    for profile in profiles {
-        units.push(FleetUnit::crawl(profile.clone()));
-    }
-    for profile in profiles {
-        units.push(FleetUnit::idle(profile.clone(), idle));
-    }
+    profiles: &[BrowserProfile],
+) -> Result<Vec<CampaignResult>, FleetError<UnitOutput>> {
+    let units: Vec<_> = profiles.iter().cloned().map(FleetUnit::crawl).collect();
     let outputs = run_units(world, sites, config, &units, options)?;
-    let mut crawls = Vec::with_capacity(profiles.len());
-    let mut idles = Vec::with_capacity(profiles.len());
-    for output in outputs {
-        match output {
-            UnitOutput::Crawl(result) => crawls.push(result),
-            UnitOutput::Idle(result) => idles.push(result),
-        }
-    }
-    Ok(StudyOutput { crawls, idles })
+    Ok(outputs.into_iter().filter_map(UnitOutput::into_crawl).collect())
+}
+
+/// Runs the §3.5 idle experiment for every browser in `profiles` across
+/// the worker pool, results in profile order.
+pub fn run_idle_jobs_with(
+    world: &World,
+    duration: SimDuration,
+    config: &CampaignConfig,
+    options: &FleetOptions,
+    profiles: &[BrowserProfile],
+) -> Result<Vec<IdleResult>, FleetError<UnitOutput>> {
+    let units: Vec<_> = profiles
+        .iter()
+        .cloned()
+        .map(|profile| FleetUnit::idle(profile, duration))
+        .collect();
+    let outputs = run_units(world, &world.sites, config, &units, options)?;
+    Ok(outputs.into_iter().filter_map(UnitOutput::into_idle).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -885,7 +878,7 @@ impl Drop for WorkPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use panoptes_browsers::registry::{all_profiles, profile_by_name};
+    use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
 
     fn small_world() -> World {
@@ -992,30 +985,6 @@ mod tests {
             let result = output.into_crawl().expect("crawl unit");
             assert_eq!(result.store.export_jsonl(), direct.store.export_jsonl());
             assert_eq!(result.visits, direct.visits);
-        }
-    }
-
-    #[test]
-    fn mixed_study_splits_and_orders() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let profiles: Vec<_> = all_profiles().into_iter().take(3).collect();
-        let study = run_study(
-            &world,
-            &world.sites,
-            &config,
-            &profiles,
-            SimDuration::from_secs(60),
-            &FleetOptions::with_jobs(4),
-        )
-        .expect("no failures");
-        assert_eq!(study.crawls.len(), 3);
-        assert_eq!(study.idles.len(), 3);
-        for (result, profile) in study.crawls.iter().zip(&profiles) {
-            assert_eq!(result.profile.name, profile.name);
-        }
-        for (result, profile) in study.idles.iter().zip(&profiles) {
-            assert_eq!(result.profile.name, profile.name);
         }
     }
 

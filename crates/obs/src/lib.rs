@@ -10,8 +10,7 @@
 //!   gauges and fixed-log2-bucket histograms. Every metric is declared
 //!   with a [`metrics::MetricClass`]: *deterministic* metrics are pure
 //!   functions of the workload (event/flow/detector tallies — byte-
-//!   identical across worker counts and with/without the
-//!   capture→analysis overlap), *runtime* metrics describe how this
+//!   identical across worker counts), *runtime* metrics describe how this
 //!   particular execution went (timings, shard topology, process-
 //!   lifetime cache state) and are excluded from the byte-identity
 //!   guarantee. [`report::render`] keeps the two sections strictly

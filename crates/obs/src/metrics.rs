@@ -18,9 +18,9 @@
 //!
 //! Every metric carries a [`MetricClass`]. `Deterministic` metrics are
 //! pure functions of the workload — the same study captures the same
-//! flow/event/detector tallies whatever `--jobs` count or `--overlap`
-//! scheduling executed it — and the deterministic half of the report is
-//! asserted byte-identical across those modes
+//! flow/event/detector tallies whatever `--jobs` count executed it —
+//! and the deterministic half of the report is asserted byte-identical
+//! across worker counts
 //! (`tests/obs_determinism.rs`). `Runtime` metrics describe the
 //! execution itself: wall-clock timings, shard topology (which changes
 //! with the worker count by construction), and process-lifetime cache
@@ -45,7 +45,7 @@ use std::sync::{Mutex, OnceLock};
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MetricClass {
     /// A pure function of the workload: identical across `--jobs`
-    /// counts and with/without `--overlap`.
+    /// counts.
     Deterministic,
     /// A property of this particular execution (timing, topology,
     /// process-lifetime cache state); excluded from byte-identity.

@@ -335,13 +335,9 @@ fn parse_params(request: &Request) -> Result<StudyParams, String> {
             .map_err(|_| format!("bad sensitive {sensitive:?}"))?;
     }
     if let Some(population) = request.param("population") {
-        let n: usize = population
+        params.population = population
             .parse()
             .map_err(|_| format!("bad population {population:?}"))?;
-        if n == 0 {
-            return Err("population must be >= 1".to_string());
-        }
-        params.population = n;
     }
     if let Some(idle) = request.param("idle") {
         params.idle_secs = idle.parse().map_err(|_| format!("bad idle {idle:?}"))?;
@@ -350,6 +346,7 @@ fn parse_params(request: &Request) -> Result<StudyParams, String> {
         let n: u32 = sites.parse().map_err(|_| format!("bad sites {sites:?}"))?;
         params.tail = n.saturating_sub(params.popular + params.sensitive);
     }
+    params.study().validate(None)?;
     Ok(params)
 }
 

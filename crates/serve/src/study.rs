@@ -3,16 +3,16 @@
 //! `repro`.
 //!
 //! A study at parameters `(seed, sites, population, idle)` is exactly
-//! the offline reproduction document: header, the twelve
-//! crawl-derived sections, the §3.2 incognito section (three re-crawl
-//! pairs), and the two idle sections. The runner schedules every
-//! campaign unit — `population` crawls, six incognito crawls,
-//! `population` idles — as individual jobs on the server's shared
-//! [`WorkPool`] lane for this request, analyses each capture on the
-//! request's own handler thread as it seals, and emits each section
-//! group the moment its inputs are complete. Concatenating the
-//! streamed `header`/`section` payload bytes reproduces `repro`'s
-//! stdout exactly (enforced by `tests/serve_determinism.rs`).
+//! the offline reproduction document: header, the crawl-derived
+//! sections, the §3.2 incognito section, and the idle sections. The
+//! runner schedules every campaign unit of the study's plan
+//! ([`Study::plan`]: the crawls, the incognito re-crawls, the idles) as
+//! individual jobs on the server's shared [`WorkPool`] lane for this
+//! request, analyses each capture on the request's own handler thread
+//! as it seals, and emits each section group the moment its inputs are
+//! complete. Concatenating the streamed `header`/`section` payload bytes
+//! reproduces `repro`'s stdout exactly (enforced by
+//! `tests/serve_determinism.rs`).
 //!
 //! Backpressure: the lane is opened with a small credit allowance and
 //! a credit is granted back only after the already-received unit has
@@ -40,8 +40,9 @@ use panoptes_analysis::engine::{
 };
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::render;
+use panoptes_bench::study::Study;
 use panoptes_blocklist::filterlist::easylist_excerpt;
-use panoptes_browsers::registry::{population, profile_by_name};
+use panoptes_browsers::registry::population;
 use panoptes_browsers::BrowserProfile;
 use panoptes_simnet::SimDuration;
 use panoptes_web::generator::GeneratorConfig;
@@ -50,10 +51,6 @@ use panoptes_web::World;
 use crate::cache::ArtifactCache;
 use crate::flightrec::FlightRecorder;
 use crate::json;
-
-/// The §3.2 incognito browsers, re-crawled normal + incognito — same
-/// set and order as `repro`.
-const INCOGNITO_BROWSERS: [&str; 3] = ["Edge", "Opera", "UC International"];
 
 /// One study request's parameters (the query string of `GET /study`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +95,11 @@ impl StudyParams {
             idle: SimDuration::from_secs(self.idle_secs),
             seed: self.seed,
         }
+    }
+
+    /// The equivalent offline [`Study`].
+    pub fn study(&self) -> Study {
+        Study { scale: self.scale(), population: self.population }
     }
 
     /// The study-document cache key: every parameter that affects the
@@ -380,7 +382,7 @@ impl StudyEngine {
     ) -> Result<StudyOutcome, StudyError> {
         panoptes_obs::gauge_add!("serve.studies.inflight", 1);
         self.recorder
-            .study_started(req.id, params.repro_args(), 2 * params.population + 6);
+            .study_started(req.id, params.repro_args(), params.study().unit_count());
         let mut phases = Phases {
             admission_us: req.admission_us,
             ..Phases::default()
@@ -559,25 +561,12 @@ impl StudyEngine {
         sink.event(&ev_header(&tag, &header))
             .map_err(StudyError::Disconnected)?;
 
-        // Unit plan, in submission order: `n` crawls, the three §3.2
-        // browsers re-crawled normal+incognito, `n` idles — exactly
-        // the offline study's unit set.
-        let n = arts.profiles.len();
-        let incog_config = arts.config.clone().incognito();
-        let mut units: Vec<FleetUnit> = Vec::with_capacity(2 * n + 6);
-        for p in arts.profiles.iter() {
-            units.push(FleetUnit::crawl(p.clone()));
-        }
-        for name in INCOGNITO_BROWSERS {
-            let Some(p) = profile_by_name(name) else {
-                return Err(StudyError::Fleet(format!("unknown pinned browser {name}")));
-            };
-            units.push(FleetUnit::crawl(p.clone()));
-            units.push(FleetUnit::crawl(p).with_config(incog_config.clone()));
-        }
-        for p in arts.profiles.iter() {
-            units.push(FleetUnit::idle(p.clone(), scale.idle));
-        }
+        // Units in submission order: the offline study's plan, its
+        // three groups back to back.
+        let [(_, crawls), (_, recrawls), (_, idles)] =
+            params.study().plan(&arts.profiles, &arts.config);
+        let (n, n_incog) = (crawls.len(), recrawls.len());
+        let units: Vec<FleetUnit> = crawls.into_iter().chain(recrawls).chain(idles).collect();
         let total = units.len();
 
         self.pool.open_lane(lane, self.credits);
@@ -631,7 +620,7 @@ impl StudyEngine {
             (0..n).map(|_| None).collect();
         let mut crawl_analyses: Vec<Option<CampaignAnalysis>> = (0..n).map(|_| None).collect();
         let mut incog_results: Vec<Option<panoptes::campaign::CampaignResult>> =
-            (0..6).map(|_| None).collect();
+            (0..n_incog).map(|_| None).collect();
         let mut idle_analyses: Vec<Option<IdleAnalysis>> = (0..n).map(|_| None).collect();
         let (mut crawls_done, mut incogs_done, mut idles_done) = (0usize, 0usize, 0usize);
         let (mut crawl_emitted, mut incog_emitted, mut idle_emitted) = (false, false, false);
@@ -658,7 +647,7 @@ impl StudyEngine {
                     incogs_done += 1;
                 }
                 UnitOutput::Idle(result) => {
-                    idle_analyses[idx - n - 6] =
+                    idle_analyses[idx - n - n_incog] =
                         Some(timed(&mut phases.analysis_us, || analyze_idle(&result)));
                     idles_done += 1;
                 }
@@ -680,7 +669,7 @@ impl StudyEngine {
                 }
                 crawl_emitted = true;
             }
-            if crawl_emitted && !incog_emitted && incogs_done == 6 {
+            if crawl_emitted && !incog_emitted && incogs_done == n_incog {
                 let raw: Vec<_> = incog_results.drain(..).flatten().collect();
                 let pairs: Vec<_> = timed(&mut phases.analysis_us, || {
                     raw.chunks(2)

@@ -2,43 +2,45 @@
 //! full study across a worker pool changes **nothing** about what the
 //! study observes. For every worker count the per-browser capture
 //! export, the ground-truth visit log, the DNS log, and the rendered
-//! study report are byte-identical to the legacy sequential path.
+//! study report are byte-identical to the sequential path (`--jobs 1`,
+//! every unit in order on the calling thread).
 //!
 //! This is what makes `repro --jobs N` safe to use for the paper's
 //! artefacts: parallelism buys wall-clock time only, never a different
 //! dataset.
 
+use panoptes::campaign::CampaignResult;
 use panoptes::fleet::{self, FleetOptions};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle, run_full_study_jobs};
+use panoptes::idle::IdleResult;
 use panoptes_analysis::summary::study_report;
-use panoptes_bench::experiments::Scale;
+use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
 use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
 
 const IDLE: SimDuration = SimDuration::from_secs(120);
 
+/// The paper study's crawl and idle captures at quick scale, run by
+/// `jobs` workers.
+fn captures(jobs: usize) -> (Vec<CampaignResult>, Vec<IdleResult>) {
+    let scale = Scale { idle: IDLE, ..Scale::quick() };
+    let options = FleetOptions::with_jobs(jobs);
+    let (_, crawls) = crawl_population_jobs(&scale, &options, 15)
+        .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+    let idles =
+        idle_population_jobs(&scale, &options, 15).unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+    (crawls, idles)
+}
+
 #[test]
 fn full_study_is_byte_identical_across_worker_counts() {
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
-
-    let seq_crawls = run_full_crawl(&world, &world.sites, &config);
-    let seq_idles = run_full_idle(&world, IDLE, &config);
+    let (seq_crawls, seq_idles) = captures(1);
     let reference_report = study_report(&seq_crawls, &seq_idles);
 
-    for jobs in [1usize, 2, 8] {
-        let study = run_full_study_jobs(
-            &world,
-            &world.sites,
-            &config,
-            IDLE,
-            &FleetOptions::with_jobs(jobs),
-        )
-        .unwrap_or_else(|e| panic!("jobs={jobs}: {e}"));
+    for jobs in [2usize, 8] {
+        let (crawls, idles) = captures(jobs);
 
-        assert_eq!(study.crawls.len(), seq_crawls.len(), "jobs={jobs}");
-        for (par, seq) in study.crawls.iter().zip(&seq_crawls) {
+        assert_eq!(crawls.len(), seq_crawls.len(), "jobs={jobs}");
+        for (par, seq) in crawls.iter().zip(&seq_crawls) {
             let name = &seq.profile.name;
             assert_eq!(par.profile.name, *name, "jobs={jobs}: crawl order");
             assert_eq!(
@@ -52,8 +54,8 @@ fn full_study_is_byte_identical_across_worker_counts() {
             assert_eq!(par.native_sent, seq.native_sent, "jobs={jobs} {name}");
         }
 
-        assert_eq!(study.idles.len(), seq_idles.len(), "jobs={jobs}");
-        for (par, seq) in study.idles.iter().zip(&seq_idles) {
+        assert_eq!(idles.len(), seq_idles.len(), "jobs={jobs}");
+        for (par, seq) in idles.iter().zip(&seq_idles) {
             let name = &seq.profile.name;
             assert_eq!(par.profile.name, *name, "jobs={jobs}: idle order");
             assert_eq!(
@@ -65,7 +67,7 @@ fn full_study_is_byte_identical_across_worker_counts() {
         }
 
         assert_eq!(
-            study_report(&study.crawls, &study.idles),
+            study_report(&crawls, &idles),
             reference_report,
             "jobs={jobs}: rendered study report diverged"
         );
@@ -83,12 +85,7 @@ fn study_report_is_byte_identical_across_snapshot_rebuilds() {
     use panoptes_mitm::FlowStore;
     use std::sync::Arc;
 
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
-
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, IDLE, &config);
+    let (crawls, idles) = captures(1);
     let reference_report = study_report(&crawls, &idles);
 
     let rebuilt_crawls: Vec<_> = crawls

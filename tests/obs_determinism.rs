@@ -1,8 +1,8 @@
 //! The metrics report's headline split, enforced end-to-end: every
 //! metric classed [`Deterministic`] is a pure function of the workload,
 //! so the deterministic section of the report renders **byte-identical**
-//! no matter how the study executes — sequentially, through the fleet
-//! at any worker count from 1 to 8, or with capture→analysis overlap.
+//! no matter how the study executes — in order on the calling thread
+//! (`--jobs 1`) or through the fleet at any worker count up to 8.
 //! Runtime-class metrics (timings, shard topology, process-lifetime
 //! caches) are allowed to differ and are excluded by construction.
 //!
@@ -13,41 +13,43 @@
 //! [`Deterministic`]: panoptes_obs::metrics::MetricClass::Deterministic
 
 use panoptes::fleet::FleetOptions;
-use panoptes_analysis::engine::{analyze_study, run_full_study_analyzed, AnalysisResources};
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_bench::experiments::Scale;
+use panoptes_bench::study::{Phase, Study};
 use panoptes_obs::metrics::snapshot;
 use panoptes_obs::report::render_deterministic;
 use panoptes_simnet::clock::SimDuration;
 
-const IDLE: SimDuration = SimDuration::from_secs(120);
-
 #[test]
-fn deterministic_metrics_identical_across_jobs_and_overlap() {
-    let scale = Scale { popular: 8, sensitive: 5, ..Scale::quick() };
-    let world = scale.world();
-    let config = scale.config();
-    let res = AnalysisResources::standard();
+fn deterministic_metrics_identical_across_jobs() {
+    let scale = Scale {
+        popular: 8,
+        sensitive: 5,
+        idle: SimDuration::from_secs(120),
+        ..Scale::quick()
+    };
+    let study = Study { scale, population: 15 };
     panoptes_obs::enable(panoptes_obs::METRICS);
 
-    let run_sequential = || {
-        let crawls = run_full_crawl(&world, &world.sites, &config);
-        let idles = run_full_idle(&world, IDLE, &config);
-        std::hint::black_box(analyze_study(&crawls, &idles, &res).crawls.len());
+    let run = |jobs: usize| {
+        study
+            .run(&Phase::ALL, &FleetOptions::with_jobs(jobs), |phase| {
+                std::hint::black_box(phase.sections().len());
+            })
+            .unwrap_or_else(|e| panic!("study failed at jobs={jobs}: {e}"));
     };
 
     // Warm-up: registers every metric handle and fills the
     // process-lifetime caches (atom interner, cached site plans) so
     // all measured runs see identical cache state.
-    run_sequential();
+    run(1);
 
-    let deterministic_of = |run: &dyn Fn()| {
+    let deterministic_of = |jobs: usize| {
         let before = snapshot();
-        run();
+        run(jobs);
         render_deterministic(&snapshot().delta(&before))
     };
 
-    let reference = deterministic_of(&run_sequential);
+    let reference = deterministic_of(1);
     for must_have in ["mitm.flows.built", "simnet.dns.queries", "blocklist.probes"] {
         assert!(
             reference.contains(must_have),
@@ -55,26 +57,13 @@ fn deterministic_metrics_identical_across_jobs_and_overlap() {
         );
     }
 
-    // The same workload through the overlapped engine at every worker
-    // count must tally identically, byte for byte.
-    for jobs in 1..=8usize {
-        let options = FleetOptions::with_jobs(jobs);
-        let overlapped = deterministic_of(&|| {
-            let study = run_full_study_analyzed(
-                &world,
-                &world.sites,
-                &config,
-                IDLE,
-                &options,
-                &res,
-            )
-            .unwrap_or_else(|e| panic!("overlapped study failed at jobs={jobs}: {e}"));
-            std::hint::black_box(study.analyses.crawls.len());
-        });
+    // The same study at every worker count must tally identically,
+    // byte for byte.
+    for jobs in 2..=8usize {
         assert_eq!(
-            reference, overlapped,
-            "deterministic metrics diverged between the sequential path and \
-             the overlapped engine at jobs={jobs}"
+            reference,
+            deterministic_of(jobs),
+            "deterministic metrics diverged between jobs=1 and jobs={jobs}"
         );
     }
 

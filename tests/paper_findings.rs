@@ -8,21 +8,25 @@ use panoptes_suite::analysis::history::{summarize_leaks, LeakGranularity};
 use panoptes_suite::analysis::incognito::compare;
 use panoptes_suite::analysis::pii::table2;
 use panoptes_suite::analysis::sensitive::sensitive_row;
-use panoptes_suite::analysis::study::run_full_crawl;
 use panoptes_suite::analysis::transfers::transfers;
 use panoptes_suite::analysis::volume::figure2;
-use panoptes_suite::browsers::registry::profile_by_name;
+use panoptes_suite::browsers::registry::{all_profiles, profile_by_name};
 use panoptes_suite::browsers::PiiField;
 use panoptes_suite::device::DeviceProperties;
 use panoptes_suite::geo::GeoDb;
 use panoptes_suite::panoptes::campaign::{run_crawl, CampaignResult};
 use panoptes_suite::panoptes::config::CampaignConfig;
+use panoptes_suite::panoptes::fleet::{self, FleetOptions};
 use panoptes_suite::web::generator::GeneratorConfig;
 use panoptes_suite::web::World;
 
 fn study() -> (World, Vec<CampaignResult>) {
     let world = World::build(&GeneratorConfig { popular: 12, sensitive: 8, ..Default::default() });
-    let results = run_full_crawl(&world, &world.sites, &CampaignConfig::default());
+    let config = CampaignConfig::default();
+    let sequential = FleetOptions::with_jobs(1);
+    let results =
+        fleet::run_crawl_jobs_with(&world, &world.sites, &config, &sequential, &all_profiles())
+            .expect("crawl");
     (world, results)
 }
 

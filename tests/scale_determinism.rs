@@ -60,8 +60,8 @@ fn tail_generation_is_deterministic_across_builds() {
 
 #[test]
 fn ten_k_crawl_is_byte_identical_across_fleet_widths() {
-    use panoptes_suite::analysis::study::{run_crawl_jobs_with, run_crawl_with};
     use panoptes_suite::panoptes::config::CampaignConfig;
+    use panoptes_suite::panoptes::fleet::run_crawl_jobs_with;
 
     // Two browsers with distinct instrumentation paths keep the debug
     // run affordable while still exercising the fleet merge.
@@ -72,10 +72,12 @@ fn ten_k_crawl_is_byte_identical_across_fleet_widths() {
     let world = World::shared(&tailed_config(9_000));
     let config = CampaignConfig { seed: SEED, ..Default::default() };
 
-    let seq = run_crawl_with(&world, &world.sites, &config, &profiles);
-    let par =
-        run_crawl_jobs_with(&world, &world.sites, &config, &FleetOptions::with_jobs(8), &profiles)
-            .expect("fleet crawl");
+    let crawl = |jobs| {
+        let options = FleetOptions::with_jobs(jobs);
+        run_crawl_jobs_with(&world, &world.sites, &config, &options, &profiles)
+            .expect("fleet crawl")
+    };
+    let (seq, par) = (crawl(1), crawl(8));
 
     assert_eq!(seq.len(), par.len());
     for (s, p) in seq.iter().zip(&par) {

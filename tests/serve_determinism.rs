@@ -9,12 +9,9 @@
 
 use std::time::{Duration, Instant};
 
-use panoptes::campaign::CampaignResult;
-use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitOutput};
-use panoptes_analysis::engine::{analyze_crawl, analyze_idle, AnalysisResources};
-use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs};
+use panoptes::fleet::FleetOptions;
 use panoptes_bench::render;
-use panoptes_browsers::registry::profile_by_name;
+use panoptes_bench::study::Phase;
 use panoptes_serve::client;
 use panoptes_serve::server::{self, ServerConfig};
 use panoptes_serve::study::StudyParams;
@@ -32,41 +29,19 @@ fn query(p: &StudyParams) -> String {
     )
 }
 
-/// The offline reference: the exact flow `repro --jobs N` takes
-/// (fleet crawls, fused analysis, the three §3.2 incognito re-crawl
-/// pairs, the idle experiment), rendered through the shared document
-/// builders.
+/// The offline reference: the document `repro --jobs N` prints for the
+/// same study.
 fn offline_doc(p: &StudyParams, jobs: usize) -> String {
-    let scale = p.scale();
-    let options = FleetOptions::with_jobs(jobs);
-    let res = AnalysisResources::standard();
-    let (world, results) =
-        crawl_population_jobs(&scale, &options, p.population).expect("offline crawl fleet");
-    let crawl_analyses: Vec<_> = results.iter().map(|r| analyze_crawl(r, &res)).collect();
-
-    let config = scale.config();
-    let incog = config.clone().incognito();
-    let browsers = ["Edge", "Opera", "UC International"];
-    let units: Vec<FleetUnit> = browsers
-        .iter()
-        .map(|name| profile_by_name(name).expect("pinned browser"))
-        .flat_map(|prof| {
-            [FleetUnit::crawl(prof.clone()), FleetUnit::crawl(prof).with_config(incog.clone())]
+    let study = p.study();
+    let mut doc = render::header_md(&study.scale);
+    study
+        .run(&Phase::ALL, &FleetOptions::with_jobs(jobs), |phase| {
+            for (_, text) in phase.sections() {
+                doc.push_str(&text);
+            }
         })
-        .collect();
-    let outputs = fleet::run_units(&world, &world.sites, &config, &units, &options)
-        .expect("offline incognito fleet");
-    let crawls: Vec<CampaignResult> =
-        outputs.into_iter().filter_map(UnitOutput::into_crawl).collect();
-    let pairs: Vec<_> = crawls
-        .chunks(2)
-        .map(|pair| (analyze_crawl(&pair[0], &res), analyze_crawl(&pair[1], &res)))
-        .collect();
-
-    let idles = idle_population_jobs(&scale, &options, p.population).expect("offline idle fleet");
-    let idle_analyses: Vec<_> = idles.iter().map(analyze_idle).collect();
-
-    render::full_doc(&scale, &results, &crawl_analyses, &pairs, &idle_analyses)
+        .expect("offline study");
+    doc
 }
 
 #[test]

@@ -5,33 +5,31 @@
 //! * as the legacy multi-pass (one snapshot iteration per detector),
 //! * as the fused single pass ([`analyze_study`]),
 //! * sharded across any fleet worker count,
-//! * or fully overlapped with capture
-//!   ([`run_full_study_analyzed`] — analysis workers consume sealed
-//!   captures while later campaigns are still crawling).
+//! * or inside the study runner ([`Study::run`] — one capture fleet,
+//!   then one analysis fleet, per phase).
 //!
-//! Fusion, sharding and overlap buy wall-clock time only, never a
-//! different report.
+//! Fusion and sharding buy wall-clock time only, never a different
+//! report.
 
 use panoptes::fleet::FleetOptions;
 use panoptes_analysis::engine::{
     analyze_crawl_sharded, analyze_idle_sharded, analyze_study, analyze_study_jobs,
-    run_full_study_analyzed, AnalysisResources, StudyAnalyses,
+    AnalysisResources, StudyAnalyses,
 };
-use panoptes_analysis::study::{run_full_crawl, run_full_idle};
 use panoptes_analysis::summary::{study_report_from, study_report_multipass};
-use panoptes_bench::experiments::Scale;
+use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
+use panoptes_bench::study::{Analysed, Phase, Study};
 use panoptes_simnet::clock::SimDuration;
 
 const IDLE: SimDuration = SimDuration::from_secs(120);
 
 #[test]
-fn fused_sharded_and_overlapped_reports_are_byte_identical() {
-    let scale = Scale::quick();
-    let world = scale.world();
-    let config = scale.config();
+fn fused_sharded_and_runner_reports_are_byte_identical() {
+    let scale = Scale { idle: IDLE, ..Scale::quick() };
+    let sequential = FleetOptions::with_jobs(1);
 
-    let crawls = run_full_crawl(&world, &world.sites, &config);
-    let idles = run_full_idle(&world, IDLE, &config);
+    let (_, crawls) = crawl_population_jobs(&scale, &sequential, 15).expect("crawl");
+    let idles = idle_population_jobs(&scale, &sequential, 15).expect("idle");
     let reference = study_report_multipass(&crawls, &idles);
     let res = AnalysisResources::standard();
 
@@ -67,21 +65,23 @@ fn fused_sharded_and_overlapped_reports_are_byte_identical() {
         );
     }
 
-    // Capture→analysis overlap, sequential and parallel.
+    // The study runner, capturing afresh, sequential and parallel.
+    let study = Study { scale, population: 15 };
     for jobs in [1usize, 8] {
-        let study = run_full_study_analyzed(
-            &world,
-            &world.sites,
-            &config,
-            IDLE,
-            &FleetOptions::with_jobs(jobs),
-            &res,
-        )
-        .unwrap_or_else(|e| panic!("overlapped study failed at jobs={jobs}: {e}"));
+        let mut analyses = StudyAnalyses { crawls: Vec::new(), idles: Vec::new() };
+        study
+            .run(&[Phase::Crawl, Phase::Idle], &FleetOptions::with_jobs(jobs), |phase| {
+                match phase {
+                    Analysed::Crawl { analyses: crawls, .. } => analyses.crawls = crawls,
+                    Analysed::Idle(idles) => analyses.idles = idles,
+                    Analysed::Incognito(_) => unreachable!("incognito was not selected"),
+                }
+            })
+            .unwrap_or_else(|e| panic!("study runner failed at jobs={jobs}: {e}"));
         assert_eq!(
             reference,
-            study_report_from(&study.analyses),
-            "overlapped report diverged at jobs={jobs}"
+            study_report_from(&analyses),
+            "study runner report diverged at jobs={jobs}"
         );
     }
 }
