@@ -4,8 +4,6 @@
 
 use std::collections::BTreeSet;
 
-use panoptes::campaign::CampaignResult;
-use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
 use panoptes_mitm::{Flow, FlowClass};
 
@@ -20,11 +18,6 @@ pub struct AdDomainRow {
     pub ad_hosts: Vec<String>,
     /// `ad_hosts / native_hosts` as a percentage.
     pub ad_percent: f64,
-}
-
-/// Computes the Figure 3 row for one campaign against the bundled list.
-pub fn ad_domain_row(result: &CampaignResult) -> AdDomainRow {
-    ad_domain_row_with(result, &steven_black_excerpt())
 }
 
 /// Mergeable accumulator form of the Figure 3 detector: the distinct
@@ -66,40 +59,27 @@ impl AdDomainPartial {
     }
 }
 
-/// Computes the row against a caller-provided hosts list.
-pub fn ad_domain_row_with(result: &CampaignResult, list: &HostsList) -> AdDomainRow {
-    let mut partial = AdDomainPartial::default();
-    for f in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(f);
-    }
-    partial.finish(&result.profile.name, list)
-}
-
-/// Figure 3 over a set of campaigns, in input order.
-pub fn figure3(results: &[CampaignResult]) -> Vec<AdDomainRow> {
-    results.iter().map(ad_domain_row).collect()
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use panoptes::campaign::run_crawl;
     use panoptes::config::CampaignConfig;
     use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
+    use crate::engine::{analyze_crawl, AnalysisResources};
+
     #[test]
     fn kiwi_is_ad_heavy_chrome_is_clean() {
         let world =
             World::build(&GeneratorConfig { popular: 6, sensitive: 3, ..Default::default() });
         let config = CampaignConfig::default();
-        let kiwi = ad_domain_row(&run_crawl(
-            &world,
-            &profile_by_name("Kiwi").unwrap(),
-            &world.sites,
-            &config,
-        ));
+        let res = AnalysisResources::standard();
+        let row = |name| {
+            let profile = profile_by_name(name).unwrap();
+            analyze_crawl(&run_crawl(&world, &profile, &world.sites, &config), &res).addomains
+        };
+        let kiwi = row("Kiwi");
         assert!(
             (30.0..=50.0).contains(&kiwi.ad_percent),
             "kiwi ≈40%, got {:.1} ({:?})",
@@ -108,12 +88,7 @@ mod tests {
         );
         assert!(kiwi.ad_hosts.iter().any(|h| h.contains("rubiconproject")));
 
-        let chrome = ad_domain_row(&run_crawl(
-            &world,
-            &profile_by_name("Chrome").unwrap(),
-            &world.sites,
-            &config,
-        ));
+        let chrome = row("Chrome");
         assert_eq!(chrome.ad_percent, 0.0, "{:?}", chrome.ad_hosts);
     }
 }

@@ -2,10 +2,8 @@
 //! longitudinal workflow (did an update start/stop leaking?) and the A/B
 //! workflow (what did the guard change?).
 
-use panoptes::campaign::CampaignResult;
-
-use crate::history::{summarize_leaks, LeakGranularity};
-use crate::volume::volume_row;
+use crate::engine::CampaignAnalysis;
+use crate::history::LeakGranularity;
 
 /// The delta between two campaigns of the same browser.
 #[derive(Debug, Clone, PartialEq)]
@@ -41,29 +39,25 @@ impl BrowserDelta {
     }
 }
 
-/// Compares two runs of the same browser.
-pub fn compare_campaigns(a: &CampaignResult, b: &CampaignResult) -> BrowserDelta {
-    assert_eq!(a.profile.package, b.profile.package, "comparing different browsers");
-    let va = volume_row(a);
-    let vb = volume_row(b);
+/// Compares the analyses of two runs of the same browser.
+pub fn compare_campaigns(a: &CampaignAnalysis, b: &CampaignAnalysis) -> BrowserDelta {
+    assert_eq!(a.browser, b.browser, "comparing different browsers");
     BrowserDelta {
-        browser: a.profile.name.to_string(),
-        leak_a: summarize_leaks(a).worst,
-        leak_b: summarize_leaks(b).worst,
-        ratio_a: va.request_ratio,
-        ratio_b: vb.request_ratio,
-        native_delta: vb.native_requests as i64 - va.native_requests as i64,
+        browser: a.browser.clone(),
+        leak_a: a.leak_summary().worst,
+        leak_b: b.leak_summary().worst,
+        ratio_a: a.volume.request_ratio,
+        ratio_b: b.volume.request_ratio,
+        native_delta: b.volume.native_requests as i64 - a.volume.native_requests as i64,
     }
 }
 
 /// Compares two full studies pairwise (matched by browser name; browsers
 /// present in only one study are skipped).
-pub fn compare_studies(a: &[CampaignResult], b: &[CampaignResult]) -> Vec<BrowserDelta> {
+pub fn compare_studies(a: &[CampaignAnalysis], b: &[CampaignAnalysis]) -> Vec<BrowserDelta> {
     a.iter()
         .filter_map(|ra| {
-            b.iter()
-                .find(|rb| rb.profile.package == ra.profile.package)
-                .map(|rb| compare_campaigns(ra, rb))
+            b.iter().find(|rb| rb.browser == ra.browser).map(|rb| compare_campaigns(ra, rb))
         })
         .collect()
 }
@@ -77,13 +71,16 @@ mod tests {
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
+    use crate::engine::{analyze_crawl, AnalysisResources};
+
     #[test]
     fn identical_runs_have_zero_delta() {
         let world =
             World::build(&GeneratorConfig { popular: 4, sensitive: 3, ..Default::default() });
         let p = profile_by_name("Edge").unwrap();
-        let a = run_crawl(&world, &p, &world.sites, &CampaignConfig::default());
-        let b = run_crawl(&world, &p, &world.sites, &CampaignConfig::default());
+        let res = AnalysisResources::standard();
+        let a = analyze_crawl(&run_crawl(&world, &p, &world.sites, &CampaignConfig::default()), &res);
+        let b = analyze_crawl(&run_crawl(&world, &p, &world.sites, &CampaignConfig::default()), &res);
         let delta = compare_campaigns(&a, &b);
         assert!(!delta.leak_changed());
         assert_eq!(delta.native_delta, 0);
@@ -105,7 +102,8 @@ mod tests {
             &CampaignConfig::default(),
             panoptes_guard_shim::install_guard,
         );
-        let delta = compare_campaigns(&a, &b);
+        let res = AnalysisResources::standard();
+        let delta = compare_campaigns(&analyze_crawl(&a, &res), &analyze_crawl(&b, &res));
         assert_eq!(delta.leak_a, Some(LeakGranularity::FullUrl));
         assert_eq!(delta.leak_b, None);
         assert!(delta.improved());

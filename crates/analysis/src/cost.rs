@@ -15,7 +15,6 @@
 //!   each flow as a burst is an upper bound; the *relative* ordering
 //!   across browsers is the meaningful output.
 
-use panoptes::campaign::CampaignResult;
 use panoptes_mitm::{Flow, FlowClass};
 
 /// First-order radio energy model.
@@ -101,22 +100,6 @@ impl CostPartial {
     }
 }
 
-/// Computes the §3.1 cost quantities for one campaign.
-pub fn cost_row(result: &CampaignResult, model: &EnergyModel) -> CostRow {
-    let mut partial = CostPartial::default();
-    for f in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(f);
-    }
-    partial.finish(&result.profile.name, result.visits.len(), model)
-}
-
-/// Cost table over a study, most expensive first.
-pub fn cost_table(results: &[CampaignResult], model: &EnergyModel) -> Vec<CostRow> {
-    let mut rows: Vec<CostRow> = results.iter().map(|r| cost_row(r, model)).collect();
-    rows.sort_by_key(|r| std::cmp::Reverse(r.native_bytes));
-    rows
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -124,7 +107,10 @@ mod tests {
     use panoptes::config::CampaignConfig;
     use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
+    use panoptes::campaign::CampaignResult;
     use panoptes_web::World;
+
+    use crate::engine::{analyze_crawl, AnalysisResources};
 
     fn crawl(name: &str) -> CampaignResult {
         let world =
@@ -139,9 +125,9 @@ mod tests {
 
     #[test]
     fn chatty_browsers_cost_more_than_quiet_ones() {
-        let model = EnergyModel::lte();
-        let qq = cost_row(&crawl("QQ"), &model);
-        let brave = cost_row(&crawl("Brave"), &model);
+        let res = AnalysisResources::standard();
+        let qq = analyze_crawl(&crawl("QQ"), &res).cost;
+        let brave = analyze_crawl(&crawl("Brave"), &res).cost;
         // Brave's few startup fetches pull sizable static responses, so
         // the gap is in multiples, not orders of magnitude, at this
         // scale — the per-visit chatter is what grows with browsing.
@@ -154,27 +140,12 @@ mod tests {
     #[test]
     fn lte_costs_more_than_wifi() {
         let result = crawl("Edge");
-        let wifi = cost_row(&result, &EnergyModel::wifi());
-        let lte = cost_row(&result, &EnergyModel::lte());
+        let wifi = AnalysisResources { energy: EnergyModel::wifi(), ..AnalysisResources::standard() };
+        let wifi = analyze_crawl(&result, &wifi).cost;
+        let lte = analyze_crawl(&result, &AnalysisResources::standard()).cost;
         assert!(lte.joules_per_1000_pages > wifi.joules_per_1000_pages * 5.0);
         // Data volume is radio-independent.
         assert_eq!(wifi.mb_per_1000_pages, lte.mb_per_1000_pages);
-    }
-
-    #[test]
-    fn table_sorts_by_cost() {
-        let world =
-            World::build(&GeneratorConfig { popular: 4, sensitive: 2, ..Default::default() });
-        let config = CampaignConfig::default();
-        let results: Vec<_> = ["Brave", "QQ", "Chrome"]
-            .iter()
-            .map(|n| run_crawl(&world, &profile_by_name(n).unwrap(), &world.sites, &config))
-            .collect();
-        let table = cost_table(&results, &EnergyModel::wifi());
-        assert_eq!(table[0].browser, "QQ");
-        // Rows are sorted by native bytes, descending.
-        assert!(table[0].native_bytes >= table[1].native_bytes);
-        assert!(table[1].native_bytes >= table[2].native_bytes);
     }
 
     #[test]

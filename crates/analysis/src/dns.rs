@@ -3,7 +3,6 @@
 //! for the visited domains with the rest (7) of them using the device's
 //! local DNS stub resolver."
 
-use panoptes::campaign::CampaignResult;
 use panoptes_simnet::dns::{DnsLogEntry, DohProvider, ResolverKind};
 
 /// What the wire shows about a browser's resolver.
@@ -68,28 +67,6 @@ impl DnsPartial {
     }
 }
 
-/// Classifies one campaign's DNS behaviour from the capture: DoH flows
-/// appear as native HTTPS to the provider; stub queries only show in the
-/// resolver log.
-pub fn dns_row(result: &CampaignResult) -> DnsRow {
-    let mut partial = DnsPartial::default();
-    for entry in result.dns_log.iter() {
-        partial.observe(entry);
-    }
-    partial.finish(&result.profile.name)
-}
-
-/// The §3.2 split over a full study.
-pub fn doh_split(results: &[CampaignResult]) -> (Vec<DnsRow>, usize, usize) {
-    let rows: Vec<DnsRow> = results.iter().map(dns_row).collect();
-    let doh = rows.iter().filter(|r| matches!(r.resolver, ObservedResolver::Doh(_))).count();
-    let stub = rows
-        .iter()
-        .filter(|r| r.resolver == ObservedResolver::LocalStub)
-        .count();
-    (rows, doh, stub)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,16 +76,20 @@ mod tests {
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
+    use crate::engine::{analyze_crawl, AnalysisResources};
+
     #[test]
     fn split_is_8_doh_7_stub() {
         let world =
             World::build(&GeneratorConfig { popular: 4, sensitive: 2, ..Default::default() });
         let config = CampaignConfig::default();
-        let results: Vec<_> = all_profiles()
+        let res = AnalysisResources::standard();
+        let rows: Vec<DnsRow> = all_profiles()
             .iter()
-            .map(|p| run_crawl(&world, p, &world.sites, &config))
+            .map(|p| analyze_crawl(&run_crawl(&world, p, &world.sites, &config), &res).dns)
             .collect();
-        let (rows, doh, stub) = doh_split(&results);
+        let doh = rows.iter().filter(|r| matches!(r.resolver, ObservedResolver::Doh(_))).count();
+        let stub = rows.iter().filter(|r| r.resolver == ObservedResolver::LocalStub).count();
         assert_eq!(doh, 8, "{rows:?}");
         assert_eq!(stub, 7);
         let edge = rows.iter().find(|r| r.browser == "Edge").unwrap();

@@ -1,13 +1,12 @@
 //! Parse-once flow facts shared by every analysis pass.
 //!
-//! A full study runs ~10 passes (history, PII, identifiers, sensitive,
-//! …) over each capture, and before this layer existed each pass
-//! re-parsed the same URLs, query strings and JSON bodies through
-//! [`crate::scan::observations`] — the same flow could be decomposed a
-//! dozen times. [`CaptureFacts`] memoises those derived results per
-//! flow, lazily: the first pass that asks for a flow's observations
-//! pays for the parse, every later pass (and every later ask within
-//! the same pass) gets the cached slice.
+//! The fused pass feeds ~10 detectors (history, PII, identifiers,
+//! sensitive, …) from each flow, and several of them read the same
+//! parsed URLs, query strings and JSON bodies from
+//! [`crate::scan::observations`]. [`CaptureFacts`] memoises those
+//! derived results per flow, lazily: the first detector that asks for a
+//! flow's observations pays for the parse, every later ask (and every
+//! later pass over the same snapshot) gets the cached slice.
 //!
 //! The facts cache is parked in the sealed [`FlowSnapshot`]'s extension
 //! slot, so its lifetime is exactly the snapshot's: a mutated store

@@ -9,12 +9,9 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use panoptes::campaign::CampaignResult;
-use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
-use panoptes_mitm::FlowClass;
 
-use crate::facts::{capture_facts, FlowView};
+use crate::engine::IDENTIFIER_MIN_FLOWS;
 use crate::scan::looks_like_identifier;
 
 /// One stable identifier observed at one destination.
@@ -37,8 +34,9 @@ pub struct IdentifierSighting {
 }
 
 /// Mergeable accumulator form of the stable-identifier detector: the
-/// per-flow dedup is local to `observe`, and the cross-flow state is a
-/// pure count map, so sharded merges sum back to the sequential counts.
+/// per-flow dedup is local to one flow's scan, and the cross-flow state
+/// is a pure count map, so sharded merges sum back to the sequential
+/// counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdentifierPartial {
     /// (destination, key, value) → flow count.
@@ -46,21 +44,9 @@ pub struct IdentifierPartial {
 }
 
 impl IdentifierPartial {
-    /// Folds one captured flow into the accumulator (native flows only).
-    pub fn observe(&mut self, view: &FlowView<'_>) {
-        if view.class != FlowClass::Native {
-            return;
-        }
-        let mut seen_in_flow: HashMap<(&str, &str), ()> = HashMap::new();
-        for obs in view.observations() {
-            self.scan_observation(&view.host, obs, &mut seen_in_flow);
-        }
-    }
-
-    /// Tests one observation for a high-entropy token and counts it once
-    /// per flow (`seen_in_flow` is the flow-local dedup, reset per
-    /// flow). Shared between [`observe`](Self::observe) and the fused
-    /// engine pass.
+    /// Tests one observation of a native flow for a high-entropy token
+    /// and counts it once per flow (`seen_in_flow` is the flow-local
+    /// dedup, reset per flow).
     pub(crate) fn scan_observation<'a>(
         &mut self,
         destination: &str,
@@ -86,16 +72,13 @@ impl IdentifierPartial {
         }
     }
 
-    /// Finalises the browser's identifier sightings at `min_flows`.
-    pub fn finish(
-        self,
-        browser: &str,
-        min_flows: usize,
-        ad_list: &HostsList,
-    ) -> Vec<IdentifierSighting> {
+    /// Finalises the browser's identifier sightings: the tokens that
+    /// recur in at least [`IDENTIFIER_MIN_FLOWS`] flows to the same
+    /// destination under the same key.
+    pub fn finish(self, browser: &str, ad_list: &HostsList) -> Vec<IdentifierSighting> {
         self.counts
             .into_iter()
-            .filter(|(_, n)| *n >= min_flows)
+            .filter(|(_, n)| *n >= IDENTIFIER_MIN_FLOWS)
             .map(|((destination, key, value), flows)| IdentifierSighting {
                 browser: browser.to_string(),
                 ad_related: ad_list.contains(&destination),
@@ -108,24 +91,6 @@ impl IdentifierPartial {
     }
 }
 
-/// Finds stable identifiers in a campaign's native traffic: a token
-/// counts when it looks high-entropy and recurs in at least
-/// `min_flows` flows to the same destination under the same key.
-pub fn find_identifiers(result: &CampaignResult, min_flows: usize) -> Vec<IdentifierSighting> {
-    let mut partial = IdentifierPartial::default();
-    let snap = result.store.snapshot(); // multipass-ok: legacy standalone detector
-    let facts = capture_facts(&snap);
-    for view in facts.views(snap.native()) {
-        partial.observe(&view);
-    }
-    partial.finish(&result.profile.name, min_flows, &steven_black_excerpt())
-}
-
-/// Per-browser roll-up: does any stable identifier reach an ad server?
-pub fn identifier_to_ad_server(result: &CampaignResult) -> Option<IdentifierSighting> {
-    find_identifiers(result, 2).into_iter().find(|s| s.ad_related)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -135,22 +100,28 @@ mod tests {
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
-    fn crawl(name: &str) -> CampaignResult {
+    use crate::engine::{analyze_crawl, AnalysisResources};
+    use crate::scan::{Observation, Source};
+
+    fn identifiers(name: &str) -> Vec<IdentifierSighting> {
         let world =
             World::build(&GeneratorConfig { popular: 5, sensitive: 3, ..Default::default() });
-        run_crawl(
+        let result = run_crawl(
             &world,
             &profile_by_name(name).unwrap(),
             &world.sites,
             &CampaignConfig::default(),
-        )
+        );
+        analyze_crawl(&result, &AnalysisResources::standard()).identifiers
     }
 
     #[test]
     fn opera_id_reaches_the_oleads_ad_server() {
         // Listing 1: the 64-hex operaId rides every ad-SDK fetch.
-        let result = crawl("Opera");
-        let sighting = identifier_to_ad_server(&result).expect("operaId found");
+        let sighting = identifiers("Opera")
+            .into_iter()
+            .find(|s| s.ad_related)
+            .expect("operaId found");
         assert_eq!(sighting.destination, "s-odx.oleads.com");
         assert_eq!(sighting.key, "operaId");
         assert_eq!(sighting.value.len(), 64);
@@ -160,8 +131,7 @@ mod tests {
 
     #[test]
     fn yandex_uid_is_stable_but_goes_to_the_vendor() {
-        let result = crawl("Yandex");
-        let sightings = find_identifiers(&result, 2);
+        let sightings = identifiers("Yandex");
         let yuid = sightings
             .iter()
             .find(|s| s.destination == "api.browser.yandex.ru")
@@ -173,20 +143,33 @@ mod tests {
     #[test]
     fn clean_browsers_have_no_stable_identifiers() {
         for name in ["Chrome", "Brave", "DuckDuckGo"] {
-            let result = crawl(name);
-            let sightings = find_identifiers(&result, 2);
+            let sightings = identifiers(name);
             assert!(sightings.is_empty(), "{name}: {sightings:?}");
         }
     }
 
     #[test]
     fn threshold_filters_one_off_tokens() {
-        let result = crawl("Opera");
-        let all = find_identifiers(&result, 1);
-        let recurring = find_identifiers(&result, 2);
-        assert!(all.len() >= recurring.len());
-        for s in &recurring {
-            assert!(s.flows >= 2);
+        let recurring = "0123456789abcdef0123456789abcdef";
+        let one_off = "fedcba9876543210fedcba9876543210";
+        let obs = |value: &str| Observation {
+            key: "id".to_string(),
+            value: value.to_string(),
+            source: Source::Query,
+        };
+        // The recurring token rides two flows (twice in the second, which
+        // counts once); the one-off token rides one.
+        let flows = [vec![obs(recurring), obs(one_off)], vec![obs(recurring), obs(recurring)]];
+        let mut partial = IdentifierPartial::default();
+        for flow in &flows {
+            let mut seen_in_flow = HashMap::new();
+            for o in flow {
+                partial.scan_observation("t.example.com", o, &mut seen_in_flow);
+            }
         }
+        let sightings = partial.finish("Test", &HostsList::new());
+        assert_eq!(sightings.len(), 1, "{sightings:?}");
+        assert_eq!(sightings[0].value, recurring);
+        assert_eq!(sightings[0].flows, IDENTIFIER_MIN_FLOWS);
     }
 }

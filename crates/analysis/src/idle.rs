@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use panoptes::idle::IdleResult;
 use panoptes_http::url::registrable_domain;
 use panoptes_mitm::{Flow, FlowClass};
 use panoptes_simnet::clock::SimDuration;
@@ -59,10 +58,9 @@ impl IdleTimeline {
 /// [`IdlePartial::destination_shares`] — both derived from one pass over
 /// the capture instead of one pass each.
 ///
-/// The asymmetry of the legacy detectors is preserved deliberately: the
-/// timeline drops flows past the idle window, while destination shares
-/// count every in-window-or-later native flow (matching `timeline` /
-/// `destination_shares` exactly, bucket for bucket and byte for byte).
+/// The two views differ deliberately: the timeline drops flows past the
+/// idle window, while destination shares count every
+/// in-window-or-later native flow.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdlePartial {
     /// Seconds-since-idle-start → native flow count (no upper bound).
@@ -139,22 +137,6 @@ impl IdlePartial {
     }
 }
 
-/// Builds the accumulator for one idle capture (one pass).
-fn idle_partial(result: &IdleResult) -> IdlePartial {
-    let mut partial = IdlePartial::default();
-    let start = result.idle_start.0;
-    for flow in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(flow, start);
-    }
-    partial
-}
-
-/// Buckets an idle capture into a cumulative timeline. Only flows inside
-/// the idle window count (launch traffic is excluded).
-pub fn timeline(result: &IdleResult, bucket: SimDuration) -> IdleTimeline {
-    idle_partial(result).timeline(&result.profile.name, bucket, result.duration)
-}
-
 /// One destination's share of a browser's idle natives (§3.5).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DestinationShare {
@@ -166,20 +148,6 @@ pub struct DestinationShare {
     pub percent: f64,
 }
 
-/// Destination shares of the idle window, largest first.
-pub fn destination_shares(result: &IdleResult) -> Vec<DestinationShare> {
-    idle_partial(result).destination_shares()
-}
-
-/// Convenience: one domain's share in percent.
-pub fn share_of(result: &IdleResult, domain: &str) -> f64 {
-    destination_shares(result)
-        .into_iter()
-        .find(|s| s.domain == domain)
-        .map(|s| s.percent)
-        .unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,21 +157,32 @@ mod tests {
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
-    fn idle(name: &str) -> IdleResult {
+    use crate::engine::{analyze_idle, IdleAnalysis};
+
+    fn idle(name: &str) -> IdleAnalysis {
         let world =
             World::build(&GeneratorConfig { popular: 3, sensitive: 2, ..Default::default() });
-        run_idle(
+        analyze_idle(&run_idle(
             &world,
             &profile_by_name(name).unwrap(),
             SimDuration::from_secs(600),
             &CampaignConfig::default(),
-        )
+        ))
+    }
+
+    /// One domain's share of the idle natives, in percent.
+    fn domain_percent(analysis: &IdleAnalysis, domain: &str) -> f64 {
+        analysis
+            .destination_shares()
+            .into_iter()
+            .find(|s| s.domain == domain)
+            .map_or(0.0, |s| s.percent)
     }
 
     #[test]
     fn burst_browsers_are_front_loaded_opera_is_linear() {
-        let edge = timeline(&idle("Edge"), SimDuration::from_secs(10));
-        let opera = timeline(&idle("Opera"), SimDuration::from_secs(10));
+        let edge = idle("Edge").timeline(SimDuration::from_secs(10));
+        let opera = idle("Opera").timeline(SimDuration::from_secs(10));
         assert!(edge.total() > 0 && opera.total() > 0);
         // Edge: burst + slow plateau ⇒ clearly front-loaded relative to
         // uniform (60s/600s = 10%).
@@ -226,8 +205,7 @@ mod tests {
 
     #[test]
     fn dolphin_share_matches_paper() {
-        let result = idle("Dolphin");
-        let share = share_of(&result, "facebook.com");
+        let share = domain_percent(&idle("Dolphin"), "facebook.com");
         assert!(
             (40.0..=52.0).contains(&share),
             "Dolphin → Facebook Graph ≈46%, got {share:.1}"
@@ -236,17 +214,16 @@ mod tests {
 
     #[test]
     fn opera_ad_shares_match_paper() {
-        let result = idle("Opera");
-        let dc = share_of(&result, "doubleclick.net");
-        let af = share_of(&result, "appsflyer.com");
+        let opera = idle("Opera");
+        let dc = domain_percent(&opera, "doubleclick.net");
+        let af = domain_percent(&opera, "appsflyer.com");
         assert!((17.0..=27.0).contains(&dc), "doubleclick ≈21.9%, got {dc:.1}");
         assert!((0.5..=4.0).contains(&af), "appsflyer ≈1.7%, got {af:.1}");
     }
 
     #[test]
     fn coccoc_adjust_share_matches_paper() {
-        let result = idle("CocCoc");
-        let share = share_of(&result, "adjust.com");
+        let share = domain_percent(&idle("CocCoc"), "adjust.com");
         assert!((3.0..=11.0).contains(&share), "adjust ≈6.7%, got {share:.1}");
     }
 }

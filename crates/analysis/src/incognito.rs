@@ -2,9 +2,8 @@
 //! the browsing history of their users, continue to do so, no matter
 //! what mode the user is browsing on."
 
-use panoptes::campaign::CampaignResult;
-
-use crate::history::{detect_history_leaks, HistoryLeak, LeakGranularity};
+use crate::engine::CampaignAnalysis;
+use crate::history::LeakGranularity;
 
 /// Comparison of one browser's normal vs incognito campaigns.
 #[derive(Debug, Clone, PartialEq)]
@@ -19,30 +18,14 @@ pub struct IncognitoRow {
     pub still_leaks: bool,
 }
 
-/// Compares two campaigns of the same browser (normal, incognito).
-pub fn compare(normal: &CampaignResult, incognito: &CampaignResult) -> IncognitoRow {
-    assert_eq!(
-        normal.profile.package, incognito.profile.package,
-        "comparing different browsers"
-    );
-    compare_leaks(
-        &normal.profile.name,
-        &detect_history_leaks(normal),
-        &detect_history_leaks(incognito),
-    )
-}
-
-/// [`compare`] over already-detected leak sets (the fused study engine
-/// detects each mode's leaks once and compares the results).
-pub fn compare_leaks(
-    browser: &str,
-    normal: &[HistoryLeak],
-    incognito: &[HistoryLeak],
-) -> IncognitoRow {
-    let n = normal.iter().map(|l| l.granularity).max();
-    let i = incognito.iter().map(|l| l.granularity).max();
+/// Compares the analyses of two campaigns of the same browser (normal,
+/// incognito).
+pub fn compare(normal: &CampaignAnalysis, incognito: &CampaignAnalysis) -> IncognitoRow {
+    assert_eq!(normal.browser, incognito.browser, "comparing different browsers");
+    let worst = |a: &CampaignAnalysis| a.history_leaks.iter().map(|l| l.granularity).max();
+    let (n, i) = (worst(normal), worst(incognito));
     IncognitoRow {
-        browser: browser.to_string(),
+        browser: normal.browser.clone(),
         normal: n,
         incognito: i,
         still_leaks: n.is_some() && i == n,
@@ -58,18 +41,21 @@ mod tests {
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
+    use crate::engine::{analyze_crawl, AnalysisResources};
+
     #[test]
     fn edge_opera_uc_keep_leaking_in_incognito() {
         let world =
             World::build(&GeneratorConfig { popular: 5, sensitive: 3, ..Default::default() });
         let normal_cfg = CampaignConfig::default();
         let incog_cfg = CampaignConfig::default().incognito();
+        let res = AnalysisResources::standard();
         // The three §3.2 incognito subjects (Yandex and QQ have no
         // incognito mode to test — footnote 5).
         for name in ["Edge", "Opera", "UC International"] {
             let p = profile_by_name(name).unwrap();
-            let normal = run_crawl(&world, &p, &world.sites, &normal_cfg);
-            let incognito = run_crawl(&world, &p, &world.sites, &incog_cfg);
+            let normal = analyze_crawl(&run_crawl(&world, &p, &world.sites, &normal_cfg), &res);
+            let incognito = analyze_crawl(&run_crawl(&world, &p, &world.sites, &incog_cfg), &res);
             let row = compare(&normal, &incognito);
             assert!(row.still_leaks, "{name}: {row:?}");
         }
@@ -80,10 +66,11 @@ mod tests {
         let world =
             World::build(&GeneratorConfig { popular: 4, sensitive: 2, ..Default::default() });
         let p = profile_by_name("Chrome").unwrap();
+        let res = AnalysisResources::standard();
         let normal = run_crawl(&world, &p, &world.sites, &CampaignConfig::default());
         let incognito =
             run_crawl(&world, &p, &world.sites, &CampaignConfig::default().incognito());
-        let row = compare(&normal, &incognito);
+        let row = compare(&analyze_crawl(&normal, &res), &analyze_crawl(&incognito, &res));
         assert_eq!(row.normal, None);
         assert_eq!(row.incognito, None);
         assert!(!row.still_leaks);

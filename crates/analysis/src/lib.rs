@@ -1,11 +1,19 @@
 //! # panoptes-analysis
 //!
 //! The measurement analyses of the paper's §3, run against captured flow
-//! databases. Each module regenerates one artefact:
+//! databases. Each detector module holds one artefact's result rows and
+//! its mergeable `Partial` accumulator — the detector's only
+//! implementation. [`engine`] is the only code that walks a capture and
+//! feeds them; callers read the fields of one
+//! [`engine::CampaignAnalysis`] or [`engine::IdleAnalysis`].
 //!
-//! * [`facts`] — the parse-once layer every pass shares: memoised
+//! * [`engine`] — the fused single-pass study engine: [`engine::analyze_crawl`]
+//!   and [`engine::analyze_idle`] fold every flow into every detector in
+//!   one iteration, optionally sharded across the fleet pool,
+//! * [`facts`] — the parse-once layer the pass reads through: memoised
 //!   per-flow URLs, observations and decodings over the sealed
 //!   [`panoptes_mitm::FlowSnapshot`],
+//! * [`scan`] — key/value observation extraction and decoding,
 //! * [`volume`] — Figure 2 (request counts + native/engine ratio) and
 //!   Figure 4 (outgoing traffic volume),
 //! * [`addomains`] — Figure 3 (% of distinct native-contact domains that
@@ -18,15 +26,12 @@
 //!   parameters and JSON bodies via keyword + value heuristics,
 //! * [`dns`] — §3.2's DoH-vs-stub split,
 //! * [`transfers`] — §3.4: international transfers of history leaks,
-//! * [`incognito`] — §3.2's incognito comparison,
+//! * [`incognito`] — §3.2's incognito comparison of two analyses,
 //! * [`sensitive`] — §3.2's sensitive-category leak check,
 //! * [`idle`] — Figure 5 timelines and §3.5 destination shares,
-//! * [`engine`] — the fused single-pass study engine: every detector's
-//!   mergeable `Partial` folded in one iteration over the capture,
-//!   sharded across the fleet pool,
 //! * [`summary`] — a machine-readable JSON document of every result,
-//! * [`compare`] — per-browser deltas between two studies (longitudinal
-//!   / A-B workflows),
+//! * [`compare`] — per-browser deltas between two studies' analyses
+//!   (longitudinal / A-B workflows),
 //! * [`identifiers`] — stable device/user identifiers across native
 //!   destinations (Listing 1's `operaId` pattern),
 //! * [`cost`] — §3.1's user-borne costs: data-plan bytes and radio

@@ -11,12 +11,8 @@
 //! state — ReCon-style) with key-name hints where the value alone is
 //! ambiguous (e.g. DPI numbers).
 
-use panoptes::campaign::CampaignResult;
 use panoptes_browsers::PiiField;
 use panoptes_device::DeviceProperties;
-use panoptes_mitm::FlowClass;
-
-use crate::facts::{capture_facts, FlowView};
 
 /// One browser's Table 2 row: which fields were observed leaking, with
 /// an example destination per field.
@@ -110,18 +106,8 @@ pub struct PiiPartial {
 }
 
 impl PiiPartial {
-    /// Folds one captured flow into the accumulator (native flows only).
-    pub fn observe(&mut self, view: &FlowView<'_>, matcher: &PiiMatcher<'_>) {
-        if view.class != FlowClass::Native {
-            return;
-        }
-        for obs in view.observations() {
-            self.scan_observation(matcher, &view.host, obs);
-        }
-    }
-
-    /// Tests one observation against every still-unseen field. Shared
-    /// between [`observe`](Self::observe) and the fused engine pass.
+    /// Tests one observation of a native flow against every still-unseen
+    /// field.
     pub(crate) fn scan_observation(
         &mut self,
         matcher: &PiiMatcher<'_>,
@@ -164,23 +150,6 @@ impl PiiPartial {
     }
 }
 
-/// Scans a campaign's *native* flows for the Table 2 fields.
-pub fn pii_row(result: &CampaignResult, props: &DeviceProperties) -> PiiRow {
-    let matcher = PiiMatcher::new(props);
-    let mut partial = PiiPartial::default();
-    let snap = result.store.snapshot(); // multipass-ok: legacy standalone detector
-    let facts = capture_facts(&snap);
-    for view in facts.views(snap.native()) {
-        partial.observe(&view, &matcher);
-    }
-    partial.finish(&result.profile.name)
-}
-
-/// Table 2 over a set of campaigns (device props shared — one testbed).
-pub fn table2(results: &[CampaignResult], props: &DeviceProperties) -> Vec<PiiRow> {
-    results.iter().map(|r| pii_row(r, props)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -189,6 +158,8 @@ mod tests {
     use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
+
+    use crate::engine::{analyze_crawl, AnalysisResources};
 
     fn row(name: &str) -> PiiRow {
         let world =
@@ -199,7 +170,7 @@ mod tests {
             &world.sites,
             &CampaignConfig::default(),
         );
-        pii_row(&result, &DeviceProperties::testbed_tablet())
+        analyze_crawl(&result, &AnalysisResources::standard()).pii
     }
 
     #[test]

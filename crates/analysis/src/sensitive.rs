@@ -5,10 +5,7 @@
 
 use std::collections::BTreeSet;
 
-use panoptes::campaign::CampaignResult;
-
 use crate::engine::CrawlContext;
-use crate::facts::{capture_facts, FlowView};
 
 /// One browser's sensitive-leak row.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,19 +29,9 @@ pub struct SensitivePartial {
 }
 
 impl SensitivePartial {
-    /// Folds one captured flow into the accumulator.
-    pub fn observe(&mut self, view: &FlowView<'_>, ctx: &CrawlContext<'_>) {
-        if ctx.visited_domains.contains(view.registrable_domain()) {
-            return; // first-party traffic is not a leak
-        }
-        for (_, decoded_values) in view.decoded_observations() {
-            self.scan_values(decoded_values, ctx);
-        }
-    }
-
     /// Tests one observation's decodings against the sensitive ground
-    /// truth. Shared between [`observe`](Self::observe) and the fused
-    /// engine pass.
+    /// truth. The fused pass ([`crate::engine::CrawlPartials::observe`])
+    /// decides which flows reach it.
     pub(crate) fn scan_values(&mut self, decoded_values: &[String], ctx: &CrawlContext<'_>) {
         for decoded in decoded_values {
             // The ground truth holds full visit URLs, which always
@@ -76,36 +63,26 @@ impl SensitivePartial {
     }
 }
 
-/// Checks whether sensitive visits leak in full detail.
-pub fn sensitive_row(result: &CampaignResult) -> SensitiveRow {
-    let ctx = CrawlContext::of(result);
-    let mut partial = SensitivePartial::default();
-    let snap = result.store.snapshot(); // multipass-ok: legacy standalone detector
-    let facts = capture_facts(&snap);
-    for view in facts.views(snap.all()) {
-        partial.observe(&view, &ctx);
-    }
-    partial.finish(&result.profile.name, ctx.sensitive_urls.len())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use panoptes::campaign::run_crawl;
     use panoptes::config::CampaignConfig;
     use panoptes_browsers::registry::profile_by_name;
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
+    use crate::engine::{analyze_crawl, AnalysisResources};
+
     #[test]
     fn full_url_leakers_spare_nothing_sensitive() {
         let world =
             World::build(&GeneratorConfig { popular: 4, sensitive: 8, ..Default::default() });
         let config = CampaignConfig::default();
+        let res = AnalysisResources::standard();
         for name in ["Yandex", "QQ", "UC International"] {
             let result =
                 run_crawl(&world, &profile_by_name(name).unwrap(), &world.sites, &config);
-            let row = sensitive_row(&result);
+            let row = analyze_crawl(&result, &res).sensitive;
             assert_eq!(row.sensitive_visits, 8, "{name}");
             assert_eq!(
                 row.sensitive_urls_leaked, 8,
@@ -132,7 +109,7 @@ mod tests {
             &world.sites,
             &CampaignConfig::default(),
         );
-        let row = sensitive_row(&result);
+        let row = analyze_crawl(&result, &AnalysisResources::standard()).sensitive;
         assert_eq!(row.sensitive_urls_leaked, 0, "Edge reports domains, not full URLs");
     }
 }

@@ -4,9 +4,7 @@
 //!
 //! The document is rendered from [`StudyAnalyses`] — the fused engine's
 //! per-campaign products — so building it costs one pass over each
-//! capture. [`study_json_multipass`] keeps the legacy
-//! one-pass-per-detector construction as the byte-identity reference
-//! the tests and benches compare against.
+//! capture.
 
 use panoptes::campaign::CampaignResult;
 use panoptes::idle::IdleResult;
@@ -228,199 +226,6 @@ pub fn study_report_from(analyses: &StudyAnalyses) -> String {
     json::to_string_pretty(&study_json_from(analyses))
 }
 
-/// The legacy multi-pass construction of the same document: every
-/// section re-analyses the captures with its own detector pass. Kept as
-/// the byte-identity reference for the fused engine's tests and the
-/// `bench_study` comparison — production paths use [`study_json`].
-pub fn study_json_multipass(results: &[CampaignResult], idles: &[IdleResult]) -> Value {
-    use panoptes_device::DeviceProperties;
-    use panoptes_geo::GeoDb;
-
-    use crate::addomains::figure3;
-    use crate::dns::doh_split;
-    use crate::history::detect_history_leaks;
-    use crate::idle::{destination_shares, timeline};
-    use crate::pii::table2;
-    use crate::transfers::transfers;
-    use crate::volume::figure2;
-
-    let props = DeviceProperties::testbed_tablet();
-    let geo = GeoDb::standard();
-
-    let fig2: Vec<Value> = figure2(results)
-        .into_iter()
-        .map(|r| {
-            Value::object(vec![
-                ("browser", Value::str(&r.browser)),
-                ("engine_requests", Value::from(r.engine_requests)),
-                ("native_requests", Value::from(r.native_requests)),
-                ("request_ratio", Value::Number(r.request_ratio)),
-                ("engine_bytes", Value::from(r.engine_bytes)),
-                ("native_bytes", Value::from(r.native_bytes)),
-                ("volume_ratio", Value::Number(r.volume_ratio)),
-            ])
-        })
-        .collect();
-
-    let fig3: Vec<Value> = figure3(results)
-        .into_iter()
-        .map(|r| {
-            Value::object(vec![
-                ("browser", Value::str(&r.browser)),
-                ("native_hosts", Value::from(r.native_hosts.len() as u64)),
-                (
-                    "ad_hosts",
-                    Value::Array(r.ad_hosts.iter().map(Value::str).collect()),
-                ),
-                ("ad_percent", Value::Number(r.ad_percent)),
-            ])
-        })
-        .collect();
-
-    let leaks: Vec<Value> = results
-        .iter()
-        .flat_map(detect_history_leaks) // multipass-ok: legacy reference
-        .map(|l| {
-            Value::object(vec![
-                ("browser", Value::str(&l.browser)),
-                ("destination", Value::str(&l.destination)),
-                ("granularity", Value::str(l.granularity.as_str())),
-                ("encoding", Value::str(format!("{:?}", l.encoding))),
-                ("channel", Value::str(format!("{:?}", l.channel))),
-                ("visits_leaked", Value::from(l.visits_leaked as u64)),
-                (
-                    "persistent_id",
-                    l.persistent_id.map(Value::String).unwrap_or(Value::Null),
-                ),
-            ])
-        })
-        .collect();
-
-    let pii: Vec<Value> = table2(results, &props)
-        .into_iter()
-        .map(|row| {
-            Value::object(vec![
-                ("browser", Value::str(&row.browser)),
-                (
-                    "fields",
-                    Value::Array(
-                        row.leaked
-                            .iter()
-                            .map(|(f, dest)| {
-                                Value::object(vec![
-                                    ("field", Value::str(f.label())),
-                                    ("destination", Value::str(dest)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-
-    let (dns_rows, doh, stub) = doh_split(results);
-    let dns: Vec<Value> = dns_rows
-        .into_iter()
-        .map(|r| {
-            let resolver = match r.resolver {
-                ObservedResolver::LocalStub => "stub".to_string(),
-                ObservedResolver::Doh(p) => format!("doh:{}", p.host()),
-                ObservedResolver::None => "none".to_string(),
-            };
-            Value::object(vec![
-                ("browser", Value::str(&r.browser)),
-                ("resolver", Value::str(resolver)),
-                ("lookups", Value::from(r.lookups as u64)),
-            ])
-        })
-        .collect();
-
-    let transfer_rows: Vec<Value> = transfers(results, &geo)
-        .into_iter()
-        .map(|t| {
-            Value::object(vec![
-                ("browser", Value::str(&t.browser)),
-                ("granularity", Value::str(t.granularity.as_str())),
-                (
-                    "destinations",
-                    Value::Array(
-                        t.destinations
-                            .iter()
-                            .map(|(host, country)| {
-                                Value::object(vec![
-                                    ("host", Value::str(host)),
-                                    ("country", Value::str(country.as_str())),
-                                    ("eu", Value::Bool(country.is_eu())),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("leaves_eu", Value::Bool(t.leaves_eu)),
-            ])
-        })
-        .collect();
-
-    let idle_json: Vec<Value> = idles
-        .iter()
-        .map(|r| {
-            let tl = timeline(r, IDLE_BUCKET);
-            Value::object(vec![
-                ("browser", Value::str(&r.profile.name)),
-                ("idle_sent", Value::from(r.idle_sent)),
-                ("first_minute_share", Value::Number(tl.first_minute_share())),
-                (
-                    "cumulative",
-                    Value::Array(
-                        tl.cumulative
-                            .iter()
-                            .map(|(t, n)| Value::Array(vec![Value::from(*t), Value::from(*n)]))
-                            .collect(),
-                    ),
-                ),
-                (
-                    "top_destinations",
-                    Value::Array(
-                        destination_shares(r)
-                            .into_iter()
-                            .take(5)
-                            .map(|s| {
-                                Value::object(vec![
-                                    ("domain", Value::str(&s.domain)),
-                                    ("percent", Value::Number(s.percent)),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-
-    Value::object(vec![
-        ("figure2", Value::Array(fig2)),
-        ("figure3", Value::Array(fig3)),
-        ("history_leaks", Value::Array(leaks)),
-        ("table2_pii", Value::Array(pii)),
-        (
-            "dns",
-            Value::object(vec![
-                ("doh_browsers", Value::from(doh as u64)),
-                ("stub_browsers", Value::from(stub as u64)),
-                ("rows", Value::Array(dns)),
-            ]),
-        ),
-        ("transfers", Value::Array(transfer_rows)),
-        ("figure5_idle", Value::Array(idle_json)),
-    ])
-}
-
-/// Pretty-printed form of [`study_json_multipass`].
-pub fn study_report_multipass(results: &[CampaignResult], idles: &[IdleResult]) -> String {
-    json::to_string_pretty(&study_json_multipass(results, idles))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,23 +267,5 @@ mod tests {
         let idle = &parsed.get("figure5_idle").unwrap().as_array().unwrap()[0];
         let series = idle.get("cumulative").unwrap().as_array().unwrap();
         assert!(!series.is_empty());
-    }
-
-    #[test]
-    fn fused_report_is_byte_identical_to_multipass() {
-        let world =
-            World::build(&GeneratorConfig { popular: 5, sensitive: 3, ..Default::default() });
-        let config = CampaignConfig::default();
-        let results: Vec<_> = ["Yandex", "Opera", "Chrome", "UC International"]
-            .iter()
-            .map(|n| run_crawl(&world, &profile_by_name(n).unwrap(), &world.sites, &config))
-            .collect();
-        let idles = vec![run_idle(
-            &world,
-            &profile_by_name("Mint").unwrap(),
-            SimDuration::from_secs(120),
-            &config,
-        )];
-        assert_eq!(study_report(&results, &idles), study_report_multipass(&results, &idles));
     }
 }

@@ -10,13 +10,11 @@
 
 use std::collections::BTreeMap;
 
-use panoptes::campaign::CampaignResult;
 use panoptes_geo::{Country, GeoDb};
 use panoptes_http::netaddr::IpAddr;
-
 use panoptes_mitm::Flow;
 
-use crate::history::{detect_history_leaks, HistoryLeak, LeakGranularity};
+use crate::history::{HistoryLeak, LeakGranularity};
 
 /// Where one browser's history leaks land.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,21 +85,6 @@ impl TransferPartial {
     }
 }
 
-/// Geolocates every history-leak destination of a campaign.
-pub fn transfer_row(result: &CampaignResult, geo: &GeoDb) -> Option<TransferRow> {
-    let leaks = detect_history_leaks(result);
-    let mut partial = TransferPartial::default();
-    for flow in result.store.snapshot().iter() { // multipass-ok: legacy standalone detector
-        partial.observe(flow);
-    }
-    partial.finish(&result.profile.name, &leaks, geo)
-}
-
-/// §3.4 over a full study: rows for every browser that leaks history.
-pub fn transfers(results: &[CampaignResult], geo: &GeoDb) -> Vec<TransferRow> {
-    results.iter().filter_map(|r| transfer_row(r, geo)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,12 +94,14 @@ mod tests {
     use panoptes_web::generator::GeneratorConfig;
     use panoptes_web::World;
 
+    use crate::engine::{analyze_crawl, AnalysisResources};
+
     #[test]
     fn full_detail_leakers_land_outside_eu() {
         let world =
             World::build(&GeneratorConfig { popular: 6, sensitive: 3, ..Default::default() });
         let config = CampaignConfig::default();
-        let geo = GeoDb::standard();
+        let res = AnalysisResources::standard();
         let cases = [
             ("Yandex", "RU"),
             ("QQ", "CN"),
@@ -125,7 +110,9 @@ mod tests {
         for (name, country) in cases {
             let result =
                 run_crawl(&world, &profile_by_name(name).unwrap(), &world.sites, &config);
-            let row = transfer_row(&result, &geo).unwrap_or_else(|| panic!("{name} leaks"));
+            let row = analyze_crawl(&result, &res)
+                .transfers
+                .unwrap_or_else(|| panic!("{name} leaks"));
             assert_eq!(row.granularity, LeakGranularity::FullUrl, "{name}");
             assert!(row.leaves_eu, "{name}");
             assert!(
@@ -146,6 +133,6 @@ mod tests {
             &world.sites,
             &CampaignConfig::default(),
         );
-        assert!(transfer_row(&result, &GeoDb::standard()).is_none());
+        assert!(analyze_crawl(&result, &AnalysisResources::standard()).transfers.is_none());
     }
 }

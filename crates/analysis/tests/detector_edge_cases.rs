@@ -4,13 +4,10 @@
 use std::sync::Arc;
 
 use panoptes::campaign::{CampaignResult, VisitRecord};
-use panoptes_analysis::history::{
-    detect_history_leaks, LeakChannel, LeakEncoding, LeakGranularity,
-};
-use panoptes_analysis::pii::pii_row;
+use panoptes_analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
+use panoptes_analysis::history::{HistoryLeak, LeakChannel, LeakEncoding, LeakGranularity};
 use panoptes_analysis::scan::{decodings, observations};
 use panoptes_browsers::registry::profile_by_name;
-use panoptes_device::DeviceProperties;
 use panoptes_http::codec::{b64_encode, percent_encode_component};
 use panoptes_http::method::Method;
 use panoptes_http::netaddr::IpAddr;
@@ -48,6 +45,14 @@ fn campaign(visits: &[&str], flows: Vec<Flow>) -> CampaignResult {
     }
 }
 
+fn analyze(result: &CampaignResult) -> CampaignAnalysis {
+    analyze_crawl(result, &AnalysisResources::standard())
+}
+
+fn history_leaks(result: &CampaignResult) -> Vec<HistoryLeak> {
+    analyze(result).history_leaks
+}
+
 fn native_flow(id: u64, host: &str, url: &str) -> Flow {
     Flow {
         id,
@@ -83,7 +88,7 @@ fn detects_standard_base64_with_padding() {
         native_flow(2, "tracker.example-vendor.net", &format!("https://tracker.example-vendor.net/r?u={enc_b}")),
     ];
     let result = campaign(&[visit_a, visit_b], flows);
-    let leaks = detect_history_leaks(&result);
+    let leaks = history_leaks(&result);
     assert_eq!(leaks.len(), 1, "{leaks:?}");
     assert_eq!(leaks[0].granularity, LeakGranularity::FullUrl);
     assert_eq!(leaks[0].encoding, LeakEncoding::Base64);
@@ -102,7 +107,7 @@ fn detects_percent_encoded_leak() {
         native_flow(2, "t.vendor-x.com", &format!("https://t.vendor-x.com/r?dl={}", double(visit_b))),
     ];
     let result = campaign(&[visit_a, visit_b], flows);
-    let leaks = detect_history_leaks(&result);
+    let leaks = history_leaks(&result);
     assert_eq!(leaks.len(), 1, "{leaks:?}");
     assert_eq!(leaks[0].encoding, LeakEncoding::Percent);
 }
@@ -115,7 +120,7 @@ fn single_occurrence_is_not_reported() {
     let visit = "https://www.example.com/";
     let flows = vec![native_flow(1, "cdn.misc.net", "https://cdn.misc.net/r?u=https://www.example.com/")];
     let result = campaign(&[visit, "https://two.com/", "https://three.com/"], flows);
-    assert!(detect_history_leaks(&result).is_empty());
+    assert!(history_leaks(&result).is_empty());
 }
 
 #[test]
@@ -128,7 +133,7 @@ fn first_party_reporting_is_not_a_leak() {
         native_flow(2, "metrics.example.com", "https://metrics.example.com/r?u=https://www.example.com/page"),
     ];
     let result = campaign(&[visit], flows);
-    assert!(detect_history_leaks(&result).is_empty());
+    assert!(history_leaks(&result).is_empty());
 }
 
 #[test]
@@ -139,7 +144,7 @@ fn engine_class_flow_needs_near_total_coverage() {
     let mut flow = native_flow(1, "ga.example-analytics.com", "https://ga.example-analytics.com/c?dl=https://a.com/");
     flow.class = FlowClass::Engine;
     let result = campaign(&visits, vec![flow]);
-    assert!(detect_history_leaks(&result).is_empty());
+    assert!(history_leaks(&result).is_empty());
 }
 
 #[test]
@@ -151,7 +156,7 @@ fn blocked_flows_are_not_leaks() {
     f2.class = FlowClass::Blocked;
     let result = campaign(&[visit], vec![f1, f2]);
     assert!(
-        detect_history_leaks(&result).is_empty(),
+        history_leaks(&result).is_empty(),
         "blocked requests never reached the destination"
     );
 }
@@ -170,14 +175,13 @@ fn channel_is_reported_per_destination() {
     injected1.class = FlowClass::Engine;
     injected2.class = FlowClass::Engine;
     let result = campaign(&visits, vec![injected1, injected2]);
-    let leaks = detect_history_leaks(&result);
+    let leaks = history_leaks(&result);
     assert_eq!(leaks.len(), 1, "{leaks:?}");
     assert_eq!(leaks[0].channel, LeakChannel::InjectedScript);
 }
 
 #[test]
 fn pii_scanner_ignores_lookalike_values_without_key_hints() {
-    let props = DeviceProperties::testbed_tablet();
     // "224" as an ad-slot count must not be flagged as the DPI; "GR" as
     // a random token must not be flagged as the country.
     let flows = vec![
@@ -185,7 +189,7 @@ fn pii_scanner_ignores_lookalike_values_without_key_hints() {
         native_flow(2, "v.example-vendor.com", "https://v.example-vendor.com/t?slots=224&tag=GR"),
     ];
     let result = campaign(&["https://a.com/"], flows);
-    let row = pii_row(&result, &props);
+    let row = analyze(&result).pii;
     assert!(row.leaked.is_empty(), "{:?}", row.leaked);
 }
 

@@ -5,7 +5,7 @@
 
 use panoptes::config::CampaignConfig;
 use panoptes::idle::run_idle;
-use panoptes_analysis::idle::timeline;
+use panoptes_analysis::engine::analyze_idle;
 use panoptes_browsers::registry::all_profiles;
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::generator::GeneratorConfig;
@@ -23,7 +23,7 @@ fn most_browsers_front_load_opera_is_linear() {
     let mut opera_share = None;
     for profile in all_profiles() {
         let result = run_idle(&world, &profile, SimDuration::from_secs(600), &config);
-        let tl = timeline(&result, SimDuration::from_secs(10));
+        let tl = analyze_idle(&result).timeline(SimDuration::from_secs(10));
         assert!(tl.total() > 0, "{} sent nothing while idle", profile.name);
         // Cumulative series is monotone by construction.
         for w in tl.cumulative.windows(2) {
@@ -54,8 +54,6 @@ fn idle_timelines_are_deterministic() {
     let profile = panoptes_browsers::registry::profile_by_name("Edge").unwrap();
     let a = run_idle(&world, &profile, SimDuration::from_secs(300), &config);
     let b = run_idle(&world, &profile, SimDuration::from_secs(300), &config);
-    assert_eq!(
-        timeline(&a, SimDuration::from_secs(10)),
-        timeline(&b, SimDuration::from_secs(10))
-    );
+    let bucket = SimDuration::from_secs(10);
+    assert_eq!(analyze_idle(&a).timeline(bucket), analyze_idle(&b).timeline(bucket));
 }

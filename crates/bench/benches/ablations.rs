@@ -15,10 +15,9 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use panoptes::campaign::{run_crawl, run_crawl_with};
+use panoptes::campaign::{run_crawl, run_crawl_with, CampaignResult};
 use panoptes::config::CampaignConfig;
-use panoptes_analysis::history::leaks_anything;
-use panoptes_analysis::volume::volume_row;
+use panoptes_analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
 use panoptes_browsers::registry::profile_by_name;
 use panoptes_browsers::BrowserProfile;
 use panoptes_guard::{GuardAddon, GuardPolicy};
@@ -29,6 +28,10 @@ use panoptes_web::World;
 
 fn world() -> World {
     World::build(&GeneratorConfig { popular: 10, sensitive: 6, ..Default::default() })
+}
+
+fn analyze(result: &CampaignResult) -> CampaignAnalysis {
+    analyze_crawl(result, &AnalysisResources::standard())
 }
 
 /// Taint verification: the token-checking addon vs classifying on header
@@ -138,8 +141,8 @@ fn ablation_engine_adblock(c: &mut Criterion) {
     let coccoc = profile_by_name("CocCoc").unwrap();
     let unblocked = BrowserProfile { adblock: false, ..coccoc.clone() };
 
-    let with_block = volume_row(&run_crawl(&world, &coccoc, &world.sites, &config));
-    let without = volume_row(&run_crawl(&world, &unblocked, &world.sites, &config));
+    let with_block = analyze(&run_crawl(&world, &coccoc, &world.sites, &config)).volume;
+    let without = analyze(&run_crawl(&world, &unblocked, &world.sites, &config)).volume;
     assert!(
         with_block.engine_requests < without.engine_requests,
         "blocking must shrink the engine share"
@@ -167,8 +170,8 @@ fn ablation_doh_vs_stub(c: &mut Criterion) {
         ..chrome.clone()
     };
 
-    let stub = volume_row(&run_crawl(&world, &chrome, &world.sites, &config));
-    let doh = volume_row(&run_crawl(&world, &chrome_doh, &world.sites, &config));
+    let stub = analyze(&run_crawl(&world, &chrome, &world.sites, &config)).volume;
+    let doh = analyze(&run_crawl(&world, &chrome_doh, &world.sites, &config)).volume;
     assert!(
         doh.native_requests > stub.native_requests * 2,
         "DoH inflates native traffic: {} vs {}",
@@ -221,7 +224,7 @@ fn ablation_guard(c: &mut Criterion) {
     let yandex = profile_by_name("Yandex").unwrap();
 
     let unguarded = run_crawl(&world, &yandex, &world.sites, &config);
-    assert!(leaks_anything(&unguarded));
+    assert!(!analyze(&unguarded).history_leaks.is_empty());
     let guarded = run_crawl_with(&world, &yandex, &world.sites, &config, |proxy| {
         let policy = GuardPolicy {
             redact_history: true,
@@ -229,7 +232,7 @@ fn ablation_guard(c: &mut Criterion) {
         };
         proxy.install_addon(Box::new(GuardAddon::new(policy)));
     });
-    assert!(!leaks_anything(&guarded), "guard must eliminate the leaks");
+    assert!(analyze(&guarded).history_leaks.is_empty(), "guard must eliminate the leaks");
 
     let mut group = c.benchmark_group("ablation_guard");
     group.sample_size(10);

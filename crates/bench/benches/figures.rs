@@ -8,18 +8,8 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use panoptes::campaign::{run_crawl, CampaignResult};
 use panoptes::config::CampaignConfig;
 use panoptes::idle::run_idle;
-use panoptes_analysis::addomains::figure3;
-use panoptes_analysis::dns::doh_split;
-use panoptes_analysis::history::detect_history_leaks;
-use panoptes_analysis::idle::{destination_shares, timeline};
-use panoptes_analysis::incognito::compare;
-use panoptes_analysis::pii::table2;
-use panoptes_analysis::sensitive::sensitive_row;
-use panoptes_analysis::transfers::transfers;
-use panoptes_analysis::volume::figure2;
+use panoptes_analysis::engine::{analyze_crawl, analyze_idle, AnalysisResources};
 use panoptes_browsers::registry::{all_profiles, profile_by_name};
-use panoptes_device::DeviceProperties;
-use panoptes_geo::GeoDb;
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::generator::GeneratorConfig;
 use panoptes_web::World;
@@ -28,7 +18,7 @@ fn bench_world() -> World {
     World::build(&GeneratorConfig { popular: 12, sensitive: 8, ..Default::default() })
 }
 
-/// Crawls all 15 browsers once; reused by the analysis benches.
+/// Crawls all 15 browsers once; reused by the analysis bench.
 fn crawl_everyone(world: &World) -> Vec<CampaignResult> {
     let config = CampaignConfig::default();
     all_profiles()
@@ -50,6 +40,7 @@ fn table1_registry(c: &mut Criterion) {
 fn fig2_native_ratio(c: &mut Criterion) {
     let world = bench_world();
     let config = CampaignConfig::default();
+    let res = AnalysisResources::standard();
     c.bench_function("fig2_native_ratio", |b| {
         b.iter(|| {
             let yandex = run_crawl(
@@ -58,9 +49,9 @@ fn fig2_native_ratio(c: &mut Criterion) {
                 &world.sites,
                 &config,
             );
-            let rows = figure2(std::slice::from_ref(&yandex));
-            assert!(rows[0].request_ratio > 0.25);
-            rows
+            let row = analyze_crawl(&yandex, &res).volume;
+            assert!(row.request_ratio > 0.25);
+            row
         })
     });
 }
@@ -68,12 +59,13 @@ fn fig2_native_ratio(c: &mut Criterion) {
 fn fig3_ad_domains(c: &mut Criterion) {
     let world = bench_world();
     let config = CampaignConfig::default();
+    let res = AnalysisResources::standard();
     let kiwi = run_crawl(&world, &profile_by_name("Kiwi").unwrap(), &world.sites, &config);
     c.bench_function("fig3_ad_domains", |b| {
         b.iter(|| {
-            let rows = figure3(std::slice::from_ref(&kiwi));
-            assert!(rows[0].ad_percent > 30.0);
-            rows
+            let row = analyze_crawl(&kiwi, &res).addomains;
+            assert!(row.ad_percent > 30.0);
+            row
         })
     });
 }
@@ -81,25 +73,30 @@ fn fig3_ad_domains(c: &mut Criterion) {
 fn fig4_volume(c: &mut Criterion) {
     let world = bench_world();
     let config = CampaignConfig::default();
+    let res = AnalysisResources::standard();
     let qq = run_crawl(&world, &profile_by_name("QQ").unwrap(), &world.sites, &config);
     c.bench_function("fig4_volume", |b| {
         b.iter(|| {
-            let rows = figure2(std::slice::from_ref(&qq));
-            assert!(rows[0].volume_ratio > 0.3);
-            rows
+            let row = analyze_crawl(&qq, &res).volume;
+            assert!(row.volume_ratio > 0.3);
+            row
         })
     });
 }
 
-fn table2_pii(c: &mut Criterion) {
+/// Every crawl detector at once — Table 2, the §3.2 leak, DoH,
+/// incognito and sensitive checks, §3.4 transfers — as the one fused
+/// pass per campaign captured in advance. Their shape assertions run in
+/// tier-1 as `tests/paper_findings.rs`.
+fn sec3_analyze_crawl(c: &mut Criterion) {
     let world = bench_world();
     let results = crawl_everyone(&world);
-    let props = DeviceProperties::testbed_tablet();
-    c.bench_function("table2_pii", |b| {
+    let res = AnalysisResources::standard();
+    c.bench_function("sec3_analyze_crawl", |b| {
         b.iter(|| {
-            let rows = table2(&results, &props);
-            assert_eq!(rows.len(), 15);
-            rows
+            let analyses: Vec<_> = results.iter().map(|r| analyze_crawl(r, &res)).collect();
+            assert_eq!(analyses.len(), 15);
+            analyses
         })
     });
 }
@@ -115,80 +112,12 @@ fn fig5_idle(c: &mut Criterion) {
                 SimDuration::from_secs(600),
                 &config,
             );
-            let tl = timeline(&opera, SimDuration::from_secs(10));
+            let analysis = analyze_idle(&opera);
+            let tl = analysis.timeline(SimDuration::from_secs(10));
             assert!(tl.total() > 50);
-            let shares = destination_shares(&opera);
+            let shares = analysis.destination_shares();
             assert!(!shares.is_empty());
             (tl, shares)
-        })
-    });
-}
-
-fn sec32_history_leaks(c: &mut Criterion) {
-    let world = bench_world();
-    let config = CampaignConfig::default();
-    let yandex = run_crawl(&world, &profile_by_name("Yandex").unwrap(), &world.sites, &config);
-    c.bench_function("sec32_history_leaks", |b| {
-        b.iter(|| {
-            let leaks = detect_history_leaks(&yandex);
-            assert!(leaks.iter().any(|l| l.persistent_id.is_some()));
-            leaks
-        })
-    });
-}
-
-fn sec32_dns_split(c: &mut Criterion) {
-    let world = bench_world();
-    let results = crawl_everyone(&world);
-    c.bench_function("sec32_dns_split", |b| {
-        b.iter(|| {
-            let (rows, doh, stub) = doh_split(&results);
-            assert_eq!((doh, stub), (8, 7));
-            rows
-        })
-    });
-}
-
-fn sec32_incognito(c: &mut Criterion) {
-    let world = bench_world();
-    let p = profile_by_name("Edge").unwrap();
-    let normal = run_crawl(&world, &p, &world.sites, &CampaignConfig::default());
-    let incog = run_crawl(&world, &p, &world.sites, &CampaignConfig::default().incognito());
-    c.bench_function("sec32_incognito", |b| {
-        b.iter(|| {
-            let row = compare(&normal, &incog);
-            assert!(row.still_leaks);
-            row
-        })
-    });
-}
-
-fn sec32_sensitive(c: &mut Criterion) {
-    let world = bench_world();
-    let qq = run_crawl(
-        &world,
-        &profile_by_name("QQ").unwrap(),
-        &world.sites,
-        &CampaignConfig::default(),
-    );
-    c.bench_function("sec32_sensitive", |b| {
-        b.iter(|| {
-            let row = sensitive_row(&qq);
-            assert!(row.sensitive_urls_leaked > 0);
-            row
-        })
-    });
-}
-
-fn sec34_transfers(c: &mut Criterion) {
-    let world = bench_world();
-    let results = crawl_everyone(&world);
-    let geo = GeoDb::standard();
-    c.bench_function("sec34_transfers", |b| {
-        b.iter(|| {
-            let rows = transfers(&results, &geo);
-            assert!(rows.iter().any(|r| r.browser == "Yandex" && r.leaves_eu));
-            rows
         })
     });
 }
@@ -214,13 +143,8 @@ criterion_group! {
         fig2_native_ratio,
         fig3_ad_domains,
         fig4_volume,
-        table2_pii,
+        sec3_analyze_crawl,
         fig5_idle,
-        sec32_history_leaks,
-        sec32_dns_split,
-        sec32_incognito,
-        sec32_sensitive,
-        sec34_transfers,
         full_campaign_crawl,
 }
 criterion_main!(figures);

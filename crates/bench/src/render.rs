@@ -10,7 +10,7 @@ use panoptes::campaign::CampaignResult;
 use panoptes_analysis::dns::ObservedResolver;
 use panoptes_analysis::engine::{CampaignAnalysis, IdleAnalysis};
 use panoptes_analysis::history::{LeakChannel, LeakGranularity};
-use panoptes_analysis::incognito::compare_leaks;
+use panoptes_analysis::incognito;
 use panoptes_browsers::PiiField;
 use panoptes_simnet::clock::SimDuration;
 
@@ -148,7 +148,7 @@ pub fn incognito_md(pairs: &[(CampaignAnalysis, CampaignAnalysis)]) -> String {
         "## §3.2 — Incognito mode\n\n| Browser | Normal | Incognito | Still leaks |\n|---|---|---|---|\n",
     );
     for (normal, incog) in pairs {
-        let row = compare_leaks(&normal.browser, &normal.history_leaks, &incog.history_leaks);
+        let row = incognito::compare(normal, incog);
         out.push_str(&format!(
             "| {} | {} | {} | {} |\n",
             row.browser,

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use panoptes::campaign::{run_crawl, run_crawl_with, CampaignResult};
 use panoptes::config::CampaignConfig;
-use panoptes_analysis::addomains::ad_domain_row;
-use panoptes_analysis::history::{detect_history_leaks, leaks_anything};
-use panoptes_analysis::pii::pii_row;
+use panoptes_analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
 use panoptes_browsers::registry::profile_by_name;
 use panoptes_browsers::BrowserProfile;
 use panoptes_device::DeviceProperties;
@@ -25,6 +23,10 @@ fn world() -> World {
 /// would read from its own device).
 fn pii_values() -> Vec<String> {
     GuardPolicy::pii_values(&DeviceProperties::testbed_tablet())
+}
+
+fn analyze(result: &CampaignResult) -> CampaignAnalysis {
+    analyze_crawl(result, &AnalysisResources::standard())
 }
 
 fn crawl_guarded(
@@ -51,7 +53,7 @@ fn measure_then_enforce_eliminates_yandex_leaks() {
 
     // 1. Measure: the unguarded crawl finds the leaks.
     let unguarded = run_crawl(&w, &yandex, &w.sites, &CampaignConfig::default());
-    let leaks = detect_history_leaks(&unguarded);
+    let leaks = analyze(&unguarded).history_leaks;
     assert!(!leaks.is_empty());
 
     // 2. Compile the findings into a policy.
@@ -62,11 +64,15 @@ fn measure_then_enforce_eliminates_yandex_leaks() {
 
     // 3. Enforce: the guarded crawl leaks nothing.
     let (guarded, guard) = crawl_guarded(&w, &yandex, policy);
+    let analysis = analyze(&guarded);
     assert!(
-        !leaks_anything(&guarded),
+        analysis.history_leaks.is_empty(),
         "leaks survived the guard: {:?}",
-        detect_history_leaks(&guarded)
+        analysis.history_leaks
     );
+    // The blocked sba.yandex.net reports carried the sensitive URLs, but
+    // they never left the device.
+    assert_eq!(analysis.sensitive.sensitive_urls_leaked, 0, "{:?}", analysis.sensitive);
     assert!(guard.stats().blocked as usize >= w.sites.len(), "one sba block per visit at least");
     // Blocked flows are visible in the capture as such.
     assert!(!guarded.store.by_class(FlowClass::Blocked).is_empty());
@@ -83,7 +89,8 @@ fn redaction_alone_stops_qq_without_blocking() {
         ..GuardPolicy::none()
     };
     let (guarded, guard) = crawl_guarded(&w, &qq, policy);
-    assert!(!leaks_anything(&guarded), "{:?}", detect_history_leaks(&guarded));
+    let leaks = analyze(&guarded).history_leaks;
+    assert!(leaks.is_empty(), "{leaks:?}");
     assert!(guard.stats().redacted_values as usize >= w.sites.len());
     assert_eq!(guard.stats().blocked, 0);
     // The vendor endpoint still received (sanitized) requests.
@@ -101,10 +108,10 @@ fn hosts_list_blocking_cleans_kiwi_ad_traffic() {
     let w = world();
     let kiwi = profile_by_name("Kiwi").unwrap();
     let unguarded = run_crawl(&w, &kiwi, &w.sites, &CampaignConfig::default());
-    assert!(ad_domain_row(&unguarded).ad_percent > 30.0);
+    assert!(analyze(&unguarded).addomains.ad_percent > 30.0);
 
     let (guarded, _) = crawl_guarded(&w, &kiwi, GuardPolicy::strict(&[], &[]));
-    let row = ad_domain_row(&guarded);
+    let row = analyze(&guarded).addomains;
     assert_eq!(row.ad_percent, 0.0, "surviving ad hosts: {:?}", row.ad_hosts);
     // Utility traffic is untouched.
     assert!(guarded
@@ -121,13 +128,13 @@ fn pii_redaction_clears_the_whale_table2_row() {
     let props = DeviceProperties::testbed_tablet();
 
     let unguarded = run_crawl(&w, &whale, &w.sites, &CampaignConfig::default());
-    assert!(!pii_row(&unguarded, &props).leaked.is_empty());
+    assert!(!analyze(&unguarded).pii.leaked.is_empty());
 
     // Scrub every Table 2 value the device knows about itself.
     let policy =
         GuardPolicy { redact_values: GuardPolicy::pii_values(&props), ..GuardPolicy::none() };
     let (guarded, guard) = crawl_guarded(&w, &whale, policy);
-    let row = pii_row(&guarded, &props);
+    let row = analyze(&guarded).pii;
     assert!(row.leaked.is_empty(), "still leaking: {:?}", row.leaked);
     assert!(guard.stats().redacted_values > 0);
 }

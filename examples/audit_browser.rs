@@ -5,16 +5,9 @@
 //! cargo run --release --example audit_browser -- Opera
 //! ```
 
-use panoptes_suite::analysis::addomains::ad_domain_row;
-use panoptes_suite::analysis::dns::{dns_row, ObservedResolver};
-use panoptes_suite::analysis::history::detect_history_leaks;
-use panoptes_suite::analysis::pii::pii_row;
-use panoptes_suite::analysis::sensitive::sensitive_row;
-use panoptes_suite::analysis::transfers::transfer_row;
-use panoptes_suite::analysis::volume::volume_row;
+use panoptes_suite::analysis::dns::ObservedResolver;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::browsers::registry::{all_profiles, profile_by_name};
-use panoptes_suite::device::DeviceProperties;
-use panoptes_suite::geo::GeoDb;
 use panoptes_suite::panoptes::campaign::run_crawl;
 use panoptes_suite::panoptes::config::CampaignConfig;
 use panoptes_suite::web::generator::GeneratorConfig;
@@ -34,14 +27,15 @@ fn main() {
 
     let world = World::build(&GeneratorConfig { popular: 40, sensitive: 20, ..Default::default() });
     let result = run_crawl(&world, &profile, &world.sites, &CampaignConfig::default());
+    let analysis = analyze_crawl(&result, &AnalysisResources::standard());
 
-    let v = volume_row(&result);
+    let v = &analysis.volume;
     println!("\n-- traffic split (Figs 2/4) --");
     println!("engine requests : {:>8}", v.engine_requests);
     println!("native requests : {:>8}  (ratio {:.2})", v.native_requests, v.request_ratio);
     println!("native volume   : {:>8}B (ratio {:.2})", v.native_bytes, v.volume_ratio);
 
-    let ads = ad_domain_row(&result);
+    let ads = &analysis.addomains;
     println!("\n-- native destinations (Fig 3) --");
     println!(
         "{} distinct hosts, {} ad/analytics-related ({:.1}%)",
@@ -54,7 +48,7 @@ fn main() {
     }
 
     println!("\n-- DNS (§3.2) --");
-    let dns = dns_row(&result);
+    let dns = &analysis.dns;
     match dns.resolver {
         ObservedResolver::Doh(p) => println!("DoH via {} ({} lookups)", p.host(), dns.lookups),
         ObservedResolver::LocalStub => println!("local stub resolver ({} lookups)", dns.lookups),
@@ -62,11 +56,11 @@ fn main() {
     }
 
     println!("\n-- browsing-history leaks (§3.2) --");
-    let leaks = detect_history_leaks(&result);
+    let leaks = &analysis.history_leaks;
     if leaks.is_empty() {
         println!("none detected");
     }
-    for l in &leaks {
+    for l in leaks {
         println!(
             "  {} -> {} [{} / {:?} / {:?}]{}",
             l.browser,
@@ -78,7 +72,7 @@ fn main() {
         );
     }
 
-    let sens = sensitive_row(&result);
+    let sens = &analysis.sensitive;
     if sens.sensitive_urls_leaked > 0 {
         println!(
             "\n-- sensitive content (§3.2) --\n{}/{} sensitive URLs leaked in full, e.g.\n  {}",
@@ -88,7 +82,7 @@ fn main() {
         );
     }
 
-    if let Some(t) = transfer_row(&result, &GeoDb::standard()) {
+    if let Some(t) = &analysis.transfers {
         println!("\n-- international transfers (§3.4) --");
         for (host, country) in &t.destinations {
             println!(
@@ -101,7 +95,7 @@ fn main() {
     }
 
     println!("\n-- PII / device info (Table 2) --");
-    let pii = pii_row(&result, &DeviceProperties::testbed_tablet());
+    let pii = &analysis.pii;
     if pii.leaked.is_empty() {
         println!("none detected");
     }

@@ -12,10 +12,9 @@
 //! cargo run --release --example custom_browser
 //! ```
 
-use panoptes_suite::analysis::history::{detect_history_leaks, LeakEncoding, LeakGranularity};
-use panoptes_suite::analysis::pii::pii_row;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
+use panoptes_suite::analysis::history::{LeakEncoding, LeakGranularity};
 use panoptes_suite::browsers::{BehaviorModel, BrowserProfile, NativeCall, Payload, PiiField};
-use panoptes_suite::device::DeviceProperties;
 use panoptes_suite::panoptes::campaign::run_crawl;
 use panoptes_suite::panoptes::config::CampaignConfig;
 use panoptes_suite::web::generator::GeneratorConfig;
@@ -54,11 +53,12 @@ fn main() {
     println!("auditing {} {} — a browser the paper never saw", profile.name, profile.version);
 
     let result = run_crawl(&world, &profile, &world.sites, &CampaignConfig::default());
+    let analysis = analyze_crawl(&result, &AnalysisResources::standard());
 
-    let leaks = detect_history_leaks(&result);
+    let leaks = &analysis.history_leaks;
     assert!(!leaks.is_empty(), "the pipeline must catch the planted leak");
     println!("\ndetected without any analysis changes:");
-    for l in &leaks {
+    for l in leaks {
         println!(
             "  {} -> {} [{} / {:?}]{}",
             l.browser,
@@ -72,9 +72,8 @@ fn main() {
     assert_eq!(worst, LeakGranularity::FullUrl);
     assert!(leaks.iter().any(|l| l.encoding == LeakEncoding::Plain));
 
-    let pii = pii_row(&result, &DeviceProperties::testbed_tablet());
     println!("\nPII observed:");
-    for (field, dest) in &pii.leaked {
+    for (field, dest) in &analysis.pii.leaked {
         println!("  {:<22} -> {}", field.label(), dest);
     }
 }

@@ -6,7 +6,7 @@
 //! cargo run --release --example export_capture -- /tmp/panoptes-capture
 //! ```
 
-use panoptes_suite::analysis::history::detect_history_leaks;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::browsers::registry::profile_by_name;
 use panoptes_suite::mitm::{har, FlowStore};
 use panoptes_suite::panoptes::campaign::run_crawl;
@@ -41,7 +41,7 @@ fn main() {
     // 4. Re-run an analysis offline against the reloaded store. The
     //    analysis only needs the flows + the visit ground truth, which a
     //    real deployment stores alongside the capture.
-    let leaks = detect_history_leaks(&result);
+    let leaks = analyze_crawl(&result, &AnalysisResources::standard()).history_leaks;
     println!("\noffline analysis of the archive:");
     for l in &leaks {
         println!(

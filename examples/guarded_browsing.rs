@@ -7,10 +7,8 @@
 //! cargo run --release --example guarded_browsing -- Yandex
 //! ```
 
-use panoptes_suite::analysis::history::{detect_history_leaks, leaks_anything};
-use panoptes_suite::analysis::pii::pii_row;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::browsers::registry::profile_by_name;
-use panoptes_suite::device::DeviceProperties;
 use panoptes_suite::guard::{GuardAddon, GuardPolicy};
 use panoptes_suite::mitm::FlowClass;
 use panoptes_suite::panoptes::campaign::{run_crawl, run_crawl_with};
@@ -26,16 +24,16 @@ fn main() {
     });
     let world = World::build(&GeneratorConfig { popular: 20, sensitive: 12, ..Default::default() });
     let config = CampaignConfig::default();
-    let props = DeviceProperties::testbed_tablet();
+    let res = AnalysisResources::standard();
 
     // Phase 1 — measure.
     println!("== phase 1: measurement crawl ({}) ==", profile.name);
     let unguarded = run_crawl(&world, &profile, &world.sites, &config);
-    let leaks = detect_history_leaks(&unguarded);
-    for l in &leaks {
+    let measured = analyze_crawl(&unguarded, &res);
+    let (leaks, pii) = (&measured.history_leaks, &measured.pii);
+    for l in leaks {
         println!("  leak: {} [{}]", l.destination, l.granularity.as_str());
     }
-    let pii = pii_row(&unguarded, &props);
     for (field, dest) in &pii.leaked {
         println!("  pii : {} -> {}", field.label(), dest);
     }
@@ -45,8 +43,8 @@ fn main() {
     }
 
     // Phase 2 — compile the findings into a policy.
-    let mut policy = GuardPolicy::strict_for_device(&[], &props);
-    for leak in &leaks {
+    let mut policy = GuardPolicy::strict_for_device(&[], &res.props);
+    for leak in leaks {
         policy.block_endpoint(&leak.destination);
     }
     println!(
@@ -59,14 +57,14 @@ fn main() {
     let guarded = run_crawl_with(&world, &profile, &world.sites, &config, move |proxy| {
         proxy.install_addon(Box::new(GuardAddon::new(policy)));
     });
+    let enforced = analyze_crawl(&guarded, &res);
     let blocked = guarded.store.by_class(FlowClass::Blocked).len();
     println!("  blocked native requests : {blocked}");
     println!(
         "  history leaks remaining : {}",
-        if leaks_anything(&guarded) { "SOME — policy incomplete!" } else { "none" }
+        if enforced.history_leaks.is_empty() { "none" } else { "SOME — policy incomplete!" }
     );
-    let pii_after = pii_row(&guarded, &props);
-    println!("  pii fields remaining    : {}", pii_after.leaked.len());
+    println!("  pii fields remaining    : {}", enforced.pii.leaked.len());
     println!(
         "  page loads unaffected   : {} engine flows (vs {} unguarded)",
         guarded.store.engine_flows().len(),

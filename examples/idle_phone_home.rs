@@ -6,7 +6,7 @@
 //! cargo run --release --example idle_phone_home -- Dolphin
 //! ```
 
-use panoptes_suite::analysis::idle::{destination_shares, timeline};
+use panoptes_suite::analysis::engine::analyze_idle;
 use panoptes_suite::browsers::registry::profile_by_name;
 use panoptes_suite::panoptes::config::CampaignConfig;
 use panoptes_suite::panoptes::idle::run_idle;
@@ -23,6 +23,7 @@ fn main() {
 
     let world = World::build(&GeneratorConfig { popular: 10, sensitive: 5, ..Default::default() });
     let result = run_idle(&world, &profile, SimDuration::from_secs(600), &CampaignConfig::default());
+    let analysis = analyze_idle(&result);
 
     println!(
         "{} idled for {}s and sent {} native requests:",
@@ -32,7 +33,7 @@ fn main() {
     );
 
     // Figure 5, one browser: cumulative native requests in 30s buckets.
-    let tl = timeline(&result, SimDuration::from_secs(30));
+    let tl = analysis.timeline(SimDuration::from_secs(30));
     let max = tl.total().max(1);
     println!("\ncumulative native requests (Fig 5 curve):");
     for (t, n) in &tl.cumulative {
@@ -48,7 +49,7 @@ fn main() {
 
     // §3.5: who receives the chatter.
     println!("\nidle destinations:");
-    for share in destination_shares(&result) {
+    for share in analysis.destination_shares() {
         println!("  {:<28} {:>5.1}%  ({} requests)", share.domain, share.percent, share.count);
     }
 }

@@ -5,6 +5,7 @@
 //! cargo run --release --example incognito_audit
 //! ```
 
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::analysis::history::LeakGranularity;
 use panoptes_suite::analysis::incognito::compare;
 use panoptes_suite::browsers::registry::profile_by_name;
@@ -17,6 +18,7 @@ fn main() {
     let world = World::build(&GeneratorConfig { popular: 20, sensitive: 12, ..Default::default() });
     let normal_cfg = CampaignConfig::default();
     let incognito_cfg = CampaignConfig::default().incognito();
+    let res = AnalysisResources::standard();
 
     println!("browser            normal       incognito    still leaking?");
     println!("-----------------  -----------  -----------  --------------");
@@ -25,8 +27,9 @@ fn main() {
     // provide no incognito mode at all (paper footnote 5).
     for name in ["Edge", "Opera", "UC International"] {
         let profile = profile_by_name(name).expect("known");
-        let normal = run_crawl(&world, &profile, &world.sites, &normal_cfg);
-        let incognito = run_crawl(&world, &profile, &world.sites, &incognito_cfg);
+        let normal = analyze_crawl(&run_crawl(&world, &profile, &world.sites, &normal_cfg), &res);
+        let incognito =
+            analyze_crawl(&run_crawl(&world, &profile, &world.sites, &incognito_cfg), &res);
         let row = compare(&normal, &incognito);
         println!(
             "{:<18} {:<12} {:<12} {}",

@@ -8,6 +8,7 @@
 //! ```
 
 use panoptes_suite::analysis::compare::compare_campaigns;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::analysis::history::LeakGranularity;
 use panoptes_suite::browsers::registry::profile_by_name;
 use panoptes_suite::browsers::{BrowserProfile, NativeCall, Payload};
@@ -44,7 +45,8 @@ fn main() {
     println!("crawling {} {} ...", v2.name, v2.version);
     let run_v2 = run_crawl(&world, &v2, &world.sites, &config);
 
-    let delta = compare_campaigns(&run_v1, &run_v2);
+    let res = AnalysisResources::standard();
+    let delta = compare_campaigns(&analyze_crawl(&run_v1, &res), &analyze_crawl(&run_v2, &res));
     println!("\n== release comparison ==");
     println!("browser        : {}", delta.browser);
     println!(

@@ -5,8 +5,7 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use panoptes_suite::analysis::history::detect_history_leaks;
-use panoptes_suite::analysis::volume::volume_row;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::browsers::registry::profile_by_name;
 use panoptes_suite::panoptes::campaign::run_crawl;
 use panoptes_suite::panoptes::config::CampaignConfig;
@@ -23,9 +22,10 @@ fn main() {
     //    proxy, the 60s+5s visit rule.
     let profile = profile_by_name("Yandex").expect("in Table 1");
     let result = run_crawl(&world, &profile, &world.sites, &CampaignConfig::default());
+    let analysis = analyze_crawl(&result, &AnalysisResources::standard());
 
     // 3. The split capture (Figure 2's raw material).
-    let row = volume_row(&result);
+    let row = &analysis.volume;
     println!(
         "\n{} {}: {} engine requests, {} native requests (ratio {:.2})",
         profile.name, profile.version, row.engine_requests, row.native_requests, row.request_ratio
@@ -33,7 +33,7 @@ fn main() {
 
     // 4. The headline finding: the browser reports every page you visit.
     println!("\nhistory leaks detected:");
-    for leak in detect_history_leaks(&result) {
+    for leak in &analysis.history_leaks {
         println!(
             "  {} -> {}  [{} | {:?} | {} visits{}]",
             leak.browser,

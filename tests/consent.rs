@@ -3,7 +3,7 @@
 //! telemetry stops; for the tracking-heavy ones nothing important does —
 //! Listing 1's Opera ad request literally ships `"userConsent":"false"`.
 
-use panoptes_suite::analysis::history::{detect_history_leaks, leaks_anything};
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::browsers::registry::profile_by_name;
 use panoptes_suite::panoptes::campaign::run_crawl;
 use panoptes_suite::panoptes::config::CampaignConfig;
@@ -54,7 +54,8 @@ fn history_leaks_do_not_care_about_consent() {
         let p = profile_by_name(name).unwrap();
         let declined =
             run_crawl(&w, &p, &w.sites, &CampaignConfig::default().telemetry_declined());
-        assert!(leaks_anything(&declined), "{name}: {:?}", detect_history_leaks(&declined));
+        let analysis = analyze_crawl(&declined, &AnalysisResources::standard());
+        assert!(!analysis.history_leaks.is_empty(), "{name}: no leak with consent declined");
     }
 }
 

@@ -153,7 +153,7 @@ fn clearing_a_fault_restores_service() {
 fn leak_analysis_survives_a_broken_leak_endpoint() {
     // Even when the phone-home endpoint errors, the *attempts* are
     // captured and the leak is still detected from the request side.
-    use panoptes_suite::analysis::history::detect_history_leaks;
+    use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
     use panoptes_suite::panoptes::campaign::run_crawl;
     use panoptes_suite::panoptes::config::CampaignConfig;
 
@@ -164,5 +164,6 @@ fn leak_analysis_survives_a_broken_leak_endpoint() {
     // the transport level above.
     let profile = profile_by_name("Yandex").unwrap();
     let result = run_crawl(&world, &profile, &world.sites, &CampaignConfig::default());
-    assert!(!detect_history_leaks(&result).is_empty());
+    let analysis = analyze_crawl(&result, &AnalysisResources::standard());
+    assert!(!analysis.history_leaks.is_empty());
 }

@@ -2,40 +2,37 @@
 //! reduced scale: the six numbered conclusions, each re-derived from the
 //! wire through the full pipeline.
 
-use panoptes_suite::analysis::addomains::figure3;
-use panoptes_suite::analysis::dns::doh_split;
-use panoptes_suite::analysis::history::{summarize_leaks, LeakGranularity};
+use panoptes_suite::analysis::dns::ObservedResolver;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
+use panoptes_suite::analysis::history::LeakGranularity;
 use panoptes_suite::analysis::incognito::compare;
-use panoptes_suite::analysis::pii::table2;
-use panoptes_suite::analysis::sensitive::sensitive_row;
-use panoptes_suite::analysis::transfers::transfers;
-use panoptes_suite::analysis::volume::figure2;
 use panoptes_suite::browsers::registry::{all_profiles, profile_by_name};
 use panoptes_suite::browsers::PiiField;
-use panoptes_suite::device::DeviceProperties;
-use panoptes_suite::geo::GeoDb;
-use panoptes_suite::panoptes::campaign::{run_crawl, CampaignResult};
+use panoptes_suite::panoptes::campaign::run_crawl;
 use panoptes_suite::panoptes::config::CampaignConfig;
 use panoptes_suite::panoptes::fleet::{self, FleetOptions};
 use panoptes_suite::web::generator::GeneratorConfig;
 use panoptes_suite::web::World;
 
-fn study() -> (World, Vec<CampaignResult>) {
+/// Every paper browser's crawl of a 20-site web, analysed.
+fn study() -> Vec<CampaignAnalysis> {
     let world = World::build(&GeneratorConfig { popular: 12, sensitive: 8, ..Default::default() });
     let config = CampaignConfig::default();
     let sequential = FleetOptions::with_jobs(1);
-    let results =
-        fleet::run_crawl_jobs_with(&world, &world.sites, &config, &sequential, &all_profiles())
-            .expect("crawl");
-    (world, results)
+    let res = AnalysisResources::standard();
+    fleet::run_crawl_jobs_with(&world, &world.sites, &config, &sequential, &all_profiles())
+        .expect("crawl")
+        .iter()
+        .map(|result| analyze_crawl(result, &res))
+        .collect()
 }
 
 #[test]
 fn finding1_native_traffic_can_reach_a_third_of_total() {
     // §5(1): native requests "can amount to as high as 1/3 of the total
     // generated traffic", with Edge and Yandex at the top.
-    let (_, results) = study();
-    let rows = figure2(&results);
+    let analyses = study();
+    let rows: Vec<_> = analyses.iter().map(|a| &a.volume).collect();
     let over_third: Vec<&str> = rows
         .iter()
         .filter(|r| r.request_ratio > 1.0 / 3.0)
@@ -56,10 +53,9 @@ fn finding1_native_traffic_can_reach_a_third_of_total() {
 fn finding2_three_browsers_report_the_exact_page() {
     // §5(2): Yandex, QQ and UC International report the exact page and
     // content being browsed.
-    let (_, results) = study();
-    let full_url_leakers: Vec<String> = results
+    let full_url_leakers: Vec<String> = study()
         .iter()
-        .map(summarize_leaks)
+        .map(CampaignAnalysis::leak_summary)
         .filter(|s| s.worst == Some(LeakGranularity::FullUrl))
         .map(|s| s.browser)
         .collect();
@@ -73,13 +69,12 @@ fn finding2_three_browsers_report_the_exact_page() {
 fn finding3_yandex_attaches_a_persistent_identifier() {
     // §5(3): Yandex reports together with a persistent identifier, so
     // users can be tracked across Tor / proxies / VPNs.
-    let (_, results) = study();
-    for r in &results {
-        let s = summarize_leaks(r);
-        if r.profile.name == "Yandex" {
+    for a in &study() {
+        let s = a.leak_summary();
+        if a.browser == "Yandex" {
             assert!(s.persistent, "yandex leak must carry the identifier");
         } else {
-            assert!(!s.persistent, "{} should not", r.profile.name);
+            assert!(!s.persistent, "{} should not", a.browser);
         }
     }
 }
@@ -90,16 +85,18 @@ fn finding4_incognito_and_sensitive_content_change_nothing() {
     // categories.
     let world = World::build(&GeneratorConfig { popular: 8, sensitive: 8, ..Default::default() });
     let cfg = CampaignConfig::default();
-    for name in ["Edge", "Opera", "UC International"] {
+    let res = AnalysisResources::standard();
+    let analyze = |name, cfg: &CampaignConfig| {
         let p = profile_by_name(name).unwrap();
-        let normal = run_crawl(&world, &p, &world.sites, &cfg);
-        let incog = run_crawl(&world, &p, &world.sites, &cfg.clone().incognito());
+        analyze_crawl(&run_crawl(&world, &p, &world.sites, cfg), &res)
+    };
+    for name in ["Edge", "Opera", "UC International"] {
+        let normal = analyze(name, &cfg);
+        let incog = analyze(name, &cfg.clone().incognito());
         assert!(compare(&normal, &incog).still_leaks, "{name}");
     }
     for name in ["Yandex", "QQ", "UC International"] {
-        let p = profile_by_name(name).unwrap();
-        let r = run_crawl(&world, &p, &world.sites, &cfg);
-        let row = sensitive_row(&r);
+        let row = analyze(name, &cfg).sensitive;
         assert_eq!(row.sensitive_urls_leaked, row.sensitive_visits, "{name}");
     }
 }
@@ -107,9 +104,8 @@ fn finding4_incognito_and_sensitive_content_change_nothing() {
 #[test]
 fn finding5_leaks_travel_outside_the_eu() {
     // §5(5): the full-detail leaks land in Russia, China and Canada.
-    let (_, results) = study();
-    let geo = GeoDb::standard();
-    let rows = transfers(&results, &geo);
+    let analyses = study();
+    let rows: Vec<_> = analyses.iter().filter_map(|a| a.transfers.as_ref()).collect();
     let expect = [("Yandex", "RU"), ("QQ", "CN"), ("UC International", "CA")];
     for (browser, country) in expect {
         let row = rows
@@ -129,8 +125,8 @@ fn finding5_leaks_travel_outside_the_eu() {
 fn finding6_ad_servers_and_pii() {
     // §5(6): Opera/CocCoc/Dolphin/Mint talk to third-party ad and
     // analytics servers while leaking PII and device identifiers.
-    let (_, results) = study();
-    let fig3 = figure3(&results);
+    let analyses = study();
+    let fig3: Vec<_> = analyses.iter().map(|a| &a.addomains).collect();
     for name in ["Opera", "CocCoc", "Dolphin", "Mint", "Kiwi", "Edge", "Yandex", "QQ"] {
         let row = fig3.iter().find(|r| r.browser == name).unwrap();
         assert!(row.ad_percent > 0.0, "{name} must contact ad servers");
@@ -142,20 +138,16 @@ fn finding6_ad_servers_and_pii() {
         .collect();
     assert_eq!(zero.len(), 7, "8 of 15 browsers contact ad servers: {zero:?}");
 
-    let props = DeviceProperties::testbed_tablet();
-    let t2 = table2(&results, &props);
-    let opera = t2.iter().find(|r| r.browser == "Opera").unwrap();
-    assert!(opera.leaks(PiiField::Location));
-    let whale = t2.iter().find(|r| r.browser == "Whale").unwrap();
+    let pii = |name| &analyses.iter().find(|a| a.browser == name).unwrap().pii;
+    assert!(pii("Opera").leaks(PiiField::Location));
+    let whale = pii("Whale");
     assert!(whale.leaks(PiiField::LocalIp) && whale.leaks(PiiField::RootedStatus));
 }
 
 #[test]
 fn table2_matches_paper_exactly() {
     // The full 15×12 matrix, cell for cell, as printed in the paper.
-    let (_, results) = study();
-    let props = DeviceProperties::testbed_tablet();
-    let rows = table2(&results, &props);
+    let analyses = study();
 
     use PiiField::*;
     let expected: &[(&str, &[PiiField])] = &[
@@ -176,7 +168,7 @@ fn table2_matches_paper_exactly() {
         ("UC International", &[Locale, NetworkType]),
     ];
     for (browser, fields) in expected {
-        let row = rows.iter().find(|r| r.browser == *browser).unwrap();
+        let row = &analyses.iter().find(|a| a.browser == *browser).unwrap().pii;
         for field in PiiField::ALL {
             assert_eq!(
                 row.leaks(field),
@@ -190,7 +182,11 @@ fn table2_matches_paper_exactly() {
 
 #[test]
 fn dns_split_matches_paper() {
-    let (_, results) = study();
-    let (_, doh, stub) = doh_split(&results);
+    let analyses = study();
+    let doh = analyses
+        .iter()
+        .filter(|a| matches!(a.dns.resolver, ObservedResolver::Doh(_)))
+        .count();
+    let stub = analyses.iter().filter(|a| a.dns.resolver == ObservedResolver::LocalStub).count();
     assert_eq!((doh, stub), (8, 7));
 }

@@ -2,7 +2,7 @@
 //! host, the engine follows, both hops are captured, and the analyses
 //! stay correct.
 
-use panoptes_suite::analysis::history::detect_history_leaks;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources};
 use panoptes_suite::browsers::registry::profile_by_name;
 use panoptes_suite::panoptes::campaign::run_crawl;
 use panoptes_suite::panoptes::config::CampaignConfig;
@@ -52,7 +52,7 @@ fn leak_detection_is_unaffected_by_redirects() {
     let world = world_with_redirects();
     let yandex = profile_by_name("Yandex").unwrap();
     let result = run_crawl(&world, &yandex, &world.sites, &CampaignConfig::default());
-    let leaks = detect_history_leaks(&result);
+    let leaks = analyze_crawl(&result, &AnalysisResources::standard()).history_leaks;
     let sba = leaks.iter().find(|l| l.destination == "sba.yandex.net").unwrap();
     // Every visit leaks — including the redirecting ones (the browser
     // reports the navigation URL, i.e. the apex).

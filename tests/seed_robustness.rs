@@ -3,11 +3,10 @@
 //! seeds produce different sites, different page structures and
 //! different identifiers — and identical conclusions.
 
-use panoptes_suite::analysis::dns::doh_split;
-use panoptes_suite::analysis::history::{summarize_leaks, LeakGranularity};
-use panoptes_suite::analysis::pii::table2;
+use panoptes_suite::analysis::dns::ObservedResolver;
+use panoptes_suite::analysis::engine::{analyze_crawl, AnalysisResources, CampaignAnalysis};
+use panoptes_suite::analysis::history::LeakGranularity;
 use panoptes_suite::browsers::registry::all_profiles;
-use panoptes_suite::device::DeviceProperties;
 use panoptes_suite::panoptes::campaign::CampaignResult;
 use panoptes_suite::panoptes::config::CampaignConfig;
 use panoptes_suite::panoptes::fleet::{self, FleetOptions};
@@ -20,6 +19,21 @@ fn study(seed: u64) -> Vec<CampaignResult> {
     let sequential = FleetOptions::with_jobs(1);
     fleet::run_crawl_jobs_with(&world, &world.sites, &config, &sequential, &all_profiles())
         .expect("crawl")
+}
+
+fn analyze(results: &[CampaignResult]) -> Vec<CampaignAnalysis> {
+    let res = AnalysisResources::standard();
+    results.iter().map(|r| analyze_crawl(r, &res)).collect()
+}
+
+/// The §3.2 resolver split: (DoH browsers, stub browsers).
+fn resolver_split(analyses: &[CampaignAnalysis]) -> (usize, usize) {
+    let doh = analyses
+        .iter()
+        .filter(|a| matches!(a.dns.resolver, ObservedResolver::Doh(_)))
+        .count();
+    let stub = analyses.iter().filter(|a| a.dns.resolver == ObservedResolver::LocalStub).count();
+    (doh, stub)
 }
 
 #[test]
@@ -38,50 +52,37 @@ fn qualitative_findings_are_seed_invariant() {
         "captures must differ across seeds"
     );
 
+    let (seed_a, seed_b) = (analyze(&seed_a), analyze(&seed_b));
     for (a, b) in seed_a.iter().zip(&seed_b) {
-        assert_eq!(a.profile.name, b.profile.name);
-        let la = summarize_leaks(a);
-        let lb = summarize_leaks(b);
-        assert_eq!(la.worst, lb.worst, "{}: leak class flipped across seeds", a.profile.name);
-        assert_eq!(
-            la.destinations, lb.destinations,
-            "{}: destinations changed",
-            a.profile.name
-        );
-        assert_eq!(la.persistent, lb.persistent, "{}", a.profile.name);
-        assert_eq!(la.via_injection, lb.via_injection, "{}", a.profile.name);
+        assert_eq!(a.browser, b.browser);
+        let la = a.leak_summary();
+        let lb = b.leak_summary();
+        assert_eq!(la.worst, lb.worst, "{}: leak class flipped across seeds", a.browser);
+        assert_eq!(la.destinations, lb.destinations, "{}: destinations changed", a.browser);
+        assert_eq!(la.persistent, lb.persistent, "{}", a.browser);
+        assert_eq!(la.via_injection, lb.via_injection, "{}", a.browser);
+
+        // The Table 2 row is identical too.
+        let fields_a: Vec<_> = a.pii.leaked.iter().map(|(f, _)| *f).collect();
+        let fields_b: Vec<_> = b.pii.leaked.iter().map(|(f, _)| *f).collect();
+        assert_eq!(fields_a, fields_b, "{}: Table 2 row changed across seeds", a.browser);
     }
 
-    // The DoH split and the Table 2 matrix are identical too.
-    let (_, doh_a, stub_a) = doh_split(&seed_a);
-    let (_, doh_b, stub_b) = doh_split(&seed_b);
-    assert_eq!((doh_a, stub_a), (doh_b, stub_b));
-
-    let props = DeviceProperties::testbed_tablet();
-    let t2_a = table2(&seed_a, &props);
-    let t2_b = table2(&seed_b, &props);
-    for (ra, rb) in t2_a.iter().zip(&t2_b) {
-        let fields_a: Vec<_> = ra.leaked.iter().map(|(f, _)| *f).collect();
-        let fields_b: Vec<_> = rb.leaked.iter().map(|(f, _)| *f).collect();
-        assert_eq!(fields_a, fields_b, "{}: Table 2 row changed across seeds", ra.browser);
-    }
+    // And so is the DoH split.
+    assert_eq!(resolver_split(&seed_a), resolver_split(&seed_b));
 }
 
 #[test]
 fn yandex_identifier_differs_across_seeds_but_class_does_not() {
     // The persistent identifier is per-install (seeded), so two installs
     // carry different IDs — yet both are detected as persistent tracking.
-    let a = study(1);
-    let b = study(2);
-    let find_id = |results: &[CampaignResult]| -> String {
-        results
+    let a = analyze(&study(1));
+    let b = analyze(&study(2));
+    let find_id = |analyses: &[CampaignAnalysis]| -> String {
+        analyses
             .iter()
-            .find(|r| r.profile.name == "Yandex")
-            .and_then(|r| {
-                panoptes_suite::analysis::history::detect_history_leaks(r)
-                    .into_iter()
-                    .find_map(|l| l.persistent_id)
-            })
+            .find(|a| a.browser == "Yandex")
+            .and_then(|a| a.history_leaks.iter().find_map(|l| l.persistent_id.clone()))
             .expect("yandex id detected")
     };
     let id_a = find_id(&a);
@@ -89,8 +90,8 @@ fn yandex_identifier_differs_across_seeds_but_class_does_not() {
     assert_ne!(id_a, id_b, "different installs, different identifiers");
     assert_eq!(id_a.len(), 64);
     // And the granularity classification is stable.
-    for results in [&a, &b] {
-        let yandex = results.iter().find(|r| r.profile.name == "Yandex").unwrap();
-        assert_eq!(summarize_leaks(yandex).worst, Some(LeakGranularity::FullUrl));
+    for analyses in [&a, &b] {
+        let yandex = analyses.iter().find(|a| a.browser == "Yandex").unwrap();
+        assert_eq!(yandex.leak_summary().worst, Some(LeakGranularity::FullUrl));
     }
 }

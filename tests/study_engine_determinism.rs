@@ -2,22 +2,24 @@
 //! the workspace level: the rendered study report is **byte-identical**
 //! whether the analysis runs
 //!
-//! * as the legacy multi-pass (one snapshot iteration per detector),
-//! * as the fused single pass ([`analyze_study`]),
-//! * sharded across any fleet worker count,
+//! * as the sequential fused single pass ([`analyze_study`]),
+//! * campaign-parallel or sharded across any fleet worker count,
 //! * or inside the study runner ([`Study::run`] — one capture fleet,
 //!   then one analysis fleet, per phase).
 //!
-//! Fusion and sharding buy wall-clock time only, never a different
-//! report.
+//! Parallelism buys wall-clock time only, never a different report. The
+//! quick-scale study document itself is pinned byte for byte to
+//! `tests/golden/repro_quick.md`, so a change to any detector's shared
+//! code shows up even where every path agrees.
 
 use panoptes::fleet::FleetOptions;
 use panoptes_analysis::engine::{
     analyze_crawl_sharded, analyze_idle_sharded, analyze_study, analyze_study_jobs,
     AnalysisResources, StudyAnalyses,
 };
-use panoptes_analysis::summary::{study_report_from, study_report_multipass};
+use panoptes_analysis::summary::study_report_from;
 use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
+use panoptes_bench::render;
 use panoptes_bench::study::{Analysed, Phase, Study};
 use panoptes_simnet::clock::SimDuration;
 
@@ -30,15 +32,9 @@ fn fused_sharded_and_runner_reports_are_byte_identical() {
 
     let (_, crawls) = crawl_population_jobs(&scale, &sequential, 15).expect("crawl");
     let idles = idle_population_jobs(&scale, &sequential, 15).expect("idle");
-    let reference = study_report_multipass(&crawls, &idles);
     let res = AnalysisResources::standard();
-
-    // Fused single pass.
-    assert_eq!(
-        reference,
-        study_report_from(&analyze_study(&crawls, &idles, &res)),
-        "fused report diverged from the legacy multi-pass"
-    );
+    // The sequential fused pass is the reference.
+    let reference = study_report_from(&analyze_study(&crawls, &idles, &res));
 
     // Campaign-level parallel analysis over the same captures.
     for jobs in [2usize, 8] {
@@ -82,6 +78,39 @@ fn fused_sharded_and_runner_reports_are_byte_identical() {
             reference,
             study_report_from(&analyses),
             "study runner report diverged at jobs={jobs}"
+        );
+    }
+}
+
+/// `repro --quick`'s stdout, every section included (identifiers,
+/// sensitive, cost, incognito and idle too), rebuilt through the study
+/// runner and compared with the committed golden copy. Regenerate it
+/// with `cargo run --release -p panoptes-bench --bin repro -- --quick >
+/// tests/golden/repro_quick.md` only when a change means to move the
+/// report, and say so in the change.
+#[test]
+fn quick_study_document_matches_golden() {
+    let scale = Scale::quick();
+    let mut doc = render::header_md(&scale);
+    Study { scale, population: 15 }
+        .run(&Phase::ALL, &FleetOptions::with_jobs(2), |phase| {
+            for (_, text) in phase.sections() {
+                doc.push_str(&text);
+            }
+        })
+        .expect("quick study");
+    let golden = include_str!("golden/repro_quick.md");
+    if doc != golden {
+        let line = doc
+            .lines()
+            .zip(golden.lines())
+            .position(|(got, want)| got != want)
+            .unwrap_or_else(|| doc.lines().count().min(golden.lines().count()));
+        panic!(
+            "quick study document diverged from tests/golden/repro_quick.md at line {}:\n  got:    {:?}\n  golden: {:?}",
+            line + 1,
+            doc.lines().nth(line),
+            golden.lines().nth(line),
         );
     }
 }

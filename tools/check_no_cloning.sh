@@ -60,16 +60,13 @@ echo "ok: no atom-to-String conversions in $capture_dirs"
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
 # iteration — every extra `store.snapshot()` walk outside the engine
-# and facts layers is another full pass over the capture. The legacy
-# standalone entry points are kept deliberately as the byte-identity
-# reference for the fused engine; they (and only they) opt out with a
-# `multipass-ok` comment.
+# and facts layers is another full pass over the capture, and a second
+# implementation of the detector. No exceptions.
 
 multipass_pattern='\.snapshot\(\)'
 engine_dirs="crates/analysis/src"
 
 multipass_offenders=$(grep -rnE "$multipass_pattern" $engine_dirs --include='*.rs' \
-    | grep -v 'multipass-ok' \
     | grep -v 'crates/analysis/src/engine\.rs' \
     | grep -v 'crates/analysis/src/facts\.rs' || true)
 
@@ -78,9 +75,9 @@ if [ -n "$multipass_offenders" ]; then
     echo "fused engine pass:" >&2
     echo "$multipass_offenders" >&2
     echo >&2
-    echo "Feed the detector through engine::CrawlPartials (observe/" >&2
-    echo "merge/finish) so the study stays single-pass, or mark a" >&2
-    echo "deliberate legacy reference path with 'multipass-ok'." >&2
+    echo "Feed the detector through engine::CrawlPartials (merge/" >&2
+    echo "finish, plus a per-flow or per-observation step) so the study" >&2
+    echo "stays single-pass." >&2
     exit 1
 fi
 
