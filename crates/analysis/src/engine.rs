@@ -23,10 +23,9 @@
 //! report to a golden document.
 
 use std::collections::{HashMap, HashSet};
-use std::sync::Mutex;
 
 use panoptes::campaign::CampaignResult;
-use panoptes::fleet::{self, FleetError, FleetOptions};
+use panoptes::fleet::{self, FleetOptions};
 use panoptes::idle::IdleResult;
 use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
@@ -53,6 +52,18 @@ use crate::volume::{VolumePartial, VolumeRow};
 /// Stable identifiers are reported when they recur in at least this
 /// many flows to one destination (the §3.3 threshold).
 pub const IDENTIFIER_MIN_FLOWS: usize = 2;
+
+/// The Opera ad-SDK endpoint whose request body Listing 1 quotes.
+pub const LISTING1_HOST: &str = "s-odx.oleads.com";
+
+/// Listing 1: one captured native request, quoted as sent.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QuotedRequest {
+    /// The full request URL.
+    pub url: String,
+    /// The request body.
+    pub body: String,
+}
 
 /// The per-campaign ground truth every context-dependent detector joins
 /// against — visited URLs/hosts/domains and the sensitive subset —
@@ -129,8 +140,8 @@ impl AnalysisResources {
 /// Every crawl detector's accumulator, bundled so one fused iteration
 /// over the capture feeds them all. `merge` is **ordered**: `other`
 /// must cover flows strictly after `self`'s shard (shard order), which
-/// is what lets the first-occurrence detectors (PII, transfers)
-/// reproduce the sequential result exactly.
+/// is what lets the first-occurrence detectors (PII, transfers, Listing
+/// 1) reproduce the sequential result exactly.
 #[derive(Debug, Default, PartialEq)]
 pub struct CrawlPartials {
     /// Figure 2/4 sums.
@@ -149,6 +160,8 @@ pub struct CrawlPartials {
     pub sensitive: SensitivePartial,
     /// §3.1 cost sums.
     pub cost: CostPartial,
+    /// Listing 1: the first native request to [`LISTING1_HOST`].
+    pub listing1: Option<QuotedRequest>,
 }
 
 impl CrawlPartials {
@@ -202,6 +215,12 @@ impl CrawlPartials {
         }
 
         if flow.class == FlowClass::Native {
+            if self.listing1.is_none() && flow.host == LISTING1_HOST {
+                self.listing1 = Some(QuotedRequest {
+                    url: flow.url.clone(),
+                    body: flow.request_body.clone(),
+                });
+            }
             let mut seen_in_flow: HashMap<(&str, &str), ()> = HashMap::new();
             for obs in view.observations() {
                 self.pii.scan_observation(pii, &flow.host, obs);
@@ -221,12 +240,16 @@ impl CrawlPartials {
         self.transfers.merge(other.transfers);
         self.sensitive.merge(other.sensitive);
         self.cost.merge(other.cost);
+        if self.listing1.is_none() {
+            self.listing1 = other.listing1;
+        }
     }
 }
 
 /// Every §3 result of one crawl campaign, computed by the fused pass.
 /// Self-contained: rendering a report needs no further access to the
 /// capture.
+#[derive(Clone, Debug, PartialEq)]
 pub struct CampaignAnalysis {
     /// Browser name.
     pub browser: String,
@@ -252,6 +275,9 @@ pub struct CampaignAnalysis {
     pub dns: DnsRow,
     /// §3.1 cost row.
     pub cost: CostRow,
+    /// Listing 1: the first native request to [`LISTING1_HOST`], if the
+    /// browser sent one.
+    pub listing1: Option<QuotedRequest>,
 }
 
 impl CampaignAnalysis {
@@ -287,6 +313,7 @@ fn finish_crawl(
         cost: partials
             .cost
             .finish(browser, result.visits.len(), &res.energy),
+        listing1: partials.listing1,
     }
 }
 
@@ -492,54 +519,6 @@ pub fn analyze_study(
     }
 }
 
-/// Analyses a completed study across the fleet worker pool — one unit
-/// per campaign, results in input order. Byte-identical to
-/// [`analyze_study`] for any worker count.
-pub fn analyze_study_jobs(
-    results: &[CampaignResult],
-    idles: &[IdleResult],
-    res: &AnalysisResources,
-    options: &FleetOptions,
-) -> Result<StudyAnalyses, FleetError<()>> {
-    let labels: Vec<String> = results
-        .iter()
-        .map(|r| format!("{} crawl analysis", r.profile.name))
-        .chain(
-            idles
-                .iter()
-                .map(|r| format!("{} idle analysis", r.profile.name)),
-        )
-        .collect();
-    let crawl_slots: Mutex<Vec<Option<CampaignAnalysis>>> =
-        Mutex::new((0..results.len()).map(|_| None).collect());
-    let idle_slots: Mutex<Vec<Option<IdleAnalysis>>> =
-        Mutex::new((0..idles.len()).map(|_| None).collect());
-    fleet::execute(&labels, options, |index| {
-        if index < results.len() {
-            let analysis = analyze_crawl(&results[index], res);
-            crawl_slots.lock().unwrap()[index] = Some(analysis);
-        } else {
-            let idle_index = index - results.len();
-            let analysis = analyze_idle(&idles[idle_index]);
-            idle_slots.lock().unwrap()[idle_index] = Some(analysis);
-        }
-    })?;
-    Ok(StudyAnalyses {
-        crawls: crawl_slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("fleet reported success"))
-            .collect(),
-        idles: idle_slots
-            .into_inner()
-            .unwrap()
-            .into_iter()
-            .map(|slot| slot.expect("fleet reported success"))
-            .collect(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -563,27 +542,22 @@ mod tests {
         let world = small_world();
         let config = CampaignConfig::default();
         let res = AnalysisResources::standard();
-        let result = run_crawl(
-            &world,
-            &profile_by_name("Yandex").unwrap(),
-            &world.sites,
-            &config,
-        );
-        let sequential = analyze_crawl(&result, &res);
-        for jobs in [1usize, 2, 3, 8] {
-            let sharded = analyze_crawl_sharded(&result, &res, &FleetOptions::with_jobs(jobs));
-            assert_eq!(sharded.volume, sequential.volume, "jobs={jobs}");
-            assert_eq!(
-                sharded.history_leaks, sequential.history_leaks,
-                "jobs={jobs}"
+        // Opera also covers the Listing 1 ad request.
+        for name in ["Yandex", "Opera"] {
+            let result = run_crawl(
+                &world,
+                &profile_by_name(name).unwrap(),
+                &world.sites,
+                &config,
             );
-            assert_eq!(sharded.pii, sequential.pii, "jobs={jobs}");
-            assert_eq!(sharded.identifiers, sequential.identifiers, "jobs={jobs}");
-            assert_eq!(sharded.transfers, sequential.transfers, "jobs={jobs}");
-            assert_eq!(sharded.sensitive, sequential.sensitive, "jobs={jobs}");
-            assert_eq!(sharded.addomains, sequential.addomains, "jobs={jobs}");
-            assert_eq!(sharded.cost, sequential.cost, "jobs={jobs}");
-            assert_eq!(sharded.dns, sequential.dns, "jobs={jobs}");
+            let sequential = analyze_crawl(&result, &res);
+            if name == "Opera" {
+                assert!(sequential.listing1.is_some(), "Opera sends its ad request");
+            }
+            for jobs in [1usize, 2, 3, 8] {
+                let sharded = analyze_crawl_sharded(&result, &res, &FleetOptions::with_jobs(jobs));
+                assert_eq!(sharded, sequential, "{name} jobs={jobs}");
+            }
         }
     }
 

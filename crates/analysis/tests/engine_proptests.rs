@@ -7,7 +7,8 @@
 //! The flow generator deliberately embeds ground-truth leaks (visit
 //! URLs at all three granularities, device properties, high-entropy
 //! identifiers, sensitive URLs) so the order-sensitive detector paths
-//! (first-match PII fields, first-IP transfers, leak buckets) actually
+//! (first-match PII fields, first-IP transfers, leak buckets, the first
+//! Listing 1 request) actually
 //! fire rather than vacuously matching on empty accumulators.
 
 use std::collections::HashSet;
@@ -35,14 +36,16 @@ const VISIT_HOSTS: [&str; 3] = ["news.site0.com", "shop.site1.net", "clinic.site
 const VISIT_DOMAINS: [&str; 3] = ["site0.com", "site1.net", "site2.org"];
 
 /// Destinations: a first-party host, a first-party sibling, trackers,
-/// and a DoH resolver (exercises the engine's DoH skip).
-const HOSTS: [&str; 6] = [
+/// a DoH resolver (exercises the engine's DoH skip), and the Listing 1
+/// ad-SDK host (exercises its first-occurrence merge).
+const HOSTS: [&str; 7] = [
     "news.site0.com",
     "cdn.site1.net",
     "tracker.adnet.io",
     "sba.collector.ru",
     "dns.google",
     "stats.example.xyz",
+    "s-odx.oleads.com",
 ];
 
 /// Query-parameter values spanning every detector's trigger: visit

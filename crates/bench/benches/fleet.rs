@@ -1,6 +1,7 @@
 //! Fleet executor benchmark: the paper's full study (15 browsers ×
-//! crawl + idle, each phase captured then analysed) at quick scale,
-//! sequential (`jobs=1`) against the fleet worker pool (`jobs=N`).
+//! crawl + idle, each unit captured and analysed by one job) at quick
+//! scale, sequential (`jobs=1`) against the fleet worker pool
+//! (`jobs=N`).
 //! Campaign units share no mutable state, so the parallel path's
 //! wall-clock speedup tracks the core count until it runs out of units
 //! — while `tests/fleet_determinism.rs` proves the output stays
@@ -27,10 +28,11 @@ fn fleet_full_study(c: &mut Criterion) {
     for jobs in [1, 2, wide] {
         let name =
             if jobs == 1 { "jobs=1 (sequential)".to_string() } else { format!("jobs={jobs}") };
+        let options = FleetOptions::with_jobs(jobs);
         group.bench_function(&name, |b| {
             b.iter(|| {
                 study
-                    .run(&[Phase::Crawl, Phase::Idle], &FleetOptions::with_jobs(jobs), |phase| {
+                    .run(&[Phase::Crawl, Phase::Idle], false, &options, |phase| {
                         black_box(phase);
                     })
                     .expect("no unit failures")

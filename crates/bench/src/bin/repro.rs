@@ -9,7 +9,7 @@
 //! listing1 identifiers cost incognito fig5 idle-dest`. Default:
 //! everything at paper scale (500 + 500 sites, 10-minute idle).
 //! `--only SECTION` runs only the phases that section needs: `--only
-//! fig2` runs neither the incognito re-crawls nor the idle experiment.
+//! fig2` runs neither the incognito crawls nor the idle experiment.
 //!
 //! `--sites N` grows the web beyond the paper's head set: sites past
 //! `popular + sensitive` come from the generator's deterministic deep
@@ -20,9 +20,10 @@
 //! `--jobs N` runs the campaigns and their analyses across an N-worker
 //! fleet (default: the machine's available parallelism; `--jobs 1` runs
 //! every unit in order on the main thread). Every capture is analysed
-//! once by the fused single-pass engine and all sections render from
-//! those analyses. Output is byte-identical for every N — results always
-//! come back in profile order before rendering.
+//! once by the fused single-pass engine, on the worker that captured it,
+//! and then dropped; all sections render from those analyses. Output is
+//! byte-identical for every N — results always come back in profile
+//! order before rendering.
 //!
 //! `--population N` runs the study over an N-browser population: the
 //! paper's 15 pinned browsers first, then deterministically sampled
@@ -31,7 +32,9 @@
 //! byte-identical to a run without the flag.
 //!
 //! `--har DIR` additionally writes one HAR 1.2 file per browser campaign
-//! into DIR, for inspection with off-the-shelf HAR tooling. `--json FILE`
+//! into DIR, for inspection with off-the-shelf HAR tooling; it is the
+//! only option that keeps the raw crawl captures in memory until the
+//! crawl phase ends. `--json FILE`
 //! writes the machine-readable study summary (every analysis result as
 //! one JSON document).
 //!
@@ -150,7 +153,7 @@ fn main() {
     // by the study server) so the two output paths cannot drift; each
     // phase prints the moment it is analysed.
     let mut crawl_analyses = Vec::new();
-    let outcome = study.run(&phases, &fleet_options, |analysed| {
+    let outcome = study.run(&phases, har_dir.is_some(), &fleet_options, |analysed| {
         for (name, text) in analysed.sections() {
             if want(name) {
                 print!("{text}");

@@ -2,9 +2,8 @@
 //!
 //! Every renderer consumes the fused engine's per-campaign products
 //! ([`CampaignAnalysis`] / [`IdleAnalysis`]) so the whole report costs
-//! one pass over each capture, however many sections are printed.
-//! [`listing1`] is the one exception: it quotes a raw captured flow, so
-//! it still reads the campaign's store.
+//! one pass over each capture, however many sections are printed, and
+//! no section needs a capture once it has been analysed.
 
 use panoptes::campaign::CampaignResult;
 use panoptes_analysis::dns::ObservedResolver;
@@ -242,17 +241,14 @@ pub fn idle_dest_md(analyses: &[IdleAnalysis]) -> String {
 }
 
 /// Listing 1: an actual captured Opera ad-SDK request body.
-pub fn listing1(results: &[CampaignResult]) -> String {
-    let opera = results.iter().find(|r| r.profile.name == "Opera");
-    let Some(opera) = opera else {
+pub fn listing1(analyses: &[CampaignAnalysis]) -> String {
+    let Some(opera) = analyses.iter().find(|a| a.browser == "Opera") else {
         return String::from("(no Opera campaign in this run)\n");
     };
-    let snap = opera.store.snapshot();
-    let flow = snap.native().iter().find(|f| f.host == "s-odx.oleads.com");
-    match flow {
-        Some(f) => format!(
+    match &opera.listing1 {
+        Some(request) => format!(
             "## Listing 1 — Native ad request issued by Opera\n\n```\nPOST {}\nbody: {}\n```\n",
-            f.url, f.request_body
+            request.url, request.body
         ),
         None => String::from("(no oleads flow captured)\n"),
     }
@@ -378,7 +374,8 @@ pub fn leak_summary_md(analyses: &[CampaignAnalysis]) -> String {
 // The document comes in three dependency groups, matching what a
 // streaming producer has ready when: [`header_md`] (world parameters
 // only), [`crawl_sections`] (crawl analyses), [`incognito_section`]
-// (the three §3.2 re-crawl pairs), [`idle_sections`] (idle analyses).
+// (the three §3.2 normal/incognito pairs), [`idle_sections`] (idle
+// analyses).
 
 use crate::experiments::Scale;
 
@@ -396,9 +393,12 @@ pub fn header_md(scale: &Scale) -> String {
 /// The crawl-derived sections in `repro` order, as `(section, bytes)`
 /// pairs. Each entry's bytes are exactly what `repro` writes for that
 /// `--only` section (the section string plus `println!`'s newline);
-/// `leaks` covers both of its printed tables.
+/// `leaks` covers both of its printed tables. Every section renders
+/// from `analyses`; the captures in `_results` are not read, and the
+/// parameter stays only so the benchmark harness (`studybench/`) keeps
+/// building against this signature.
 pub fn crawl_sections(
-    results: &[CampaignResult],
+    _results: &[CampaignResult],
     analyses: &[CampaignAnalysis],
 ) -> Vec<(&'static str, String)> {
     vec![
@@ -411,13 +411,13 @@ pub fn crawl_sections(
         ("dns", format!("{}\n", dns_md(analyses))),
         ("sensitive", format!("{}\n", sensitive_md(analyses))),
         ("transfers", format!("{}\n", transfers_md(analyses))),
-        ("listing1", format!("{}\n", listing1(results))),
+        ("listing1", format!("{}\n", listing1(analyses))),
         ("identifiers", format!("{}\n", identifiers_md(analyses))),
         ("cost", format!("{}\n", cost_md(analyses))),
     ]
 }
 
-/// The §3.2 incognito section from the three re-crawl pairs.
+/// The §3.2 incognito section from the three normal/incognito pairs.
 pub fn incognito_section(
     pairs: &[(CampaignAnalysis, CampaignAnalysis)],
 ) -> (&'static str, String) {
@@ -433,16 +433,17 @@ pub fn idle_sections(analyses: &[IdleAnalysis]) -> Vec<(&'static str, String)> {
 }
 
 /// The complete study document: header + every section in `repro`
-/// order — the byte-identity reference for served studies.
+/// order — the byte-identity reference for served studies. Like
+/// [`crawl_sections`], it does not read the captures in `_results`.
 pub fn full_doc(
     scale: &Scale,
-    results: &[CampaignResult],
+    _results: &[CampaignResult],
     crawls: &[CampaignAnalysis],
     incognito_pairs: &[(CampaignAnalysis, CampaignAnalysis)],
     idles: &[IdleAnalysis],
 ) -> String {
     let mut out = header_md(scale);
-    for (_, text) in crawl_sections(results, crawls) {
+    for (_, text) in crawl_sections(&[], crawls) {
         out.push_str(&text);
     }
     out.push_str(&incognito_section(incognito_pairs).1);

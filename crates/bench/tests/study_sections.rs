@@ -2,7 +2,7 @@
 //! phases that section needs print exactly the header plus that
 //! section's bytes of the full document, and no unit of any other phase
 //! is submitted — selecting a crawl section never pays for the
-//! incognito re-crawls or the idle experiment.
+//! incognito crawls or the idle experiment.
 //!
 //! The fleet counters are process-global, so the whole check is one
 //! `#[test]`.
@@ -26,23 +26,35 @@ fn each_section_prints_alone_and_runs_only_its_phase() {
     let study = Study { scale, population: 3 };
     let options = FleetOptions::with_jobs(2);
     let header = render::header_md(&scale);
-    let plan = study.plan(&population(scale.seed, study.population), &scale.config());
-    assert_eq!(plan.iter().map(|(_, units)| units.len()).sum::<usize>(), study.unit_count());
+    let (profiles, config) = (population(scale.seed, study.population), scale.config());
+    let planned = |phases: &[Phase]| -> Vec<usize> {
+        study.plan(phases, &profiles, &config).iter().map(|(_, units)| units.len()).collect()
+    };
+    // Population 3 holds Edge and Opera but not UC International, so the
+    // full study crawls only UC International's §3.2 normal arm again;
+    // alone, the incognito phase crawls all three normal arms itself.
+    assert_eq!(planned(&Phase::ALL), [3, 4, 3]);
+    assert_eq!(planned(&[Phase::Incognito]), [0, 6, 0]);
+    for phases in [&Phase::ALL[..], &[Phase::Incognito]] {
+        assert_eq!(study.unit_count(phases), planned(phases).iter().sum::<usize>());
+    }
     let submitted = counter("fleet.units.submitted", MetricClass::Runtime);
     panoptes_obs::enable(panoptes_obs::METRICS);
 
     let mut full = Vec::new();
-    study.run(&Phase::ALL, &options, |phase| full.extend(phase.sections())).expect("full study");
+    study
+        .run(&Phase::ALL, false, &options, |phase| full.extend(phase.sections()))
+        .expect("full study");
 
-    for (phase, units) in &plan {
+    for phase in Phase::ALL {
         for name in phase.sections() {
             let only = Some(name);
             let phases = Study::phases(only);
-            assert_eq!(phases, [*phase], "{name}");
+            assert_eq!(phases, [phase], "{name}");
             let before = submitted.value();
             let mut doc = header.clone();
             study
-                .run(&phases, &options, |analysed| {
+                .run(&phases, false, &options, |analysed| {
                     for (section, text) in analysed.sections() {
                         if only.is_none_or(|o| o == section) {
                             doc.push_str(&text);
@@ -50,9 +62,9 @@ fn each_section_prints_alone_and_runs_only_its_phase() {
                     }
                 })
                 .expect("sliced study");
-            // One capture unit and one analysis unit per planned unit of
-            // this phase, none of any other.
-            assert_eq!(submitted.value() - before, 2 * units.len() as u64, "{name}");
+            // One fleet job per planned unit of this phase, none of any
+            // other.
+            assert_eq!(submitted.value() - before, study.unit_count(&phases) as u64, "{name}");
             let (_, text) = full.iter().find(|(n, _)| *n == name).expect("in the full document");
             assert_eq!(doc, format!("{header}{text}"), "{name}");
         }

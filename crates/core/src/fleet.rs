@@ -476,6 +476,46 @@ pub fn run_unit(
     }
 }
 
+/// Reports a finished unit's capture size on the progress sink when
+/// `options` narrate: flows, visits and simulated time of a crawl, flows
+/// and window of an idle run.
+pub fn narrate_capture(unit: &FleetUnit, output: &UnitOutput, options: &FleetOptions) {
+    if !options.progress {
+        return;
+    }
+    match output {
+        UnitOutput::Crawl(result) => {
+            let sim: SimDuration =
+                result.visits.iter().map(|v| v.dwell).fold(SimDuration::ZERO, |a, b| a + b);
+            panoptes_obs::progress::emit(
+                "fleet",
+                &options.decorate(&format!(
+                    "{}: {} flows captured, {} visits, sim {}",
+                    labels_for_progress(&unit.profile.name, "crawl"),
+                    result.store.len(),
+                    result.visits.len(),
+                    sim,
+                )),
+            );
+        }
+        UnitOutput::Idle(result) => {
+            let duration = match unit.kind {
+                UnitKind::Idle(d) => d,
+                UnitKind::Crawl => unreachable!("idle output from crawl unit"),
+            };
+            panoptes_obs::progress::emit(
+                "fleet",
+                &options.decorate(&format!(
+                    "{}: {} flows captured, sim {}",
+                    labels_for_progress(&unit.profile.name, "idle"),
+                    result.store.len(),
+                    duration,
+                )),
+            );
+        }
+    }
+}
+
 /// Runs a mixed list of campaign units over the worker pool, returning
 /// their outputs in submission order.
 pub fn run_units(
@@ -487,44 +527,8 @@ pub fn run_units(
 ) -> Result<Vec<UnitOutput>, FleetError<UnitOutput>> {
     let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
     execute(&labels, options, |index| {
-        let unit = &units[index];
-        let output = run_unit(world, sites, config, unit);
-        if options.progress {
-            match &output {
-                UnitOutput::Crawl(result) => {
-                    let sim: SimDuration = result
-                        .visits
-                        .iter()
-                        .map(|v| v.dwell)
-                        .fold(SimDuration::ZERO, |a, b| a + b);
-                    panoptes_obs::progress::emit(
-                        "fleet",
-                        &options.decorate(&format!(
-                            "{}: {} flows captured, {} visits, sim {}",
-                            labels_for_progress(&unit.profile.name, "crawl"),
-                            result.store.len(),
-                            result.visits.len(),
-                            sim,
-                        )),
-                    );
-                }
-                UnitOutput::Idle(result) => {
-                    let duration = match unit.kind {
-                        UnitKind::Idle(d) => d,
-                        UnitKind::Crawl => unreachable!("idle output from crawl unit"),
-                    };
-                    panoptes_obs::progress::emit(
-                        "fleet",
-                        &options.decorate(&format!(
-                            "{}: {} flows captured, sim {}",
-                            labels_for_progress(&unit.profile.name, "idle"),
-                            result.store.len(),
-                            duration,
-                        )),
-                    );
-                }
-            }
-        }
+        let output = run_unit(world, sites, config, &units[index]);
+        narrate_capture(&units[index], &output, options);
         output
     })
 }

@@ -6,13 +6,13 @@
 //! the offline reproduction document: header, the crawl-derived
 //! sections, the §3.2 incognito section, and the idle sections. The
 //! runner schedules every campaign unit of the study's plan
-//! ([`Study::plan`]: the crawls, the incognito re-crawls, the idles) as
-//! individual jobs on the server's shared [`WorkPool`] lane for this
+//! ([`Study::plan`]: the crawls, the §3.2 incognito crawls, the idles)
+//! as individual jobs on the server's shared [`WorkPool`] lane for this
 //! request, analyses each capture on the request's own handler thread
-//! as it seals, and emits each section group the moment its inputs are
-//! complete. Concatenating the streamed `header`/`section` payload bytes
-//! reproduces `repro`'s stdout exactly (enforced by
-//! `tests/serve_determinism.rs`).
+//! as it seals and drops it, and emits each section group the moment
+//! its inputs are complete. Concatenating the streamed
+//! `header`/`section` payload bytes reproduces `repro`'s stdout exactly
+//! (enforced by `tests/serve_determinism.rs`).
 //!
 //! Backpressure: the lane is opened with a small credit allowance and
 //! a credit is granted back only after the already-received unit has
@@ -40,7 +40,7 @@ use panoptes_analysis::engine::{
 };
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::render;
-use panoptes_bench::study::Study;
+use panoptes_bench::study::{incognito_pairs, Phase, Study};
 use panoptes_blocklist::filterlist::easylist_excerpt;
 use panoptes_browsers::registry::population;
 use panoptes_browsers::BrowserProfile;
@@ -382,7 +382,7 @@ impl StudyEngine {
     ) -> Result<StudyOutcome, StudyError> {
         panoptes_obs::gauge_add!("serve.studies.inflight", 1);
         self.recorder
-            .study_started(req.id, params.repro_args(), params.study().unit_count());
+            .study_started(req.id, params.repro_args(), params.study().unit_count(&Phase::ALL));
         let mut phases = Phases {
             admission_us: req.admission_us,
             ..Phases::default()
@@ -564,7 +564,7 @@ impl StudyEngine {
         // Units in submission order: the offline study's plan, its
         // three groups back to back.
         let [(_, crawls), (_, recrawls), (_, idles)] =
-            params.study().plan(&arts.profiles, &arts.config);
+            params.study().plan(&Phase::ALL, &arts.profiles, &arts.config);
         let (n, n_incog) = (crawls.len(), recrawls.len());
         let units: Vec<FleetUnit> = crawls.into_iter().chain(recrawls).chain(idles).collect();
         let total = units.len();
@@ -614,16 +614,17 @@ impl StudyEngine {
         }
         drop(tx);
 
-        // Collect in completion order; emit section groups in document
-        // order the moment their inputs are complete.
-        let mut crawl_results: Vec<Option<panoptes::campaign::CampaignResult>> =
-            (0..n).map(|_| None).collect();
+        // Collect in completion order, analysing each capture as it
+        // arrives; emit section groups in document order the moment
+        // their inputs are complete.
         let mut crawl_analyses: Vec<Option<CampaignAnalysis>> = (0..n).map(|_| None).collect();
-        let mut incog_results: Vec<Option<panoptes::campaign::CampaignResult>> =
+        let mut incog_analyses: Vec<Option<CampaignAnalysis>> =
             (0..n_incog).map(|_| None).collect();
         let mut idle_analyses: Vec<Option<IdleAnalysis>> = (0..n).map(|_| None).collect();
         let (mut crawls_done, mut incogs_done, mut idles_done) = (0usize, 0usize, 0usize);
         let (mut crawl_emitted, mut incog_emitted, mut idle_emitted) = (false, false, false);
+        // The crawl group's analyses, kept for the §3.2 normal arms.
+        let mut crawled: Vec<CampaignAnalysis> = Vec::new();
         let mut sections: Vec<(String, String)> = Vec::new();
 
         for received in 0..total {
@@ -635,16 +636,16 @@ impl StudyEngine {
                 ));
             };
             match output {
-                UnitOutput::Crawl(result) if idx < n => {
-                    crawl_analyses[idx] = Some(timed(&mut phases.analysis_us, || {
-                        analyze_crawl(&result, &arts.res)
-                    }));
-                    crawl_results[idx] = Some(result);
-                    crawls_done += 1;
-                }
                 UnitOutput::Crawl(result) => {
-                    incog_results[idx - n] = Some(result);
-                    incogs_done += 1;
+                    let analysis =
+                        timed(&mut phases.analysis_us, || analyze_crawl(&result, &arts.res));
+                    if idx < n {
+                        crawl_analyses[idx] = Some(analysis);
+                        crawls_done += 1;
+                    } else {
+                        incog_analyses[idx - n] = Some(analysis);
+                        incogs_done += 1;
+                    }
                 }
                 UnitOutput::Idle(result) => {
                     idle_analyses[idx - n - n_incog] =
@@ -657,11 +658,9 @@ impl StudyEngine {
                 .map_err(StudyError::Disconnected)?;
 
             if !crawl_emitted && crawls_done == n {
-                let results: Vec<_> = crawl_results.drain(..).flatten().collect();
-                let analyses: Vec<_> = crawl_analyses.drain(..).flatten().collect();
-                let rendered = timed(&mut phases.render_us, || {
-                    render::crawl_sections(&results, &analyses)
-                });
+                crawled = crawl_analyses.drain(..).flatten().collect();
+                let rendered =
+                    timed(&mut phases.render_us, || render::crawl_sections(&[], &crawled));
                 for (name, text) in rendered {
                     sink.event(&ev_section(name, &text))
                         .map_err(StudyError::Disconnected)?;
@@ -670,19 +669,10 @@ impl StudyEngine {
                 crawl_emitted = true;
             }
             if crawl_emitted && !incog_emitted && incogs_done == n_incog {
-                let raw: Vec<_> = incog_results.drain(..).flatten().collect();
-                let pairs: Vec<_> = timed(&mut phases.analysis_us, || {
-                    raw.chunks(2)
-                        .map(|pair| {
-                            (
-                                analyze_crawl(&pair[0], &arts.res),
-                                analyze_crawl(&pair[1], &arts.res),
-                            )
-                        })
-                        .collect::<Vec<_>>()
+                let incognito: Vec<_> = incog_analyses.drain(..).flatten().collect();
+                let (name, text) = timed(&mut phases.render_us, || {
+                    render::incognito_section(&incognito_pairs(&crawled, incognito))
                 });
-                let (name, text) =
-                    timed(&mut phases.render_us, || render::incognito_section(&pairs));
                 sink.event(&ev_section(name, &text))
                     .map_err(StudyError::Disconnected)?;
                 sections.push((name.to_string(), text));

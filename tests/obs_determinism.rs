@@ -32,7 +32,7 @@ fn deterministic_metrics_identical_across_jobs() {
 
     let run = |jobs: usize| {
         study
-            .run(&Phase::ALL, &FleetOptions::with_jobs(jobs), |phase| {
+            .run(&Phase::ALL, false, &FleetOptions::with_jobs(jobs), |phase| {
                 std::hint::black_box(phase.sections().len());
             })
             .unwrap_or_else(|e| panic!("study failed at jobs={jobs}: {e}"));

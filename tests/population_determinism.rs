@@ -56,8 +56,9 @@ fn population_study_reports_are_byte_identical_across_jobs() {
     // `repro --population 64 --jobs 8`: the study runner captures and
     // analyses 128 units (crawl + idle per browser) itself.
     let mut analyses = StudyAnalyses { crawls: Vec::new(), idles: Vec::new() };
+    let phases = [Phase::Crawl, Phase::Idle];
     Study { scale, population: POPULATION }
-        .run(&[Phase::Crawl, Phase::Idle], &FleetOptions::with_jobs(8), |phase| match phase {
+        .run(&phases, false, &FleetOptions::with_jobs(8), |phase| match phase {
             Analysed::Crawl { analyses: crawls, .. } => analyses.crawls = crawls,
             Analysed::Idle(idles) => analyses.idles = idles,
             Analysed::Incognito(_) => unreachable!("incognito was not selected"),

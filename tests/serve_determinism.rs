@@ -35,7 +35,7 @@ fn offline_doc(p: &StudyParams, jobs: usize) -> String {
     let study = p.study();
     let mut doc = render::header_md(&study.scale);
     study
-        .run(&Phase::ALL, &FleetOptions::with_jobs(jobs), |phase| {
+        .run(&Phase::ALL, false, &FleetOptions::with_jobs(jobs), |phase| {
             for (_, text) in phase.sections() {
                 doc.push_str(&text);
             }

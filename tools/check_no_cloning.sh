@@ -61,10 +61,12 @@ echo "ok: no atom-to-String conversions in $capture_dirs"
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
 # iteration — every extra `store.snapshot()` walk outside the engine
 # and facts layers is another full pass over the capture, and a second
-# implementation of the detector. No exceptions.
+# implementation of the detector. The renderers and both study runners
+# (offline and served) read only analyses: a capture is dropped once
+# the engine has walked it. No exceptions.
 
 multipass_pattern='\.snapshot\(\)'
-engine_dirs="crates/analysis/src"
+engine_dirs="crates/analysis/src crates/bench/src/render.rs crates/bench/src/study.rs crates/serve/src"
 
 multipass_offenders=$(grep -rnE "$multipass_pattern" $engine_dirs --include='*.rs' \
     | grep -v 'crates/analysis/src/engine\.rs' \
