@@ -7,9 +7,10 @@
 //!
 //! * **fused** — [`CrawlPartials`] bundles the crawl detectors, and its
 //!   [`observe`](CrawlPartials::observe) is the one place that decides
-//!   which flows reach which detector, so one iteration over the
-//!   snapshot feeds them all ([`analyze_crawl`]); [`analyze_idle`] does
-//!   the same for an idle capture;
+//!   which flows reach which detector, so one fold over the flows feeds
+//!   them all: [`capture_crawl`] folds each flow while the crawl records
+//!   it, [`analyze_crawl`] folds a stored capture, and [`analyze_idle`]
+//!   does the same for an idle capture;
 //! * **sharded** — the fused pass splits the capture into contiguous
 //!   [`shard_ranges`](fleet::shard_ranges) executed across the fleet
 //!   worker pool, then merges the per-shard partials **in shard order**
@@ -22,29 +23,34 @@
 //! byte-identity across these paths end-to-end and pins the quick-scale
 //! report to a golden document.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
-use panoptes::campaign::CampaignResult;
+use panoptes::campaign::{run_crawl_folding, CampaignResult};
+use panoptes::config::CampaignConfig;
 use panoptes::fleet::{self, FleetOptions};
 use panoptes::idle::IdleResult;
 use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
+use panoptes_browsers::BrowserProfile;
 use panoptes_device::DeviceProperties;
 use panoptes_geo::GeoDb;
 use panoptes_http::url::Url;
-use panoptes_mitm::FlowClass;
+use panoptes_mitm::{Flow, FlowClass};
 use panoptes_simnet::clock::SimDuration;
+use panoptes_web::site::SiteSpec;
+use panoptes_web::World;
 
 use crate::addomains::{AdDomainPartial, AdDomainRow};
 use crate::cost::{CostPartial, CostRow, EnergyModel};
 use crate::dns::{DnsPartial, DnsRow};
-use crate::facts::capture_facts;
 use crate::history::{
     is_doh_flow, summarize_from, BrowserLeakSummary, HistoryLeak, HistoryPartial,
 };
 use crate::identifiers::{IdentifierPartial, IdentifierSighting};
 use crate::idle::{DestinationShare, IdlePartial, IdleTimeline};
 use crate::pii::{PiiMatcher, PiiPartial, PiiRow};
+use crate::scan::{decodings, observations};
 use crate::sensitive::{SensitivePartial, SensitiveRow};
 use crate::transfers::{TransferPartial, TransferRow};
 use crate::volume::{VolumePartial, VolumeRow};
@@ -68,44 +74,64 @@ pub struct QuotedRequest {
 /// The per-campaign ground truth every context-dependent detector joins
 /// against — visited URLs/hosts/domains and the sensitive subset —
 /// built once per campaign and shared by all shards.
-pub struct CrawlContext<'a> {
+#[derive(Debug, PartialEq)]
+pub struct CrawlContext {
     /// URLs the harness navigated to.
-    pub visited_urls: HashSet<&'a str>,
+    pub visited_urls: HashSet<String>,
     /// Hostnames of the visited URLs.
     pub visited_hosts: HashSet<String>,
     /// Registrable domains of the visited sites.
-    pub visited_domains: HashSet<&'a str>,
+    pub visited_domains: HashSet<String>,
     /// URLs of the visits flagged sensitive in the ground truth.
-    pub sensitive_urls: HashSet<&'a str>,
+    pub sensitive_urls: HashSet<String>,
     /// Total visits in the campaign.
     pub total_visits: usize,
 }
 
-impl<'a> CrawlContext<'a> {
+impl CrawlContext {
     /// Builds the context from a campaign's ground-truth visit log.
-    pub fn of(result: &'a CampaignResult) -> CrawlContext<'a> {
-        let visited_urls: HashSet<&str> = result.visits.iter().map(|v| v.url.as_str()).collect();
-        let visited_hosts: HashSet<String> = result
-            .visits
-            .iter()
-            .filter_map(|v| Url::parse(&v.url).ok())
-            .map(|u| u.host().to_string())
-            .collect();
-        let visited_domains: HashSet<&str> =
-            result.visits.iter().map(|v| v.domain.as_str()).collect();
-        let sensitive_urls: HashSet<&str> = result
-            .visits
-            .iter()
-            .filter(|v| v.sensitive)
-            .map(|v| v.url.as_str())
-            .collect();
-        CrawlContext {
-            visited_urls,
-            visited_hosts,
-            visited_domains,
-            sensitive_urls,
-            total_visits: result.visits.len(),
+    pub fn of(result: &CampaignResult) -> CrawlContext {
+        CrawlContext::from_visits(
+            result
+                .visits
+                .iter()
+                .map(|v| (v.url.clone(), v.domain.as_str(), v.sensitive)),
+        )
+    }
+
+    /// Builds, before the crawl starts, the context a crawl of `sites`
+    /// records: the crawl visits each site once, in order, at its
+    /// `url_string()`, so this equals [`CrawlContext::of`] the finished
+    /// crawl.
+    pub fn of_sites(sites: &[SiteSpec]) -> CrawlContext {
+        CrawlContext::from_visits(
+            sites
+                .iter()
+                .map(|s| (s.url_string(), s.domain.as_str(), s.category.is_sensitive())),
+        )
+    }
+
+    /// Folds `(url, registrable domain, sensitive)` visits into a context.
+    fn from_visits<'v>(visits: impl Iterator<Item = (String, &'v str, bool)>) -> CrawlContext {
+        let mut ctx = CrawlContext {
+            visited_urls: HashSet::new(),
+            visited_hosts: HashSet::new(),
+            visited_domains: HashSet::new(),
+            sensitive_urls: HashSet::new(),
+            total_visits: 0,
+        };
+        for (url, domain, sensitive) in visits {
+            if let Ok(parsed) = Url::parse(&url) {
+                ctx.visited_hosts.insert(parsed.host().to_string());
+            }
+            ctx.visited_domains.insert(domain.to_string());
+            if sensitive {
+                ctx.sensitive_urls.insert(url.clone());
+            }
+            ctx.visited_urls.insert(url);
+            ctx.total_visits += 1;
         }
+        ctx
     }
 }
 
@@ -168,48 +194,47 @@ impl CrawlPartials {
     /// Folds one captured flow into every detector — the fused pass, and
     /// the only place that decides which flows reach which detector.
     ///
-    /// Fusion shares more than the snapshot iteration: the first-party
-    /// test runs once for history *and* sensitive, one decoded-values
-    /// sweep feeds both, and one raw-observations sweep feeds pii *and*
-    /// identifiers.
-    pub fn observe(
-        &mut self,
-        view: &crate::facts::FlowView<'_>,
-        ctx: &CrawlContext<'_>,
-        pii: &PiiMatcher<'_>,
-    ) {
-        let flow = view.flow();
+    /// Fusion shares more than the iteration: the first-party test runs
+    /// once for history *and* sensitive, one decoded-values sweep feeds
+    /// both, and one observations sweep feeds pii *and* identifiers. A
+    /// flow's URL and observations are parsed at most once, and only
+    /// when a branch below reads them.
+    pub fn observe(&mut self, flow: &Flow, ctx: &CrawlContext, pii: &PiiMatcher<'_>) {
         self.volume.observe(flow);
         self.addomains.observe(flow);
         self.cost.observe(flow);
         self.transfers.observe(flow);
+
+        let scanned = OnceCell::new();
+        let flow_observations = || scanned.get_or_init(|| observations(flow)).as_slice();
 
         // Blocked flows never left the device and pinned flows are
         // opaque, so neither can leak a visit. Nor is a site reporting
         // itself to itself a leak: skip flows to any *visited* site's
         // own domain.
         if let Some(channel) = HistoryPartial::channel_of(flow.class) {
-            if !ctx.visited_domains.contains(view.registrable_domain()) {
+            if !ctx.visited_domains.contains(&flow.registrable_domain()) {
                 // DNS-over-HTTPS lookups necessarily carry the queried
                 // hostname; the paper reports the DoH behaviour
                 // separately (§3.2, see `crate::dns`) rather than as a
                 // history leak.
                 let history = !is_doh_flow(flow);
                 let mut flow_leaked = false;
-                for (obs, decoded_values) in view.decoded_observations() {
+                for obs in flow_observations() {
+                    let decoded_values = decodings(&obs.value);
                     if history {
                         flow_leaked |= self.history.scan_observation(
                             &flow.host,
                             channel,
                             obs,
-                            decoded_values,
+                            &decoded_values,
                             ctx,
                         );
                     }
-                    self.sensitive.scan_values(decoded_values, ctx);
+                    self.sensitive.scan_values(&decoded_values, ctx);
                 }
                 if flow_leaked {
-                    self.history.record_leak_flow(view);
+                    self.history.record_leak_flow(flow, flow_observations());
                 }
             }
         }
@@ -222,7 +247,7 @@ impl CrawlPartials {
                 });
             }
             let mut seen_in_flow: HashMap<(&str, &str), ()> = HashMap::new();
-            for obs in view.observations() {
+            for obs in flow_observations() {
                 self.pii.scan_observation(pii, &flow.host, obs);
                 self.identifiers
                     .scan_observation(&flow.host, obs, &mut seen_in_flow);
@@ -287,14 +312,18 @@ impl CampaignAnalysis {
     }
 }
 
-/// Finalises a campaign's merged partials into the full analysis.
+/// Finalises a campaign's merged partials, and its resolver log, into
+/// the full analysis.
 fn finish_crawl(
     result: &CampaignResult,
     partials: CrawlPartials,
-    dns: DnsPartial,
-    ctx: &CrawlContext<'_>,
+    ctx: &CrawlContext,
     res: &AnalysisResources,
 ) -> CampaignAnalysis {
+    let mut dns = DnsPartial::default();
+    for entry in result.dns_log.iter() {
+        dns.observe(entry);
+    }
     let browser = result.profile.name.as_str();
     let history_leaks = partials.history.finish(browser, ctx.total_visits);
     let transfers = partials.transfers.finish(browser, &history_leaks, &res.geo);
@@ -317,17 +346,8 @@ fn finish_crawl(
     }
 }
 
-/// The campaign's resolver-log accumulator (one pass over the DNS log).
-fn dns_partial(result: &CampaignResult) -> DnsPartial {
-    let mut dns = DnsPartial::default();
-    for entry in result.dns_log.iter() {
-        dns.observe(entry);
-    }
-    dns
-}
-
-/// Analyses one crawl campaign with the fused single-pass engine: one
-/// iteration over the snapshot feeds every detector.
+/// Analyses one stored crawl capture with the fused single-pass engine:
+/// one iteration over the snapshot feeds every detector.
 pub fn analyze_crawl(result: &CampaignResult, res: &AnalysisResources) -> CampaignAnalysis {
     let _span = panoptes_obs::trace::span_with("study.analyze_crawl", None, || {
         result.profile.name.to_string()
@@ -335,17 +355,53 @@ pub fn analyze_crawl(result: &CampaignResult, res: &AnalysisResources) -> Campai
     let ctx = CrawlContext::of(result);
     let matcher = PiiMatcher::new(&res.props);
     let snap = result.store.snapshot();
-    let facts = capture_facts(&snap);
-    panoptes_obs::count!(
-        "study.flows.observed",
-        Deterministic,
-        snap.all().len() as u64
-    );
+    panoptes_obs::count!("study.flows.observed", Deterministic, snap.len() as u64);
     let mut partials = CrawlPartials::default();
-    for view in facts.views(snap.all()) {
-        partials.observe(&view, &ctx, &matcher);
+    for flow in snap.iter() {
+        partials.observe(flow, &ctx, &matcher);
     }
-    finish_crawl(result, partials, dns_partial(result), &ctx, res)
+    finish_crawl(result, partials, &ctx, res)
+}
+
+/// One crawl analysed while it was captured ([`capture_crawl`]).
+pub struct CapturedCrawl {
+    /// The finished crawl: its visits, DNS log and counters. Its store
+    /// is empty, because every flow went to the fold.
+    pub result: CampaignResult,
+    /// How many flows the crawl captured and folded.
+    pub flows: usize,
+    /// The crawl's analysis: what [`analyze_crawl`] computes from the
+    /// same crawl's stored capture.
+    pub analysis: CampaignAnalysis,
+}
+
+/// Crawls `sites` with `profile` under `config` and analyses the crawl
+/// as it is captured: every flow goes from the proxy straight into the
+/// fused pass, after the browser starts and after each visit, so no
+/// capture is kept, sealed or torn down. The context comes from `sites`
+/// before the crawl begins.
+pub fn capture_crawl(
+    world: &World,
+    profile: &BrowserProfile,
+    sites: &[SiteSpec],
+    config: &CampaignConfig,
+    res: &AnalysisResources,
+) -> CapturedCrawl {
+    let ctx = CrawlContext::of_sites(sites);
+    let matcher = PiiMatcher::new(&res.props);
+    let mut partials = CrawlPartials::default();
+    let mut flows = 0;
+    let result = run_crawl_folding(world, profile, sites, config, |flow| {
+        flows += 1;
+        partials.observe(flow, &ctx, &matcher);
+    });
+    panoptes_obs::count!("study.flows.observed", Deterministic, flows as u64);
+    let analysis = finish_crawl(&result, partials, &ctx, res);
+    CapturedCrawl {
+        result,
+        flows,
+        analysis,
+    }
 }
 
 /// Analyses one crawl campaign with the fused pass **sharded** across
@@ -364,7 +420,6 @@ pub fn analyze_crawl_sharded(
     let ctx = CrawlContext::of(result);
     let matcher = PiiMatcher::new(&res.props);
     let snap = result.store.snapshot();
-    let facts = capture_facts(&snap);
     let flows = snap.all();
     panoptes_obs::count!("study.flows.observed", Deterministic, flows.len() as u64);
     let ranges = fleet::shard_ranges(flows.len(), options.effective_jobs(flows.len()));
@@ -387,8 +442,8 @@ pub fn analyze_crawl_sharded(
         .collect();
     let shards = fleet::execute(&labels, options, |i| {
         let mut partials = CrawlPartials::default();
-        for view in facts.views(flows.slice(ranges[i].clone())) {
-            partials.observe(&view, &ctx, &matcher);
+        for flow in flows.slice(ranges[i].clone()) {
+            partials.observe(flow, &ctx, &matcher);
         }
         partials
     })
@@ -403,7 +458,7 @@ pub fn analyze_crawl_sharded(
         Runtime,
         merge_start.elapsed().as_micros() as u64
     );
-    finish_crawl(result, merged, dns_partial(result), &ctx, res)
+    finish_crawl(result, merged, &ctx, res)
 }
 
 /// Every §3.5 result of one idle campaign. The offset/domain histograms

@@ -7,12 +7,11 @@
 //! feeds them; callers read the fields of one
 //! [`engine::CampaignAnalysis`] or [`engine::IdleAnalysis`].
 //!
-//! * [`engine`] — the fused single-pass study engine: [`engine::analyze_crawl`]
-//!   and [`engine::analyze_idle`] fold every flow into every detector in
-//!   one iteration, optionally sharded across the fleet pool,
-//! * [`facts`] — the parse-once layer the pass reads through: memoised
-//!   per-flow URLs, observations and decodings over the sealed
-//!   [`panoptes_mitm::FlowSnapshot`],
+//! * [`engine`] — the fused single-pass study engine:
+//!   [`engine::capture_crawl`] folds every flow into every detector as
+//!   the crawl captures it, and [`engine::analyze_crawl`] and
+//!   [`engine::analyze_idle`] fold a stored capture the same way,
+//!   optionally sharded across the fleet pool,
 //! * [`scan`] — key/value observation extraction and decoding,
 //! * [`volume`] — Figure 2 (request counts + native/engine ratio) and
 //!   Figure 4 (outgoing traffic volume),
@@ -45,7 +44,6 @@ pub mod compare;
 pub mod cost;
 pub mod dns;
 pub mod engine;
-pub mod facts;
 pub mod history;
 pub mod identifiers;
 pub mod idle;

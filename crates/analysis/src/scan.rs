@@ -36,15 +36,8 @@ pub enum Source {
 
 /// Extracts every key/value observation from a flow.
 pub fn observations(flow: &Flow) -> Vec<Observation> {
-    observations_with_url(flow, Url::parse(&flow.url).ok().as_ref())
-}
-
-/// [`observations`] with the flow's URL already parsed (or known
-/// unparseable), so a caller that has memoised the parse — the
-/// [`crate::facts`] layer — doesn't pay for it again.
-pub fn observations_with_url(flow: &Flow, url: Option<&Url>) -> Vec<Observation> {
     let mut out = Vec::new();
-    if let Some(url) = url {
+    if let Ok(url) = Url::parse(&flow.url) {
         for (k, v) in url.query_pairs() {
             out.push(Observation { key: k.clone(), value: v.clone(), source: Source::Query });
         }

@@ -32,7 +32,7 @@ impl SensitivePartial {
     /// Tests one observation's decodings against the sensitive ground
     /// truth. The fused pass ([`crate::engine::CrawlPartials::observe`])
     /// decides which flows reach it.
-    pub(crate) fn scan_values(&mut self, decoded_values: &[String], ctx: &CrawlContext<'_>) {
+    pub(crate) fn scan_values(&mut self, decoded_values: &[String], ctx: &CrawlContext) {
         for decoded in decoded_values {
             // The ground truth holds full visit URLs, which always
             // contain a `/`; skip the set hash for values that cannot

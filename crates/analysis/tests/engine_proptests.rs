@@ -17,14 +17,13 @@ use proptest::prelude::*;
 
 use panoptes::fleet::shard_ranges;
 use panoptes_analysis::engine::{CrawlContext, CrawlPartials};
-use panoptes_analysis::facts::capture_facts;
 use panoptes_analysis::idle::IdlePartial;
 use panoptes_analysis::pii::PiiMatcher;
 use panoptes_device::DeviceProperties;
 use panoptes_http::method::Method;
 use panoptes_http::netaddr::IpAddr;
 use panoptes_http::request::HttpVersion;
-use panoptes_mitm::{Flow, FlowClass, FlowStore};
+use panoptes_mitm::{Flow, FlowClass};
 
 /// Fixed visit ground truth: two ordinary sites and one sensitive one.
 const VISIT_URLS: [&str; 3] = [
@@ -64,12 +63,13 @@ const VALUES: [&str; 9] = [
 ];
 const KEYS: [&str; 6] = ["u", "page", "tz", "screenWidth", "deviceId", "country"];
 
-fn context() -> CrawlContext<'static> {
+fn context() -> CrawlContext {
+    let set = |items: &[&str]| items.iter().map(|s| s.to_string()).collect::<HashSet<_>>();
     CrawlContext {
-        visited_urls: VISIT_URLS.iter().copied().collect(),
-        visited_hosts: VISIT_HOSTS.iter().map(|h| h.to_string()).collect(),
-        visited_domains: VISIT_DOMAINS.iter().copied().collect(),
-        sensitive_urls: [VISIT_URLS[2]].into_iter().collect::<HashSet<_>>(),
+        visited_urls: set(&VISIT_URLS),
+        visited_hosts: set(&VISIT_HOSTS),
+        visited_domains: set(&VISIT_DOMAINS),
+        sensitive_urls: set(&VISIT_URLS[2..]),
         total_visits: VISIT_URLS.len(),
     }
 }
@@ -124,27 +124,20 @@ proptest! {
         flows in proptest::collection::vec(arb_flow(), 0..80),
         jobs in 1usize..=8,
     ) {
-        let store = FlowStore::new();
-        for f in &flows {
-            store.push(f.clone());
-        }
-        let snap = store.snapshot();
-        let facts = capture_facts(&snap);
         let ctx = context();
         let props = DeviceProperties::testbed_tablet();
         let matcher = PiiMatcher::new(&props);
 
         let mut sequential = CrawlPartials::default();
-        for view in facts.views(snap.all()) {
-            sequential.observe(&view, &ctx, &matcher);
+        for flow in &flows {
+            sequential.observe(flow, &ctx, &matcher);
         }
 
-        let all = snap.all();
         let mut merged = CrawlPartials::default();
-        for range in shard_ranges(all.len(), jobs) {
+        for range in shard_ranges(flows.len(), jobs) {
             let mut shard = CrawlPartials::default();
-            for view in facts.views(all.slice(range)) {
-                shard.observe(&view, &ctx, &matcher);
+            for flow in &flows[range] {
+                shard.observe(flow, &ctx, &matcher);
             }
             merged.merge(shard);
         }

@@ -3,19 +3,15 @@
 //! Two systematic biases haunt naive two-arm comparisons on this
 //! pipeline:
 //!
-//! * **shared warm state** — campaign captures memoise per-flow facts
-//!   on first analysis, so whichever arm runs first pays the parse
-//!   cost and warms the cache for the second. An A/B over the *same*
-//!   capture set therefore flatters the arm that runs later unless
-//!   both arms are warmed (or each arm gets fresh state);
+//! * **cold start** — an arm's first iterations run against cold
+//!   caches and lazily built state, so timing them penalises whichever
+//!   arm runs first;
 //! * **host drift** — on a small shared container a frequency dip or
 //!   noisy neighbour can hit one arm's entire measurement window.
 //!
 //! The helpers here make the protocol explicit: warmup iterations run
-//! both arms and are excluded from every statistic, timed reps
-//! interleave arm-by-arm so drift lands on both sides, and
-//! [`isolated`] gives each arm freshly built state per rep for
-//! comparisons where shared warm state would lie.
+//! both arms and are excluded from every statistic, and timed reps
+//! interleave arm-by-arm so drift lands on both sides.
 
 use std::time::Instant;
 
@@ -165,47 +161,6 @@ where
     }
 }
 
-/// Times two arms with *fresh state per arm per rep*: each rep builds
-/// arm A's input (untimed), times A, drops it, then does the same for
-/// arm B. Use when shared state would let one arm warm caches for the
-/// other — e.g. capture fact memos, or a server-side artifact cache.
-pub fn isolated<T, U, MA, FA, MB, FB>(
-    config: AbConfig,
-    label_a: &str,
-    mut make_a: MA,
-    mut run_a: FA,
-    label_b: &str,
-    mut make_b: MB,
-    mut run_b: FB,
-) -> AbOutcome
-where
-    MA: FnMut() -> T,
-    FA: FnMut(T),
-    MB: FnMut() -> U,
-    FB: FnMut(U),
-{
-    for _ in 0..config.warmups {
-        run_a(make_a());
-        run_b(make_b());
-    }
-    let mut secs_a = Vec::with_capacity(config.reps);
-    let mut secs_b = Vec::with_capacity(config.reps);
-    for _ in 0..config.reps {
-        let input = make_a();
-        let start = Instant::now();
-        run_a(input);
-        secs_a.push(start.elapsed().as_secs_f64());
-        let input = make_b();
-        let start = Instant::now();
-        run_b(input);
-        secs_b.push(start.elapsed().as_secs_f64());
-    }
-    AbOutcome {
-        a: ArmStats { label: label_a.to_string(), secs: secs_a },
-        b: ArmStats { label: label_b.to_string(), secs: secs_b },
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -228,22 +183,6 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 10, "2 warmups + 3 reps per arm");
         assert_eq!(outcome.a.secs.len(), 3);
         assert_eq!(outcome.b.secs.len(), 3);
-    }
-
-    #[test]
-    fn isolated_builds_fresh_state_per_rep() {
-        let built = AtomicUsize::new(0);
-        let outcome = isolated(
-            AbConfig::new(1, 2),
-            "a",
-            || built.fetch_add(1, Ordering::SeqCst),
-            |_| {},
-            "b",
-            || built.fetch_add(1, Ordering::SeqCst),
-            |_| {},
-        );
-        assert_eq!(built.load(Ordering::SeqCst), 6, "each warmup and rep built anew");
-        assert_eq!(outcome.a.secs.len(), 2);
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!
 //! `--jobs N` runs the campaigns and their analyses across an N-worker
 //! fleet (default: the machine's available parallelism; `--jobs 1` runs
-//! every unit in order on the main thread). Every capture is analysed
-//! once by the fused single-pass engine, on the worker that captured it,
-//! and then dropped; all sections render from those analyses. Output is
+//! every unit in order on the main thread). Every crawl is analysed by
+//! the fused single-pass engine on the worker that runs it, visit by
+//! visit as its flows are captured, and every idle capture once it
+//! ends; all sections render from those analyses. Output is
 //! byte-identical for every N — results always come back in profile
 //! order before rendering.
 //!
@@ -33,8 +34,8 @@
 //!
 //! `--har DIR` additionally writes one HAR 1.2 file per browser campaign
 //! into DIR, for inspection with off-the-shelf HAR tooling; it is the
-//! only option that keeps the raw crawl captures in memory until the
-//! crawl phase ends. `--json FILE`
+//! only option that keeps the raw crawl captures in memory, each sealed
+//! and analysed once captured, until the crawl phase ends. `--json FILE`
 //! writes the machine-readable study summary (every analysis result as
 //! one JSON document).
 //!

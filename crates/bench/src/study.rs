@@ -7,18 +7,19 @@
 //! crawl does not cover is crawled normally a second time.
 //! [`Study::plan`] lays those campaign units out by phase in document
 //! order, and [`Study::run`] runs the phases a caller selects, one after
-//! another: each fleet job captures one unit, analyses it on the same
-//! worker and drops the capture, so at most one capture per worker is
-//! alive. Each phase is handed over the moment its last unit is
+//! another: each fleet job runs one unit and analyses it on the same
+//! worker. A crawl unit is analysed as it is captured, so a worker holds
+//! one visit's flows, not a capture; an idle unit's capture is analysed
+//! and dropped. Each phase is handed over the moment its last unit is
 //! analysed. The study server schedules the same plan on its own pool.
 
 use std::sync::OnceLock;
 
 use panoptes::campaign::CampaignResult;
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitOutput};
+use panoptes::fleet::{self, FleetOptions, FleetUnit, UnitKind, UnitOutput};
 use panoptes_analysis::engine::{
-    analyze_crawl, analyze_idle, AnalysisResources, CampaignAnalysis, IdleAnalysis,
+    analyze_crawl, analyze_idle, capture_crawl, AnalysisResources, CampaignAnalysis, IdleAnalysis,
 };
 use panoptes_browsers::registry::{all_profiles, population, profile_by_name};
 use panoptes_browsers::BrowserProfile;
@@ -186,10 +187,12 @@ impl Study {
 
     /// Runs the selected `phases` in document order, each as one fleet
     /// at `options`' width, and hands each phase to `on_phase` as soon as
-    /// its last unit is analysed. Each fleet job captures one unit,
-    /// analyses it and drops the capture, unless `keep_captures` asks for
-    /// the crawl phase's raw captures (`Analysed::Crawl::results`).
-    /// Output is identical for every worker count.
+    /// its last unit is analysed. Each fleet job analyses a crawl unit as
+    /// it is captured ([`capture_crawl`]), unless `keep_captures` asks
+    /// for the crawl phase's raw captures (`Analysed::Crawl::results`):
+    /// then the job captures the unit, analyses the stored capture and
+    /// keeps it. An idle unit is captured, analysed and dropped. Output
+    /// is identical for every worker count and either path.
     pub fn run(
         &self,
         phases: &[Phase],
@@ -217,12 +220,24 @@ impl Study {
             let keep = keep_captures && phase == Phase::Crawl;
             let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
             let outputs = fleet::execute(&labels, options, |i| {
-                let output = fleet::run_unit(&world, &world.sites, &config, &units[i]);
-                fleet::narrate_capture(&units[i], &output, options);
+                let unit = &units[i];
+                if unit.kind == UnitKind::Crawl && !keep {
+                    let crawl = capture_crawl(
+                        &world,
+                        &unit.profile,
+                        &world.sites,
+                        unit.config_or(&config),
+                        &res,
+                    );
+                    fleet::narrate_crawl(&crawl.result, crawl.flows, options);
+                    return UnitAnalysis::Crawl(Box::new(crawl.analysis), None);
+                }
+                let output = fleet::run_unit(&world, &world.sites, &config, unit);
+                fleet::narrate_capture(unit, &output, options);
                 match output {
                     UnitOutput::Crawl(result) => {
                         let analysis = Box::new(analyze_crawl(&result, &res));
-                        UnitAnalysis::Crawl(analysis, keep.then(|| Box::new(result)))
+                        UnitAnalysis::Crawl(analysis, Some(Box::new(result)))
                     }
                     UnitOutput::Idle(result) => UnitAnalysis::Idle(analyze_idle(&result)),
                 }

@@ -9,7 +9,7 @@ use panoptes_instrument::cdp::{CdpEvent, CdpSession};
 use panoptes_instrument::frida::FridaSession;
 use panoptes_instrument::tap::{Instrumentation, RequestTap, TaintInjector};
 use panoptes_instrument::AppiumDriver;
-use panoptes_mitm::{FlowStore, TAINT_HEADER};
+use panoptes_mitm::{Flow, FlowStore, TAINT_HEADER};
 use panoptes_simnet::clock::SimDuration;
 use panoptes_simnet::dns::DnsLogSnapshot;
 use panoptes_web::site::SiteSpec;
@@ -99,6 +99,42 @@ pub fn run_crawl_with(
     config: &CampaignConfig,
     configure_proxy: impl FnOnce(&mut panoptes_mitm::TransparentProxy),
 ) -> CampaignResult {
+    crawl(world, profile, sites, config, configure_proxy, None)
+}
+
+/// Like [`run_crawl`], but hands every recorded flow to `fold`, in
+/// capture order, while the crawl runs: the proxy's store is drained
+/// after the browser starts and after every visit, so the crawl holds
+/// one visit's flows at a time. The result's visits, DNS log and
+/// counters are [`run_crawl`]'s; its store is empty.
+pub fn run_crawl_folding(
+    world: &World,
+    profile: &BrowserProfile,
+    sites: &[SiteSpec],
+    config: &CampaignConfig,
+    mut fold: impl FnMut(&Flow),
+) -> CampaignResult {
+    crawl(world, profile, sites, config, |_| {}, Some(&mut fold))
+}
+
+/// The crawl behind [`run_crawl_with`] and [`run_crawl_folding`]: with a
+/// `fold`, recorded flows go to it after startup and after each visit;
+/// without one, the store keeps the whole capture.
+fn crawl(
+    world: &World,
+    profile: &BrowserProfile,
+    sites: &[SiteSpec],
+    config: &CampaignConfig,
+    configure_proxy: impl FnOnce(&mut panoptes_mitm::TransparentProxy),
+    mut fold: Option<&mut dyn FnMut(&Flow)>,
+) -> CampaignResult {
+    let mut hand_over = |store: &FlowStore| {
+        if let Some(fold) = fold.as_mut() {
+            for flow in store.drain() {
+                fold(&flow);
+            }
+        }
+    };
     let mut bed = Testbed::assemble_with(world, config, configure_proxy);
     let uid = bed.divert_browser(&profile.package, config.proxy_port);
 
@@ -153,6 +189,7 @@ pub fn run_crawl_with(
         };
         native_sent += browser.startup(&mut env) as u64;
     }
+    hand_over(&bed.store);
 
     for site in sites {
         let start = bed.clock.now();
@@ -199,6 +236,7 @@ pub fn run_crawl_with(
             dcl_fired: outcome.dom_content_loaded_at.is_some(),
             dwell,
         });
+        hand_over(&bed.store);
     }
 
     CampaignResult {
@@ -239,6 +277,27 @@ mod tests {
         // Every Yandex visit produced the sba phone-home.
         let sba = native.iter().filter(|f| f.host == "sba.yandex.net").count();
         assert_eq!(sba, 12);
+    }
+
+    #[test]
+    fn folding_crawl_hands_over_the_stored_capture_in_order() {
+        let world = small_world();
+        let config = CampaignConfig::default();
+        let profile = profile_by_name("Yandex").unwrap();
+        let stored = run_crawl(&world, &profile, &world.sites, &config);
+        let folded = FlowStore::new();
+        let live = run_crawl_folding(&world, &profile, &world.sites, &config, |flow| {
+            folded.push(flow.clone())
+        });
+        assert!(live.store.is_empty());
+        assert!(!folded.is_empty());
+        assert_eq!(folded.export_jsonl(), stored.store.export_jsonl());
+        assert_eq!(live.visits, stored.visits);
+        assert_eq!(live.dns_log, stored.dns_log);
+        assert_eq!(
+            (live.engine_sent, live.native_sent, live.adblocked),
+            (stored.engine_sent, stored.native_sent, stored.adblocked)
+        );
     }
 
     #[test]

@@ -421,6 +421,12 @@ impl FleetUnit {
         self
     }
 
+    /// The configuration this unit runs under: its own override, or
+    /// else the fleet-wide `config`.
+    pub fn config_or<'a>(&'a self, config: &'a CampaignConfig) -> &'a CampaignConfig {
+        self.config.as_ref().unwrap_or(config)
+    }
+
     /// The unit's progress label: browser name + experiment kind.
     pub fn label(&self) -> String {
         match self.kind {
@@ -467,7 +473,7 @@ pub fn run_unit(
     config: &CampaignConfig,
     unit: &FleetUnit,
 ) -> UnitOutput {
-    let unit_config = unit.config.as_ref().unwrap_or(config);
+    let unit_config = unit.config_or(config);
     match unit.kind {
         UnitKind::Crawl => UnitOutput::Crawl(run_crawl(world, &unit.profile, sites, unit_config)),
         UnitKind::Idle(duration) => {
@@ -484,20 +490,7 @@ pub fn narrate_capture(unit: &FleetUnit, output: &UnitOutput, options: &FleetOpt
         return;
     }
     match output {
-        UnitOutput::Crawl(result) => {
-            let sim: SimDuration =
-                result.visits.iter().map(|v| v.dwell).fold(SimDuration::ZERO, |a, b| a + b);
-            panoptes_obs::progress::emit(
-                "fleet",
-                &options.decorate(&format!(
-                    "{}: {} flows captured, {} visits, sim {}",
-                    labels_for_progress(&unit.profile.name, "crawl"),
-                    result.store.len(),
-                    result.visits.len(),
-                    sim,
-                )),
-            );
-        }
+        UnitOutput::Crawl(result) => narrate_crawl(result, result.store.len(), options),
         UnitOutput::Idle(result) => {
             let duration = match unit.kind {
                 UnitKind::Idle(d) => d,
@@ -514,6 +507,27 @@ pub fn narrate_capture(unit: &FleetUnit, output: &UnitOutput, options: &FleetOpt
             );
         }
     }
+}
+
+/// [`narrate_capture`] for a finished crawl that captured `flows` flows:
+/// its store's length, or the number folded as the crawl went (its
+/// store is then empty).
+pub fn narrate_crawl(result: &CampaignResult, flows: usize, options: &FleetOptions) {
+    if !options.progress {
+        return;
+    }
+    let sim: SimDuration =
+        result.visits.iter().map(|v| v.dwell).fold(SimDuration::ZERO, |a, b| a + b);
+    panoptes_obs::progress::emit(
+        "fleet",
+        &options.decorate(&format!(
+            "{}: {} flows captured, {} visits, sim {}",
+            labels_for_progress(&result.profile.name, "crawl"),
+            flows,
+            result.visits.len(),
+            sim,
+        )),
+    );
 }
 
 /// Runs a mixed list of campaign units over the worker pool, returning

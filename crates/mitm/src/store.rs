@@ -7,30 +7,32 @@
 //!
 //! # Columnar capture arena
 //!
-//! A crawl's flows live in **one allocation region**: sealing a
+//! A kept capture's flows live in **one allocation region**: sealing a
 //! [`FlowSnapshot`] moves the appended flows into a contiguous
 //! `Arc<[Flow]>` slab, and every view — capture order, per-class,
 //! per-package — is a [`Flows`] window over that slab described by
 //! `u32` indices. No per-flow `Arc`, no pointer chasing between
-//! records: the ~10 analysis passes of a study walk one cache-friendly
-//! array, and the only refcount in the system is the slab's own.
+//! records, and the only refcount in the system is the slab's own.
 //!
 //! Appending or clearing flows invalidates the memoised snapshot; the
 //! next [`FlowStore::snapshot`] call seals a fresh slab (re-using the
 //! already-sealed prefix). Snapshots are immutable, so a stale snapshot
 //! still describes exactly the capture it sealed.
 //!
+//! A capture analysed as it is recorded is never sealed:
+//! [`FlowStore::drain`] hands the flows recorded so far to the caller in
+//! capture order and leaves the store empty.
+//!
 //! The pre-snapshot cloning accessors ([`FlowStore::all`],
 //! [`FlowStore::native_flows`], …) remain as thin compatibility shims
 //! for tests and external tooling; production analysis code must use
 //! the snapshot (CI greps for regressions — see
-//! `tools/check-no-clone-analysis.sh`).
+//! `tools/check_no_cloning.sh`).
 
-use std::any::Any;
 use std::fmt;
 use std::ops::{Index, Range};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use std::collections::HashMap;
 
@@ -45,8 +47,8 @@ use crate::flow::{Flow, FlowClass};
 /// capture-order span or an index-selected view (a class or package).
 ///
 /// `Flows` is `Copy` — two words of span plus the slab pointer — so it
-/// passes by value everywhere a `&[Arc<Flow>]` used to. Iteration
-/// yields plain `&Flow` references into the shared slab.
+/// passes by value. Iteration yields plain `&Flow` references into the
+/// shared slab.
 #[derive(Clone, Copy)]
 pub struct Flows<'a> {
     slab: &'a [Flow],
@@ -149,11 +151,6 @@ pub struct FlowSnapshot {
     pinned: Vec<u32>,
     blocked: Vec<u32>,
     by_package: HashMap<Atom, Vec<u32>>,
-    /// Slot for a derived-data cache layered on top of the snapshot by a
-    /// downstream crate (the analysis crate parks its parse-once
-    /// `CaptureFacts` here). Lives and dies with the snapshot, so the
-    /// cache can never outlive or lag the capture it describes.
-    extension: OnceLock<Box<dyn Any + Send + Sync>>,
 }
 
 impl Default for FlowSnapshot {
@@ -182,7 +179,6 @@ impl FlowSnapshot {
             pinned: Vec::new(),
             blocked: Vec::new(),
             by_package: HashMap::new(),
-            extension: OnceLock::new(),
         };
         for (i, flow) in snap.slab.iter().enumerate() {
             let i = i as u32;
@@ -195,13 +191,6 @@ impl FlowSnapshot {
             snap.by_package.entry(flow.package.clone()).or_default().push(i);
         }
         snap
-    }
-
-    /// The underlying flow arena: every captured flow, capture order,
-    /// one allocation. Derived caches (the analysis facts layer) clone
-    /// this `Arc` to pin the slab and index it arithmetically.
-    pub fn arena(&self) -> &Arc<[Flow]> {
-        &self.slab
     }
 
     /// Every captured flow in capture order.
@@ -257,21 +246,6 @@ impl FlowSnapshot {
     pub fn is_empty(&self) -> bool {
         self.slab.is_empty()
     }
-
-    /// Returns the snapshot's extension cache, initialising it with
-    /// `init` on first use. One extension type per snapshot: a later
-    /// caller asking for a different `T` is a programming error and
-    /// panics.
-    pub fn extension_or_init<T, F>(&self, init: F) -> &T
-    where
-        T: Send + Sync + 'static,
-        F: FnOnce() -> T,
-    {
-        self.extension
-            .get_or_init(|| Box::new(init()))
-            .downcast_ref::<T>()
-            .expect("FlowSnapshot extension requested with a different type than it was initialised with")
-    }
 }
 
 /// Flows not yet sealed plus the last sealed arena. Appends go to the
@@ -291,6 +265,17 @@ impl StoreState {
 
     fn iter(&self) -> impl Iterator<Item = &Flow> {
         self.sealed.iter().flat_map(|s| s.iter()).chain(self.open.iter())
+    }
+
+    /// Moves every flow out in capture order, leaving the state empty.
+    /// The open buffer is taken whole, so no capacity stays behind; the
+    /// sealed prefix is copied, since snapshots may still share it.
+    fn take_flows(&mut self) -> Vec<Flow> {
+        let open = std::mem::take(&mut self.open);
+        match self.sealed.take() {
+            Some(sealed) => sealed.iter().cloned().chain(open).collect(),
+            None => open,
+        }
     }
 }
 
@@ -314,6 +299,11 @@ impl FlowStore {
     /// Appends a flow. Invalidates the memoised snapshot.
     pub fn push(&self, flow: Flow) {
         self.state.lock().open.push(flow);
+        self.invalidate();
+    }
+
+    /// Marks the store mutated and drops the memoised snapshot.
+    fn invalidate(&self) {
         self.generation.fetch_add(1, Ordering::Release);
         *self.snapshot.lock() = None;
     }
@@ -328,12 +318,7 @@ impl FlowStore {
                 return sealed.clone();
             }
         }
-        let mut flows: Vec<Flow> = Vec::with_capacity(state.len());
-        if let Some(sealed) = &state.sealed {
-            flows.extend(sealed.iter().cloned());
-        }
-        flows.append(&mut state.open);
-        let slab: Arc<[Flow]> = Arc::from(flows);
+        let slab: Arc<[Flow]> = Arc::from(state.take_flows());
         state.sealed = Some(slab.clone());
         slab
     }
@@ -396,14 +381,22 @@ impl FlowStore {
         self.len() == 0
     }
 
+    /// Moves every recorded flow out in capture order and leaves the
+    /// store empty: how a capture analysed as it is recorded hands over
+    /// its flows without ever sealing them.
+    pub fn drain(&self) -> Vec<Flow> {
+        let flows = self.state.lock().take_flows();
+        self.invalidate();
+        flows
+    }
+
     /// Removes every flow (start of a fresh campaign).
     pub fn clear(&self) {
         let mut state = self.state.lock();
         state.sealed = None;
         state.open.clear();
         drop(state);
-        self.generation.fetch_add(1, Ordering::Release);
-        *self.snapshot.lock() = None;
+        self.invalidate();
     }
 
     /// Serializes the whole capture as JSONL. The output buffer is
@@ -553,8 +546,7 @@ mod tests {
         assert!(std::ptr::eq(&all[0], &snap.by_package("p")[0]));
         assert!(std::ptr::eq(&all[1], &snap.engine()[0]));
         // The arena is exactly the capture-order flows.
-        assert_eq!(snap.arena().len(), 2);
-        assert!(std::ptr::eq(&snap.arena()[0], &all[0]));
+        assert!(snap.iter().zip(all.iter()).all(|(a, b)| std::ptr::eq(a, b)));
     }
 
     #[test]
@@ -666,6 +658,53 @@ mod tests {
         assert_eq!(FlowStore::import_jsonl(&text).map(|_| ()).unwrap_err(), 2);
         let text2 = format!("{good}\n{{\"id\":1}}\n");
         assert_eq!(FlowStore::import_jsonl(&text2).map(|_| ()).unwrap_err(), 2);
+    }
+
+    #[test]
+    fn sealing_releases_the_open_buffer() {
+        let store = FlowStore::new();
+        for i in 0..100 {
+            store.push(flow(i, FlowClass::Native, "p"));
+        }
+        assert!(store.state.lock().open.capacity() >= 100);
+        assert_eq!(store.snapshot().len(), 100);
+        assert_eq!(
+            store.state.lock().open.capacity(),
+            0,
+            "first seal keeps no buffer"
+        );
+        store.push(flow(100, FlowClass::Native, "p"));
+        assert_eq!(store.snapshot().len(), 101);
+        assert_eq!(
+            store.state.lock().open.capacity(),
+            0,
+            "re-seal keeps no buffer"
+        );
+    }
+
+    #[test]
+    fn interleaved_pushes_and_drains_yield_every_flow_once_in_order() {
+        let store = FlowStore::new();
+        let mut drained = Vec::new();
+        let mut next = 0;
+        // (flows to push, how many of them to seal before the drain).
+        for (batch, sealed) in [(3, 0), (0, 0), (1, 0), (5, 2), (2, 2)] {
+            for i in 0..batch {
+                store.push(flow(next, FlowClass::Native, "p"));
+                next += 1;
+                if i + 1 == sealed {
+                    // A sealed prefix drains too, ahead of the open tail.
+                    let _ = store.snapshot();
+                }
+            }
+            drained.extend(store.drain().into_iter().map(|f| f.id));
+            assert!(store.is_empty());
+            assert!(
+                store.snapshot().is_empty(),
+                "drained flows are gone from the snapshot"
+            );
+        }
+        assert_eq!(drained, (0..next).collect::<Vec<_>>());
     }
 
     #[test]

@@ -5,10 +5,13 @@
 //! * as the sequential fused single pass ([`analyze_study`]),
 //! * sharded across any fleet worker count,
 //! * or inside the study runner ([`Study::run`] — one fleet per phase,
-//!   each job capturing, analysing and dropping one unit, campaigns in
+//!   each job analysing one crawl unit as it is captured, campaigns in
 //!   parallel).
 //!
 //! Parallelism buys wall-clock time only, never a different report. The
+//! runner's live fold must also equal the stored analysis as whole
+//! values, unrendered fields included, and the crawl context it builds
+//! from the site list must equal the one a finished crawl records. The
 //! quick-scale study document itself is pinned byte for byte to
 //! `tests/golden/repro_quick.md`, so a change to any detector's shared
 //! code shows up even where every path agrees. The last two tests prove
@@ -17,7 +20,8 @@
 
 use panoptes::fleet::{self, FleetOptions, FleetUnit};
 use panoptes_analysis::engine::{
-    analyze_crawl_sharded, analyze_idle_sharded, analyze_study, AnalysisResources, StudyAnalyses,
+    analyze_crawl, analyze_crawl_sharded, analyze_idle_sharded, analyze_study, AnalysisResources,
+    CampaignAnalysis, CrawlContext, StudyAnalyses,
 };
 use panoptes_analysis::summary::study_report_from;
 use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
@@ -56,7 +60,9 @@ fn fused_sharded_and_runner_reports_are_byte_identical() {
         );
     }
 
-    // The study runner, capturing afresh, sequential and parallel.
+    // The study runner, capturing afresh, sequential and parallel. Its
+    // live fold must equal the stored analysis field by field.
+    let stored: Vec<CampaignAnalysis> = crawls.iter().map(|r| analyze_crawl(r, &res)).collect();
     let study = Study { scale, population: 15 };
     for jobs in [1usize, 8] {
         let mut analyses = StudyAnalyses { crawls: Vec::new(), idles: Vec::new() };
@@ -69,12 +75,32 @@ fn fused_sharded_and_runner_reports_are_byte_identical() {
                 }
             })
             .unwrap_or_else(|e| panic!("study runner failed at jobs={jobs}: {e}"));
+        assert!(
+            stored == analyses.crawls,
+            "live fold diverged from the stored analysis at jobs={jobs}"
+        );
         assert_eq!(
             reference,
             study_report_from(&analyses),
             "study runner report diverged at jobs={jobs}"
         );
     }
+}
+
+/// The premise of the live fold: the crawl context built from the site
+/// list before a crawl starts equals the one its finished visit log
+/// yields.
+#[test]
+fn context_from_the_site_list_equals_the_crawled_one() {
+    let scale = Scale::quick();
+    let (world, config) = (scale.world(), scale.config());
+    let unit = FleetUnit::crawl(profile_by_name("Yandex").expect("a pinned browser"));
+    let result = fleet::run_unit(&world, &world.sites, &config, &unit)
+        .into_crawl()
+        .expect("a crawl unit");
+    let crawled = CrawlContext::of(&result);
+    assert!(!crawled.sensitive_urls.is_empty());
+    assert_eq!(CrawlContext::of_sites(&world.sites), crawled);
 }
 
 /// `repro --quick`'s stdout, every section included (identifiers,

@@ -1,9 +1,8 @@
 #!/usr/bin/env sh
 # Guards the zero-copy analysis path: the analysis/core/bench crates
-# must read captures through `FlowStore::snapshot()` (shared
-# `Arc<Flow>` records), never through the deep-cloning shims that the
-# mitm crate keeps for tests and for the pre-refactor benchmark
-# baseline.
+# must read a kept capture through `FlowStore::snapshot()` (one shared
+# flow slab), never through the deep-cloning shims that the mitm crate
+# keeps for tests and for the pre-refactor benchmark baseline.
 #
 # A line may opt out with a `clone-ok` comment when cloning is the
 # point (e.g. the benchmark's before/after comparison). Criterion
@@ -59,18 +58,17 @@ echo "ok: no atom-to-String conversions in $capture_dirs"
 
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
-# iteration — every extra `store.snapshot()` walk outside the engine
-# and facts layers is another full pass over the capture, and a second
-# implementation of the detector. The renderers and both study runners
-# (offline and served) read only analyses: a capture is dropped once
-# the engine has walked it. No exceptions.
+# iteration — every extra `store.snapshot()` walk outside the engine is
+# another full pass over the capture, and a second implementation of
+# the detector. The renderers and both study runners (offline and
+# served) read only analyses: a capture is dropped once the engine has
+# walked it. No exceptions.
 
 multipass_pattern='\.snapshot\(\)'
 engine_dirs="crates/analysis/src crates/bench/src/render.rs crates/bench/src/study.rs crates/serve/src"
 
 multipass_offenders=$(grep -rnE "$multipass_pattern" $engine_dirs --include='*.rs' \
-    | grep -v 'crates/analysis/src/engine\.rs' \
-    | grep -v 'crates/analysis/src/facts\.rs' || true)
+    | grep -v 'crates/analysis/src/engine\.rs' || true)
 
 if [ -n "$multipass_offenders" ]; then
     echo "error: detector opens its own snapshot iteration outside the" >&2
