@@ -20,9 +20,8 @@ pub struct AdDomainRow {
     pub ad_percent: f64,
 }
 
-/// Mergeable accumulator form of the Figure 3 detector: the distinct
-/// native-host set is an order-insensitive union, so sharded merges are
-/// exactly the sequential set.
+/// Accumulator form of the Figure 3 detector: the distinct native-host
+/// set.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AdDomainPartial {
     hosts: BTreeSet<String>,
@@ -34,11 +33,6 @@ impl AdDomainPartial {
         if flow.class == FlowClass::Native && !self.hosts.contains(flow.host.as_str()) {
             self.hosts.insert(flow.host.to_string());
         }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: AdDomainPartial) {
-        self.hosts.extend(other.hosts);
     }
 
     /// Finalises the browser's Figure 3 row against `list`.

@@ -62,8 +62,8 @@ pub struct CostRow {
     pub joules_per_1000_pages: f64,
 }
 
-/// Mergeable accumulator form of the cost detector: two sums, so any
-/// sharding of the capture merges back to the sequential row.
+/// Accumulator form of the cost detector: native flows and their bytes
+/// in both directions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CostPartial {
     native_flows: u64,
@@ -77,12 +77,6 @@ impl CostPartial {
             self.native_flows += 1;
             self.native_bytes += flow.bytes_out + flow.bytes_in;
         }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: CostPartial) {
-        self.native_flows += other.native_flows;
-        self.native_bytes += other.native_bytes;
     }
 
     /// Finalises the browser's cost row under `model`.

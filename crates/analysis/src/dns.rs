@@ -27,10 +27,8 @@ pub struct DnsRow {
     pub lookups: usize,
 }
 
-/// Mergeable accumulator form of the DNS detector, fed with resolver-log
-/// entries instead of flows. `merge` is **ordered** — `other` must cover
-/// entries strictly after `self`'s — so "first DoH lookup wins" survives
-/// sharding.
+/// Accumulator form of the DNS detector, fed with resolver-log entries
+/// instead of flows, in log order: the first DoH lookup wins.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DnsPartial {
     doh: Option<DohProvider>,
@@ -46,14 +44,6 @@ impl DnsPartial {
             }
         }
         self.lookups += 1;
-    }
-
-    /// Absorbs a later shard's accumulator (entries after `self`'s).
-    pub fn merge(&mut self, other: DnsPartial) {
-        if self.doh.is_none() {
-            self.doh = other.doh;
-        }
-        self.lookups += other.lookups;
     }
 
     /// Finalises the browser's DNS row.

@@ -1,34 +1,28 @@
-//! The fused, sharded study engine: the only code that walks a capture.
+//! The fused study engine: the only code that walks a capture.
 //!
-//! Every detector of §3 exists once, as a mergeable `Partial`
-//! accumulator (`merge`/`finish`, fed per flow or per observation).
-//! This module turns the whole report into a map-reduce over the
-//! capture:
+//! Every detector of §3 exists once, as a `Partial` accumulator
+//! (`observe`/`finish`, fed per flow or per observation).
+//! [`CrawlPartials`] bundles the crawl detectors, and its
+//! [`observe`](CrawlPartials::observe) is the one place that decides
+//! which flows reach which detector, so one fold over the flows feeds
+//! them all, in capture order:
 //!
-//! * **fused** — [`CrawlPartials`] bundles the crawl detectors, and its
-//!   [`observe`](CrawlPartials::observe) is the one place that decides
-//!   which flows reach which detector, so one fold over the flows feeds
-//!   them all: [`capture_crawl`] folds each flow while the crawl records
-//!   it, [`analyze_crawl`] folds a stored capture, and [`analyze_idle`]
-//!   does the same for an idle capture;
-//! * **sharded** — the fused pass splits the capture into contiguous
-//!   [`shard_ranges`](fleet::shard_ranges) executed across the fleet
-//!   worker pool, then merges the per-shard partials **in shard order**
-//!   ([`analyze_crawl_sharded`]). Because every partial's merge is
-//!   either order-insensitive (sums, set unions) or explicitly ordered
-//!   (first-occurrence fields), the merged report is byte-identical to
-//!   the sequential one for any shard count.
+//! * [`capture_crawl`] folds each flow while the crawl records it — how
+//!   every study analyses its crawls, offline and served;
+//! * [`analyze_crawl`] folds a kept capture (`repro --har`, the
+//!   examples, the tests), and [`analyze_idle`] folds an idle unit's
+//!   capture (at most 155 flows in the paper's 10-minute window) before
+//!   it is dropped.
 //!
-//! `tests/study_engine_determinism.rs` (workspace root) enforces the
-//! byte-identity across these paths end-to-end and pins the quick-scale
-//! report to a golden document.
+//! `tests/study_engine_determinism.rs` (workspace root) enforces that
+//! both folds yield the same analyses and pins the quick-scale report
+//! to a golden document.
 
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use panoptes::campaign::{run_crawl_folding, CampaignResult};
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{self, FleetOptions};
 use panoptes::idle::IdleResult;
 use panoptes_blocklist::data::steven_black_excerpt;
 use panoptes_blocklist::HostsList;
@@ -73,7 +67,7 @@ pub struct QuotedRequest {
 
 /// The per-campaign ground truth every context-dependent detector joins
 /// against — visited URLs/hosts/domains and the sensitive subset —
-/// built once per campaign and shared by all shards.
+/// built once per campaign.
 #[derive(Debug, PartialEq)]
 pub struct CrawlContext {
     /// URLs the harness navigated to.
@@ -164,10 +158,9 @@ impl AnalysisResources {
 }
 
 /// Every crawl detector's accumulator, bundled so one fused iteration
-/// over the capture feeds them all. `merge` is **ordered**: `other`
-/// must cover flows strictly after `self`'s shard (shard order), which
-/// is what lets the first-occurrence detectors (PII, transfers, Listing
-/// 1) reproduce the sequential result exactly.
+/// over the capture feeds them all. Flows must arrive in capture order:
+/// the first-occurrence detectors (PII, transfers, Listing 1) keep the
+/// first match they see.
 #[derive(Debug, Default, PartialEq)]
 pub struct CrawlPartials {
     /// Figure 2/4 sums.
@@ -254,21 +247,6 @@ impl CrawlPartials {
             }
         }
     }
-
-    /// Absorbs a later shard's accumulators, detector by detector.
-    pub fn merge(&mut self, other: CrawlPartials) {
-        self.volume.merge(other.volume);
-        self.addomains.merge(other.addomains);
-        self.history.merge(other.history);
-        self.pii.merge(other.pii);
-        self.identifiers.merge(other.identifiers);
-        self.transfers.merge(other.transfers);
-        self.sensitive.merge(other.sensitive);
-        self.cost.merge(other.cost);
-        if self.listing1.is_none() {
-            self.listing1 = other.listing1;
-        }
-    }
 }
 
 /// Every §3 result of one crawl campaign, computed by the fused pass.
@@ -312,7 +290,7 @@ impl CampaignAnalysis {
     }
 }
 
-/// Finalises a campaign's merged partials, and its resolver log, into
+/// Finalises a campaign's partials, and its resolver log, into
 /// the full analysis.
 fn finish_crawl(
     result: &CampaignResult,
@@ -404,63 +382,6 @@ pub fn capture_crawl(
     }
 }
 
-/// Analyses one crawl campaign with the fused pass **sharded** across
-/// the fleet worker pool: the capture splits into contiguous near-equal
-/// ranges, each shard folds its range into its own [`CrawlPartials`],
-/// and the shards merge in order. Byte-identical to [`analyze_crawl`]
-/// for any worker count.
-pub fn analyze_crawl_sharded(
-    result: &CampaignResult,
-    res: &AnalysisResources,
-    options: &FleetOptions,
-) -> CampaignAnalysis {
-    let _span = panoptes_obs::trace::span_with("study.analyze_crawl_sharded", None, || {
-        result.profile.name.to_string()
-    });
-    let ctx = CrawlContext::of(result);
-    let matcher = PiiMatcher::new(&res.props);
-    let snap = result.store.snapshot();
-    let flows = snap.all();
-    panoptes_obs::count!("study.flows.observed", Deterministic, flows.len() as u64);
-    let ranges = fleet::shard_ranges(flows.len(), options.effective_jobs(flows.len()));
-    for range in &ranges {
-        // Runtime-class: the shard topology changes with `--jobs` by
-        // construction, so the skew histogram is excluded from the
-        // byte-identity guarantee.
-        panoptes_obs::record!("study.shard.flows", Runtime, range.len() as u64);
-    }
-    let labels: Vec<String> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            format!(
-                "{} analysis shard {i} ({} flows)",
-                result.profile.name,
-                r.len()
-            )
-        })
-        .collect();
-    let shards = fleet::execute(&labels, options, |i| {
-        let mut partials = CrawlPartials::default();
-        for flow in flows.slice(ranges[i].clone()) {
-            partials.observe(flow, &ctx, &matcher);
-        }
-        partials
-    })
-    .unwrap_or_else(|e| panic!("sharded analysis failed: {e}"));
-    let merge_start = std::time::Instant::now();
-    let mut merged = CrawlPartials::default();
-    for shard in shards {
-        merged.merge(shard);
-    }
-    panoptes_obs::record!(
-        "study.merge.wall_us",
-        Runtime,
-        merge_start.elapsed().as_micros() as u64
-    );
-    finish_crawl(result, merged, &ctx, res)
-}
-
 /// Every §3.5 result of one idle campaign. The offset/domain histograms
 /// stay in accumulator form so any bucket width can be rendered without
 /// touching the capture again.
@@ -509,49 +430,6 @@ pub fn analyze_idle(result: &IdleResult) -> IdleAnalysis {
     }
 }
 
-/// Like [`analyze_idle`], sharded across the worker pool with in-order
-/// merge — byte-identical for any worker count.
-pub fn analyze_idle_sharded(result: &IdleResult, options: &FleetOptions) -> IdleAnalysis {
-    let _span = panoptes_obs::trace::span_with("study.analyze_idle_sharded", None, || {
-        result.profile.name.to_string()
-    });
-    let snap = result.store.snapshot();
-    let flows = snap.all();
-    let start = result.idle_start.0;
-    panoptes_obs::count!(
-        "study.idle_flows.observed",
-        Deterministic,
-        flows.len() as u64
-    );
-    let ranges = fleet::shard_ranges(flows.len(), options.effective_jobs(flows.len()));
-    for range in &ranges {
-        panoptes_obs::record!("study.shard.flows", Runtime, range.len() as u64);
-    }
-    let labels: Vec<String> = ranges
-        .iter()
-        .enumerate()
-        .map(|(i, r)| format!("{} idle shard {i} ({} flows)", result.profile.name, r.len()))
-        .collect();
-    let shards = fleet::execute(&labels, options, |i| {
-        let mut partial = IdlePartial::default();
-        for flow in flows.slice(ranges[i].clone()) {
-            partial.observe(flow, start);
-        }
-        partial
-    })
-    .unwrap_or_else(|e| panic!("sharded idle analysis failed: {e}"));
-    let mut merged = IdlePartial::default();
-    for shard in shards {
-        merged.merge(shard);
-    }
-    IdleAnalysis {
-        browser: result.profile.name.to_string(),
-        idle_sent: result.idle_sent,
-        duration: result.duration,
-        partial: merged,
-    }
-}
-
 /// The full study's analyses: one [`CampaignAnalysis`] per crawl and
 /// one [`IdleAnalysis`] per idle run, both in input (profile) order.
 pub struct StudyAnalyses {
@@ -571,75 +449,5 @@ pub fn analyze_study(
     StudyAnalyses {
         crawls: results.iter().map(|r| analyze_crawl(r, res)).collect(),
         idles: idles.iter().map(analyze_idle).collect(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use panoptes::campaign::run_crawl;
-    use panoptes::config::CampaignConfig;
-    use panoptes::idle::run_idle;
-    use panoptes_browsers::registry::profile_by_name;
-    use panoptes_web::generator::GeneratorConfig;
-    use panoptes_web::World;
-
-    fn small_world() -> World {
-        World::build(&GeneratorConfig {
-            popular: 6,
-            sensitive: 4,
-            ..Default::default()
-        })
-    }
-
-    #[test]
-    fn sharded_analysis_matches_sequential_for_any_worker_count() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let res = AnalysisResources::standard();
-        // Opera also covers the Listing 1 ad request.
-        for name in ["Yandex", "Opera"] {
-            let result = run_crawl(
-                &world,
-                &profile_by_name(name).unwrap(),
-                &world.sites,
-                &config,
-            );
-            let sequential = analyze_crawl(&result, &res);
-            if name == "Opera" {
-                assert!(sequential.listing1.is_some(), "Opera sends its ad request");
-            }
-            for jobs in [1usize, 2, 3, 8] {
-                let sharded = analyze_crawl_sharded(&result, &res, &FleetOptions::with_jobs(jobs));
-                assert_eq!(sharded, sequential, "{name} jobs={jobs}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_idle_matches_sequential() {
-        let world = small_world();
-        let config = CampaignConfig::default();
-        let result = run_idle(
-            &world,
-            &profile_by_name("Opera").unwrap(),
-            SimDuration::from_secs(300),
-            &config,
-        );
-        let bucket = SimDuration::from_secs(10);
-        let sequential = analyze_idle(&result);
-        for jobs in [2usize, 5] {
-            let sharded = analyze_idle_sharded(&result, &FleetOptions::with_jobs(jobs));
-            assert_eq!(
-                sharded.timeline(bucket),
-                sequential.timeline(bucket),
-                "jobs={jobs}"
-            );
-            assert_eq!(
-                sharded.destination_shares(),
-                sequential.destination_shares(),
-                "jobs={jobs}"
-            );
-        }
     }
 }

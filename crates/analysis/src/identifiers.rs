@@ -33,10 +33,9 @@ pub struct IdentifierSighting {
     pub ad_related: bool,
 }
 
-/// Mergeable accumulator form of the stable-identifier detector: the
-/// per-flow dedup is local to one flow's scan, and the cross-flow state
-/// is a pure count map, so sharded merges sum back to the sequential
-/// counts.
+/// Accumulator form of the stable-identifier detector: the per-flow
+/// dedup is local to one flow's scan, and the cross-flow state is a
+/// count map of the flows carrying each token.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct IdentifierPartial {
     /// (destination, key, value) → flow count.
@@ -62,13 +61,6 @@ impl IdentifierPartial {
                 .counts
                 .entry((destination.to_string(), obs.key.clone(), obs.value.clone()))
                 .or_default() += 1;
-        }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: IdentifierPartial) {
-        for (key, n) in other.counts {
-            *self.counts.entry(key).or_default() += n;
         }
     }
 

@@ -53,7 +53,7 @@ impl IdleTimeline {
     }
 }
 
-/// Mergeable accumulator form of the idle detectors: per-second offset
+/// Accumulator form of the idle detectors: per-second offset
 /// counts feed [`IdlePartial::timeline`], per-domain counts feed
 /// [`IdlePartial::destination_shares`] — both derived from one pass over
 /// the capture instead of one pass each.
@@ -83,17 +83,6 @@ impl IdlePartial {
         *self.offsets.entry(offset_secs).or_default() += 1;
         *self.domains.entry(registrable_domain(&flow.host)).or_default() += 1;
         self.total += 1;
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: IdlePartial) {
-        for (offset, n) in other.offsets {
-            *self.offsets.entry(offset).or_default() += n;
-        }
-        for (domain, n) in other.domains {
-            *self.domains.entry(domain).or_default() += n;
-        }
-        self.total += other.total;
     }
 
     /// Finalises the Figure 5 cumulative timeline at `bucket` width over

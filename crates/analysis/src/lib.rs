@@ -2,7 +2,7 @@
 //!
 //! The measurement analyses of the paper's §3, run against captured flow
 //! databases. Each detector module holds one artefact's result rows and
-//! its mergeable `Partial` accumulator — the detector's only
+//! its `Partial` accumulator — the detector's only
 //! implementation. [`engine`] is the only code that walks a capture and
 //! feeds them; callers read the fields of one
 //! [`engine::CampaignAnalysis`] or [`engine::IdleAnalysis`].
@@ -11,7 +11,6 @@
 //!   [`engine::capture_crawl`] folds every flow into every detector as
 //!   the crawl captures it, and [`engine::analyze_crawl`] and
 //!   [`engine::analyze_idle`] fold a stored capture the same way,
-//!   optionally sharded across the fleet pool,
 //! * [`scan`] — key/value observation extraction and decoding,
 //! * [`volume`] — Figure 2 (request counts + native/engine ratio) and
 //!   Figure 4 (outgoing traffic volume),

@@ -95,11 +95,9 @@ impl<'a> PiiMatcher<'a> {
     }
 }
 
-/// Mergeable accumulator form of the Table 2 detector. Each field keeps
-/// its *first* matching destination in capture order; `merge` is
-/// **ordered** (`other` covers flows strictly after `self`'s shard), so
-/// first-match-wins survives sharding and the merged row is byte-equal
-/// to the sequential one.
+/// Accumulator form of the Table 2 detector. Each field keeps its
+/// *first* matching destination in capture order, so flows must be
+/// observed in the order they were captured.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PiiPartial {
     leaked: Vec<(PiiField, String)>,
@@ -129,15 +127,6 @@ impl PiiPartial {
             }
             if matcher.matches_field(field, &key_lower, &obs.value) {
                 self.leaked.push((field, destination.to_string()));
-            }
-        }
-    }
-
-    /// Absorbs a later shard's accumulator (flows after `self`'s).
-    pub fn merge(&mut self, other: PiiPartial) {
-        for (field, host) in other.leaked {
-            if !self.leaked.iter().any(|(f, _)| *f == field) {
-                self.leaked.push((field, host));
             }
         }
     }

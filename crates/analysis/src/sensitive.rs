@@ -20,9 +20,8 @@ pub struct SensitiveRow {
     pub example: Option<String>,
 }
 
-/// Mergeable accumulator form of the §3.2 sensitive-content detector:
-/// the leaked-URL set is an order-insensitive union, so any sharding of
-/// the capture merges back to the sequential row.
+/// Accumulator form of the §3.2 sensitive-content detector: the set of
+/// sensitive visit URLs seen leaving the device.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct SensitivePartial {
     leaked: BTreeSet<String>,
@@ -44,11 +43,6 @@ impl SensitivePartial {
                 self.leaked.insert(decoded.clone());
             }
         }
-    }
-
-    /// Absorbs a later shard's accumulator.
-    pub fn merge(&mut self, other: SensitivePartial) {
-        self.leaked.extend(other.leaked);
     }
 
     /// Finalises the browser's sensitive-leak row.

@@ -29,11 +29,10 @@ pub struct TransferRow {
     pub leaves_eu: bool,
 }
 
-/// Mergeable accumulator form of the §3.4 detector's capture pass: the
-/// destination-host → first-seen IP map. `merge` is **ordered** (`other`
-/// covers flows strictly after `self`'s shard) so first-IP-wins survives
-/// sharding; the geolocation itself happens at `finish` against the
-/// history leaks.
+/// Accumulator form of the §3.4 detector's capture pass: the
+/// destination-host → first-seen IP map, so flows must be observed in
+/// capture order. The geolocation itself happens at `finish` against
+/// the history leaks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransferPartial {
     dest_ip: BTreeMap<String, IpAddr>,
@@ -44,13 +43,6 @@ impl TransferPartial {
     pub fn observe(&mut self, flow: &Flow) {
         if !self.dest_ip.contains_key(flow.host.as_str()) {
             self.dest_ip.insert(flow.host.to_string(), flow.dst_ip);
-        }
-    }
-
-    /// Absorbs a later shard's accumulator (flows after `self`'s).
-    pub fn merge(&mut self, other: TransferPartial) {
-        for (host, ip) in other.dest_ip {
-            self.dest_ip.entry(host).or_insert(ip);
         }
     }
 

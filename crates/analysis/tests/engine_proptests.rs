@@ -1,21 +1,21 @@
 //! Property-based tests for the fused study engine: for *arbitrary*
-//! captures and any shard count, sharding the fused pass and merging
-//! the per-shard partials in shard order reproduces the sequential
-//! accumulator exactly — the invariant every byte-identity guarantee in
-//! `engine.rs` rests on.
+//! captures, folding each batch the proxy's store hands over while the
+//! capture goes on reproduces the fold of the whole stored capture —
+//! the invariant the live fold of every study crawl rests on
+//! (`engine::capture_crawl` against `engine::analyze_crawl`).
 //!
 //! The flow generator deliberately embeds ground-truth leaks (visit
 //! URLs at all three granularities, device properties, high-entropy
 //! identifiers, sensitive URLs) so the order-sensitive detector paths
 //! (first-match PII fields, first-IP transfers, leak buckets, the first
 //! Listing 1 request) actually
-//! fire rather than vacuously matching on empty accumulators.
+//! fire rather than vacuously matching on empty accumulators, and a
+//! batch handed over out of capture order shows.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
 
-use panoptes::fleet::shard_ranges;
 use panoptes_analysis::engine::{CrawlContext, CrawlPartials};
 use panoptes_analysis::idle::IdlePartial;
 use panoptes_analysis::pii::PiiMatcher;
@@ -23,7 +23,7 @@ use panoptes_device::DeviceProperties;
 use panoptes_http::method::Method;
 use panoptes_http::netaddr::IpAddr;
 use panoptes_http::request::HttpVersion;
-use panoptes_mitm::{Flow, FlowClass};
+use panoptes_mitm::{Flow, FlowClass, FlowStore};
 
 /// Fixed visit ground truth: two ordinary sites and one sensitive one.
 const VISIT_URLS: [&str; 3] = [
@@ -36,7 +36,7 @@ const VISIT_DOMAINS: [&str; 3] = ["site0.com", "site1.net", "site2.org"];
 
 /// Destinations: a first-party host, a first-party sibling, trackers,
 /// a DoH resolver (exercises the engine's DoH skip), and the Listing 1
-/// ad-SDK host (exercises its first-occurrence merge).
+/// ad-SDK host (exercises its first-occurrence field).
 const HOSTS: [&str; 7] = [
     "news.site0.com",
     "cdn.site1.net",
@@ -115,57 +115,54 @@ fn arb_flow() -> impl Strategy<Value = Flow> {
         })
 }
 
-proptest! {
-    /// Splitting the fused crawl pass into any 1..=8 contiguous shards
-    /// and merging in shard order reproduces the sequential partials —
-    /// every detector, including the order-sensitive ones.
-    #[test]
-    fn crawl_partials_shard_merge_matches_sequential(
-        flows in proptest::collection::vec(arb_flow(), 0..80),
-        jobs in 1usize..=8,
-    ) {
-        let ctx = context();
-        let props = DeviceProperties::testbed_tablet();
-        let matcher = PiiMatcher::new(&props);
-
-        let mut sequential = CrawlPartials::default();
-        for flow in &flows {
-            sequential.observe(flow, &ctx, &matcher);
-        }
-
-        let mut merged = CrawlPartials::default();
-        for range in shard_ranges(flows.len(), jobs) {
-            let mut shard = CrawlPartials::default();
-            for flow in &flows[range] {
-                shard.observe(flow, &ctx, &matcher);
-            }
-            merged.merge(shard);
-        }
-
-        prop_assert_eq!(merged, sequential);
+/// Folds `flows` into the crawl and idle accumulators, in order.
+fn fold<'a>(
+    flows: impl IntoIterator<Item = &'a Flow>,
+    crawl: &mut CrawlPartials,
+    idle: &mut IdlePartial,
+    start_us: u64,
+) {
+    let ctx = context();
+    let props = DeviceProperties::testbed_tablet();
+    let matcher = PiiMatcher::new(&props);
+    for flow in flows {
+        crawl.observe(flow, &ctx, &matcher);
+        idle.observe(flow, start_us);
     }
+}
 
-    /// The idle accumulator's shard merge is likewise order-exact.
+proptest! {
+    /// The live fold — every flow drained from the proxy's store into
+    /// the accumulators as the capture goes, sealed prefixes included —
+    /// reproduces the fold of the whole stored capture: every detector,
+    /// including the order-sensitive ones. After each flow the capture
+    /// either goes on (step 0), seals a snapshot (step 1) or drains
+    /// (step 2), and the last batch drains at the end.
     #[test]
-    fn idle_partial_shard_merge_matches_sequential(
-        flows in proptest::collection::vec(arb_flow(), 0..80),
-        jobs in 1usize..=8,
+    fn live_fold_of_drained_batches_matches_the_stored_fold(
+        steps in proptest::collection::vec((arb_flow(), 0u8..3), 0..80),
         start_us in 0u64..400_000_000,
     ) {
-        let mut sequential = IdlePartial::default();
-        for f in &flows {
-            sequential.observe(f, start_us);
-        }
-
-        let mut merged = IdlePartial::default();
-        for range in shard_ranges(flows.len(), jobs) {
-            let mut shard = IdlePartial::default();
-            for f in &flows[range] {
-                shard.observe(f, start_us);
+        let live_store = FlowStore::new();
+        let (mut live, mut live_idle) = (CrawlPartials::default(), IdlePartial::default());
+        for (flow, step) in &steps {
+            live_store.push(flow.clone());
+            match step {
+                0 => {}
+                1 => drop(live_store.snapshot()),
+                _ => fold(&live_store.drain(), &mut live, &mut live_idle, start_us),
             }
-            merged.merge(shard);
         }
+        fold(&live_store.drain(), &mut live, &mut live_idle, start_us);
 
-        prop_assert_eq!(merged, sequential);
+        let stored = FlowStore::new();
+        for (flow, _) in &steps {
+            stored.push(flow.clone());
+        }
+        let (mut whole, mut whole_idle) = (CrawlPartials::default(), IdlePartial::default());
+        fold(stored.snapshot().iter(), &mut whole, &mut whole_idle, start_us);
+
+        prop_assert_eq!(live, whole);
+        prop_assert_eq!(live_idle, whole_idle);
     }
 }

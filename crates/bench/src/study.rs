@@ -8,10 +8,13 @@
 //! [`Study::plan`] lays those campaign units out by phase in document
 //! order, and [`Study::run`] runs the phases a caller selects, one after
 //! another: each fleet job runs one unit and analyses it on the same
-//! worker. A crawl unit is analysed as it is captured, so a worker holds
-//! one visit's flows, not a capture; an idle unit's capture is analysed
-//! and dropped. Each phase is handed over the moment its last unit is
-//! analysed. The study server schedules the same plan on its own pool.
+//! worker ([`analyse_unit`]). A crawl unit is analysed as it is
+//! captured, so a worker holds one visit's flows, not a capture; an idle
+//! unit's capture is analysed and dropped. Each phase is handed over,
+//! assembled from its units' analyses ([`assemble`]), the moment its
+//! last unit is analysed. The study server schedules the same plan on
+//! its own pool and runs the same two halves, so a served study equals
+//! `repro` because it runs the same code.
 
 use std::sync::OnceLock;
 
@@ -23,6 +26,7 @@ use panoptes_analysis::engine::{
 };
 use panoptes_browsers::registry::{all_profiles, population, profile_by_name};
 use panoptes_browsers::BrowserProfile;
+use panoptes_web::World;
 
 use crate::experiments::Scale;
 use crate::render;
@@ -187,12 +191,12 @@ impl Study {
 
     /// Runs the selected `phases` in document order, each as one fleet
     /// at `options`' width, and hands each phase to `on_phase` as soon as
-    /// its last unit is analysed. Each fleet job analyses a crawl unit as
-    /// it is captured ([`capture_crawl`]), unless `keep_captures` asks
-    /// for the crawl phase's raw captures (`Analysed::Crawl::results`):
-    /// then the job captures the unit, analyses the stored capture and
-    /// keeps it. An idle unit is captured, analysed and dropped. Output
-    /// is identical for every worker count and either path.
+    /// its last unit is analysed. Each fleet job is one [`analyse_unit`],
+    /// which keeps a crawl's capture only when `keep_captures` asks for
+    /// the crawl phase's raw captures (`Analysed::Crawl::results`), and
+    /// each phase is [`assemble`]d from its units' analyses in plan
+    /// order. Output is identical for every worker count and either
+    /// path.
     pub fn run(
         &self,
         phases: &[Phase],
@@ -220,51 +224,10 @@ impl Study {
             let keep = keep_captures && phase == Phase::Crawl;
             let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
             let outputs = fleet::execute(&labels, options, |i| {
-                let unit = &units[i];
-                if unit.kind == UnitKind::Crawl && !keep {
-                    let crawl = capture_crawl(
-                        &world,
-                        &unit.profile,
-                        &world.sites,
-                        unit.config_or(&config),
-                        &res,
-                    );
-                    fleet::narrate_crawl(&crawl.result, crawl.flows, options);
-                    return UnitAnalysis::Crawl(Box::new(crawl.analysis), None);
-                }
-                let output = fleet::run_unit(&world, &world.sites, &config, unit);
-                fleet::narrate_capture(unit, &output, options);
-                match output {
-                    UnitOutput::Crawl(result) => {
-                        let analysis = Box::new(analyze_crawl(&result, &res));
-                        UnitAnalysis::Crawl(analysis, Some(Box::new(result)))
-                    }
-                    UnitOutput::Idle(result) => UnitAnalysis::Idle(analyze_idle(&result)),
-                }
+                analyse_unit(&world, &config, &res, &units[i], keep, options)
             })
             .map_err(|e| format!("{phase:?} phase failed: {e}"))?;
-            let (mut results, mut analyses, mut idles) = (Vec::new(), Vec::new(), Vec::new());
-            for output in outputs {
-                match output {
-                    UnitAnalysis::Crawl(analysis, result) => {
-                        analyses.push(*analysis);
-                        results.extend(result.map(|capture| *capture));
-                    }
-                    UnitAnalysis::Idle(analysis) => idles.push(analysis),
-                }
-            }
-            on_phase(match phase {
-                Phase::Crawl => {
-                    normal_arms = analyses
-                        .iter()
-                        .filter(|a| INCOGNITO_BROWSERS.contains(&a.browser.as_str()))
-                        .cloned()
-                        .collect();
-                    Analysed::Crawl { results, analyses }
-                }
-                Phase::Incognito => Analysed::Incognito(incognito_pairs(&normal_arms, analyses)),
-                Phase::Idle => Analysed::Idle(idles),
-            });
+            on_phase(assemble(phase, outputs, &mut normal_arms));
         }
         Ok(())
     }
@@ -282,20 +245,86 @@ fn pinned_position(name: &str) -> Option<usize> {
         .position(|pinned| pinned == name)
 }
 
-/// What one fleet job of [`Study::run`] hands back: the unit's analysis,
-/// and for a crawl its capture when the caller keeps captures.
-enum UnitAnalysis {
+/// What one study unit yields ([`analyse_unit`]): its analysis, and for
+/// a crawl its capture when the caller keeps captures.
+pub enum UnitAnalysis {
+    /// A crawl's analysis, and its capture when it was kept.
     Crawl(Box<CampaignAnalysis>, Option<Box<CampaignResult>>),
+    /// An idle run's analysis.
     Idle(IdleAnalysis),
+}
+
+/// Runs one planned unit on the calling thread and analyses it: the
+/// unit job of [`Study::run`] and of the study server. A crawl is
+/// analysed as it is captured ([`capture_crawl`]) unless `keep` asks for
+/// its capture (`repro --har`): then the crawl is captured, its stored
+/// capture analysed and kept. An idle unit is captured, analysed and
+/// dropped. `config` is the study-wide config, which the unit's own
+/// override beats; `options` narrate the unit's capture line.
+pub fn analyse_unit(
+    world: &World,
+    config: &CampaignConfig,
+    res: &AnalysisResources,
+    unit: &FleetUnit,
+    keep: bool,
+    options: &FleetOptions,
+) -> UnitAnalysis {
+    if unit.kind == UnitKind::Crawl && !keep {
+        let crawl = capture_crawl(world, &unit.profile, &world.sites, unit.config_or(config), res);
+        fleet::narrate_crawl(&crawl.result, crawl.flows, options);
+        return UnitAnalysis::Crawl(Box::new(crawl.analysis), None);
+    }
+    let output = fleet::run_unit(world, &world.sites, config, unit);
+    fleet::narrate_capture(unit, &output, options);
+    match output {
+        UnitOutput::Crawl(result) => {
+            let analysis = Box::new(analyze_crawl(&result, res));
+            UnitAnalysis::Crawl(analysis, Some(Box::new(result)))
+        }
+        UnitOutput::Idle(result) => UnitAnalysis::Idle(analyze_idle(&result)),
+    }
+}
+
+/// Assembles one phase from its units' analyses, in plan order. The
+/// crawl phase leaves its §3.2 browsers' analyses in `normal_arms`, and
+/// the incognito phase takes its normal arms from there; a caller runs
+/// the phases in document order with one `normal_arms`, empty at first.
+pub fn assemble(
+    phase: Phase,
+    outputs: impl IntoIterator<Item = UnitAnalysis>,
+    normal_arms: &mut Vec<CampaignAnalysis>,
+) -> Analysed {
+    let (mut results, mut analyses, mut idles) = (Vec::new(), Vec::new(), Vec::new());
+    for output in outputs {
+        match output {
+            UnitAnalysis::Crawl(analysis, result) => {
+                analyses.push(*analysis);
+                results.extend(result.map(|capture| *capture));
+            }
+            UnitAnalysis::Idle(analysis) => idles.push(analysis),
+        }
+    }
+    match phase {
+        Phase::Crawl => {
+            *normal_arms = analyses
+                .iter()
+                .filter(|a| INCOGNITO_BROWSERS.contains(&a.browser.as_str()))
+                .cloned()
+                .collect();
+            Analysed::Crawl { results, analyses }
+        }
+        Phase::Incognito => Analysed::Incognito(incognito_pairs(normal_arms, analyses)),
+        Phase::Idle => Analysed::Idle(idles),
+    }
 }
 
 /// Pairs each §3.2 browser's normal and incognito analyses, in
 /// [`Study::plan`]'s browser order. `crawls` holds the crawl phase's
-/// analyses (empty when that phase did not run) and `incognito` the
+/// §3.2 analyses (empty when that phase did not run) and `incognito` the
 /// incognito phase's, in plan order. A browser's normal arm is its
 /// analysis in `crawls` when there is one; otherwise the plan crawled it
 /// normally right before its incognito arm.
-pub fn incognito_pairs(
+fn incognito_pairs(
     crawls: &[CampaignAnalysis],
     incognito: Vec<CampaignAnalysis>,
 ) -> Vec<(CampaignAnalysis, CampaignAnalysis)> {

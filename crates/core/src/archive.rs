@@ -197,16 +197,6 @@ mod tests {
     }
 
     #[test]
-    fn analyses_run_identically_on_the_restored_archive() {
-        let original = sample();
-        let restored = load(&save(&original)).unwrap();
-        // The same summary comes out of the archive as out of the live run.
-        let live = crate::report::summarize(&original);
-        let archived = crate::report::summarize(&restored);
-        assert_eq!(live, archived);
-    }
-
-    #[test]
     fn rejects_malformed_archives() {
         assert!(load("not json").is_err());
         assert!(load("{}").is_err());

@@ -355,26 +355,6 @@ where
     }
 }
 
-/// Splits `len` items into at most `shards` contiguous, near-equal
-/// ranges — the deterministic partitioning used by the sharded
-/// single-pass analysis engine (and reusable for any fan-out over an
-/// indexed workload). The concatenation of the returned ranges is
-/// always exactly `0..len`, in order, which is what makes a
-/// merge-in-shard-order reduction equivalent to a sequential pass.
-pub fn shard_ranges(len: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = shards.clamp(1, len.max(1));
-    let base = len / shards;
-    let extra = len % shards;
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    for i in 0..shards {
-        let width = base + usize::from(i < extra);
-        ranges.push(start..start + width);
-        start += width;
-    }
-    ranges
-}
-
 /// The experiment a [`FleetUnit`] runs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum UnitKind {
@@ -909,27 +889,6 @@ mod tests {
 
     fn labels(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("unit-{i}")).collect()
-    }
-
-    #[test]
-    fn shard_ranges_tile_exactly() {
-        for len in [0usize, 1, 2, 7, 16, 1000] {
-            for shards in 1usize..=9 {
-                let ranges = shard_ranges(len, shards);
-                assert!(ranges.len() <= shards.max(1));
-                let mut next = 0usize;
-                for r in &ranges {
-                    assert_eq!(r.start, next, "len={len} shards={shards}");
-                    next = r.end;
-                }
-                assert_eq!(next, len, "len={len} shards={shards}");
-                // Near-equal: widths differ by at most one.
-                let widths: Vec<usize> = ranges.iter().map(|r| r.end - r.start).collect();
-                let min = widths.iter().min().copied().unwrap_or(0);
-                let max = widths.iter().max().copied().unwrap_or(0);
-                assert!(max - min <= 1, "len={len} shards={shards}: {widths:?}");
-            }
-        }
     }
 
     #[test]

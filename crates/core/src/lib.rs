@@ -32,7 +32,6 @@ pub mod campaign;
 pub mod config;
 pub mod fleet;
 pub mod idle;
-pub mod report;
 pub mod testbed;
 
 pub use campaign::{run_crawl, CampaignResult, VisitRecord};

@@ -30,7 +30,7 @@
 //! `tools/check_no_cloning.sh`).
 
 use std::fmt;
-use std::ops::{Index, Range};
+use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -102,20 +102,6 @@ impl<'a> Flows<'a> {
         span.into_iter()
             .flatten()
             .chain(indices.into_iter().flatten().map(move |&i| &slab[i as usize]))
-    }
-
-    /// A sub-view over `range` of this view (shard ranges for the
-    /// fleet's contiguous analysis splits).
-    pub fn slice(self, range: Range<usize>) -> Flows<'a> {
-        match self.sel {
-            Selection::Span(a, b) => {
-                assert!(range.end <= b - a, "slice out of bounds");
-                Flows { slab: self.slab, sel: Selection::Span(a + range.start, a + range.end) }
-            }
-            Selection::Indices(ix) => {
-                Flows { slab: self.slab, sel: Selection::Indices(&ix[range]) }
-            }
-        }
     }
 }
 
@@ -550,7 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn flows_windows_slice_and_index() {
+    fn flows_windows_index_and_iterate() {
         let store = FlowStore::new();
         for i in 1..=6 {
             let class = if i % 2 == 0 { FlowClass::Engine } else { FlowClass::Native };
@@ -561,17 +547,10 @@ mod tests {
         assert_eq!(all.len(), 6);
         assert_eq!(all[3].id, 4);
         assert_eq!(all.get(6).map(|f| f.id), None);
-        // Span slicing composes.
-        let mid = all.slice(1..5);
-        assert_eq!(mid.len(), 4);
-        assert_eq!(mid[0].id, 2);
-        let inner = mid.slice(1..3);
-        assert_eq!(inner.iter().map(|f| f.id).collect::<Vec<_>>(), vec![3, 4]);
-        // Index-view slicing selects within the class view.
         let native = snap.native();
         assert_eq!(native.iter().map(|f| f.id).collect::<Vec<_>>(), vec![1, 3, 5]);
-        let tail = native.slice(1..3);
-        assert_eq!(tail.iter().map(|f| f.id).collect::<Vec<_>>(), vec![3, 5]);
+        assert_eq!(native[1].id, 3);
+        assert_eq!(native.get(3).map(|f| f.id), None);
         // IntoIterator lets views drive `for` loops directly.
         let mut seen = 0;
         for f in snap.engine() {

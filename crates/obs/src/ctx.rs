@@ -3,8 +3,8 @@
 //!
 //! Thread-locals do not cross thread boundaries, and the serve path
 //! crosses several on every request — the admission queue, the cache's
-//! single-flight builds, the worker pool's per-study lanes, the
-//! analysis engine's shards, and the chunked stream writer. A
+//! single-flight builds, the worker pool's per-study lanes, and the
+//! chunked stream writer. A
 //! [`TraceCtx`] is the **copyable** capsule that is handed across each
 //! of those boundaries explicitly: the spawning side captures
 //! [`current`] into the closure it ships, the receiving side

@@ -11,7 +11,7 @@
 //!   with a [`metrics::MetricClass`]: *deterministic* metrics are pure
 //!   functions of the workload (event/flow/detector tallies — byte-
 //!   identical across worker counts), *runtime* metrics describe how this
-//!   particular execution went (timings, shard topology, process-
+//!   particular execution went (timings, worker topology, process-
 //!   lifetime cache state) and are excluded from the byte-identity
 //!   guarantee. [`report::render`] keeps the two sections strictly
 //!   apart so the deterministic half can be asserted byte-identical.

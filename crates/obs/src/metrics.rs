@@ -22,7 +22,7 @@
 //! and the deterministic half of the report is asserted byte-identical
 //! across worker counts
 //! (`tests/obs_determinism.rs`). `Runtime` metrics describe the
-//! execution itself: wall-clock timings, shard topology (which changes
+//! execution itself: wall-clock timings, worker topology (which changes
 //! with the worker count by construction), and process-lifetime cache
 //! state such as the atom interner (whose hit/miss balance depends on
 //! what already ran in this process).

@@ -6,7 +6,7 @@
 //! timing, topology or gauge data mixed in, which is what lets the
 //! determinism tests (and CI) assert that section byte-identical across
 //! every `--jobs` count. The **runtime**
-//! section holds everything else: timings, shard topology, gauges,
+//! section holds everything else: timings, worker topology, gauges,
 //! process-lifetime cache state.
 //!
 //! All formatting is integer-only (counts, sums, log2 buckets, and the

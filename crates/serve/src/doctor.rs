@@ -50,9 +50,12 @@ pub struct Timing {
     /// Building shared artifacts (world, population, filterlist,
     /// resources).
     pub build_us: u64,
-    /// Waiting for campaign units to seal on the pool.
+    /// Waiting for campaign units: capturing and analysing them on the
+    /// pool.
     pub capture_us: u64,
-    /// Analysing sealed captures.
+    /// Analysing on the request's handler thread: always 0, since each
+    /// unit is analysed on the worker that captures it (inside
+    /// `capture_us`). Kept because the trailer carries the key.
     pub analysis_us: u64,
     /// Rendering document sections.
     pub render_us: u64,

@@ -6,11 +6,12 @@
 //! The offline `repro` binary runs one study and exits; this crate
 //! keeps the pipeline resident and serves many concurrent studies over
 //! HTTP, streaming each study's sections incrementally (SSE or JSONL)
-//! as its campaigns seal. The served bytes are **byte-identical** to
+//! as its phases complete. The served bytes are **byte-identical** to
 //! the offline binary's stdout for the same parameters — both paths
-//! print through the same [`panoptes_bench::render`] document
-//! builders, so identity holds by construction and is enforced by the
-//! `serve_determinism` suite.
+//! run each unit through the same unit job, assemble each phase and
+//! print it through the same [`panoptes_bench::study`] and
+//! [`panoptes_bench::render`] code, so identity holds by construction
+//! and is enforced by the `serve_determinism` suite.
 //!
 //! The perf core is cross-request sharing:
 //!

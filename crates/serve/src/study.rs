@@ -1,4 +1,4 @@
-//! The streamed study runner: parameters → shared artifacts → fleet
+//! The streamed study runner: parameters → shared artifacts → study
 //! units on the pool → incremental section events, byte-identical to
 //! `repro`.
 //!
@@ -8,18 +8,21 @@
 //! runner schedules every campaign unit of the study's plan
 //! ([`Study::plan`]: the crawls, the §3.2 incognito crawls, the idles)
 //! as individual jobs on the server's shared [`WorkPool`] lane for this
-//! request, analyses each capture on the request's own handler thread
-//! as it seals and drops it, and emits each section group the moment
-//! its inputs are complete. Concatenating the streamed
-//! `header`/`section` payload bytes reproduces `repro`'s stdout exactly
-//! (enforced by `tests/serve_determinism.rs`).
+//! request. Each job is `repro`'s unit job ([`analyse_unit`]): the
+//! worker that captures a crawl folds it into the analysis as it is
+//! captured, and hands back only the analysis. The request's handler
+//! thread re-sequences the analyses, assembles each phase the moment
+//! its last unit arrives ([`assemble`], as `repro` does), renders and
+//! streams it. Concatenating the streamed `header`/`section` payload
+//! bytes reproduces `repro`'s stdout exactly (enforced by
+//! `tests/serve_determinism.rs`).
 //!
 //! Backpressure: the lane is opened with a small credit allowance and
-//! a credit is granted back only after the already-received unit has
-//! been analysed *and* every due event has been written to the client
-//! socket. A client that stops reading therefore stalls its own
-//! lane's dispatch — bounded buffered results — while other studies
-//! keep the workers busy (the pool is work-conserving).
+//! a credit is granted back only after a received unit's due events
+//! have been written to the client socket. A client that stops reading
+//! therefore stalls its own lane's dispatch — bounded buffered results
+//! — while other studies keep the workers busy (the pool is
+//! work-conserving).
 //!
 //! Cancellation: every event write can fail (client went away). The
 //! runner then drops its lane — pending units are discarded, in-flight
@@ -34,13 +37,11 @@ use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{self, FleetUnit, UnitOutput, WorkPool};
-use panoptes_analysis::engine::{
-    analyze_crawl, analyze_idle, AnalysisResources, CampaignAnalysis, IdleAnalysis,
-};
+use panoptes::fleet::{FleetOptions, WorkPool};
+use panoptes_analysis::engine::AnalysisResources;
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::render;
-use panoptes_bench::study::{incognito_pairs, Phase, Study};
+use panoptes_bench::study::{analyse_unit, assemble, Phase, Study, UnitAnalysis};
 use panoptes_blocklist::filterlist::easylist_excerpt;
 use panoptes_browsers::registry::population;
 use panoptes_browsers::BrowserProfile;
@@ -185,11 +186,9 @@ pub struct Phases {
     /// Building shared artifacts here: world, population, filterlist,
     /// analysis resources.
     pub build_us: u64,
-    /// Waiting for campaign units to seal (the capture side of the
-    /// pipeline, overlapped across the pool).
+    /// Waiting for campaign units: capturing and analysing them on the
+    /// pool, overlapped across its workers.
     pub capture_us: u64,
-    /// Analysing sealed captures on the handler thread.
-    pub analysis_us: u64,
     /// Rendering document sections.
     pub render_us: u64,
     /// Writing events to the client socket — includes backpressure
@@ -204,7 +203,6 @@ impl Phases {
             + self.cache_wait_us
             + self.build_us
             + self.capture_us
-            + self.analysis_us
             + self.render_us
             + self.write_us
     }
@@ -544,8 +542,9 @@ impl StudyEngine {
         }
     }
 
-    /// Runs the study's units on the pool and streams sections as their
-    /// groups complete. Returns the finished document for caching.
+    /// Runs the study's units on the pool and streams each phase's
+    /// sections as the phase completes. Returns the finished document
+    /// for caching.
     fn build_streaming(
         &self,
         params: &StudyParams,
@@ -562,12 +561,13 @@ impl StudyEngine {
             .map_err(StudyError::Disconnected)?;
 
         // Units in submission order: the offline study's plan, its
-        // three groups back to back.
-        let [(_, crawls), (_, recrawls), (_, idles)] =
-            params.study().plan(&Phase::ALL, &arts.profiles, &arts.config);
-        let (n, n_incog) = (crawls.len(), recrawls.len());
-        let units: Vec<FleetUnit> = crawls.into_iter().chain(recrawls).chain(idles).collect();
-        let total = units.len();
+        // three phases back to back, each unit with one result slot.
+        let plan = params.study().plan(&Phase::ALL, &arts.profiles, &arts.config);
+        let total: usize = plan.iter().map(|(_, units)| units.len()).sum();
+        let mut slots: Vec<(Phase, Vec<Option<UnitAnalysis>>)> = plan
+            .iter()
+            .map(|(phase, units)| (*phase, units.iter().map(|_| None).collect()))
+            .collect();
 
         self.pool.open_lane(lane, self.credits);
         let mut lane_guard = LaneGuard {
@@ -575,125 +575,84 @@ impl StudyEngine {
             lane,
             completed: false,
         };
-        let (tx, rx) = mpsc::channel::<(usize, UnitOutput)>();
+        let (tx, rx) = mpsc::channel::<(usize, usize, UnitAnalysis)>();
         // The pool workers are long-lived threads with no thread-local
         // context of their own: the request's trace context is captured
         // here (it is `Copy`) and re-entered inside each job, so unit
         // spans land on the request that scheduled them.
         let ctx = panoptes_obs::ctx::current();
-        for (idx, unit) in units.into_iter().enumerate() {
-            let world = Arc::clone(&arts.world);
-            let config = arts.config.clone();
-            let tx = tx.clone();
-            let label = unit.label();
-            let tag_for_job = tag.clone();
-            let narrate = self.narrate;
-            let accepted = self.pool.push(
-                lane,
-                Box::new(move || {
-                    let _ctx = ctx.map(panoptes_obs::ctx::enter);
-                    let _span = panoptes_obs::trace::span_with("serve.unit", None, || {
-                        format!("[{tag_for_job}] {label}")
-                    });
-                    let output = fleet::run_unit(&world, &world.sites, &config, &unit);
-                    if narrate {
-                        panoptes_obs::progress::emit(
-                            "serve",
-                            &format!("[{tag_for_job}] {label}: sealed"),
-                        );
-                    }
-                    // A dropped receiver means the client disconnected
-                    // and the lane is being torn down; the result is
-                    // simply discarded.
-                    let _ = tx.send((idx, output));
-                }),
-            );
-            if !accepted {
-                return Err(StudyError::Fleet("pool rejected study unit".to_string()));
+        let options = FleetOptions {
+            jobs: None,
+            progress: self.narrate,
+            tag: Some(tag.clone()),
+        };
+        for (group, (_, units)) in plan.into_iter().enumerate() {
+            for (idx, unit) in units.into_iter().enumerate() {
+                let (world, res) = (Arc::clone(&arts.world), Arc::clone(&arts.res));
+                let (config, options, tx) = (arts.config.clone(), options.clone(), tx.clone());
+                let accepted = self.pool.push(
+                    lane,
+                    Box::new(move || {
+                        let _ctx = ctx.map(panoptes_obs::ctx::enter);
+                        let _span = panoptes_obs::trace::span_with("serve.unit", None, || {
+                            options.decorate(&unit.label())
+                        });
+                        let analysis = analyse_unit(&world, &config, &res, &unit, false, &options);
+                        // A dropped receiver means the client disconnected
+                        // and the lane is being torn down; the result is
+                        // simply discarded.
+                        let _ = tx.send((group, idx, analysis));
+                    }),
+                );
+                if !accepted {
+                    return Err(StudyError::Fleet("pool rejected study unit".to_string()));
+                }
             }
         }
         drop(tx);
 
-        // Collect in completion order, analysing each capture as it
-        // arrives; emit section groups in document order the moment
-        // their inputs are complete.
-        let mut crawl_analyses: Vec<Option<CampaignAnalysis>> = (0..n).map(|_| None).collect();
-        let mut incog_analyses: Vec<Option<CampaignAnalysis>> =
-            (0..n_incog).map(|_| None).collect();
-        let mut idle_analyses: Vec<Option<IdleAnalysis>> = (0..n).map(|_| None).collect();
-        let (mut crawls_done, mut incogs_done, mut idles_done) = (0usize, 0usize, 0usize);
-        let (mut crawl_emitted, mut incog_emitted, mut idle_emitted) = (false, false, false);
-        // The crawl group's analyses, kept for the §3.2 normal arms.
-        let mut crawled: Vec<CampaignAnalysis> = Vec::new();
+        // Collect in completion order; assemble and emit each phase in
+        // document order the moment its last unit arrives.
+        let mut emitted = 0;
+        // The crawl phase's §3.2 analyses, kept for the normal arms.
+        let mut normal_arms = Vec::new();
         let mut sections: Vec<(String, String)> = Vec::new();
 
         for received in 0..total {
-            let Ok((idx, output)) = timed(&mut phases.capture_us, || rx.recv()) else {
+            let Ok((group, idx, analysis)) = timed(&mut phases.capture_us, || rx.recv()) else {
                 // A unit panicked (its sender died without sending) —
                 // the lane guard cancels what's left.
                 return Err(StudyError::Fleet(
                     "a campaign unit failed; study aborted".to_string(),
                 ));
             };
-            match output {
-                UnitOutput::Crawl(result) => {
-                    let analysis =
-                        timed(&mut phases.analysis_us, || analyze_crawl(&result, &arts.res));
-                    if idx < n {
-                        crawl_analyses[idx] = Some(analysis);
-                        crawls_done += 1;
-                    } else {
-                        incog_analyses[idx - n] = Some(analysis);
-                        incogs_done += 1;
-                    }
-                }
-                UnitOutput::Idle(result) => {
-                    idle_analyses[idx - n - n_incog] =
-                        Some(timed(&mut phases.analysis_us, || analyze_idle(&result)));
-                    idles_done += 1;
-                }
-            }
+            slots[group].1[idx] = Some(analysis);
             self.recorder.study_progress(req.id, received + 1, total);
             sink.event(&ev_progress(&tag, received + 1, total))
                 .map_err(StudyError::Disconnected)?;
 
-            if !crawl_emitted && crawls_done == n {
-                crawled = crawl_analyses.drain(..).flatten().collect();
-                let rendered =
-                    timed(&mut phases.render_us, || render::crawl_sections(&[], &crawled));
-                for (name, text) in rendered {
-                    sink.event(&ev_section(name, &text))
-                        .map_err(StudyError::Disconnected)?;
-                    sections.push((name.to_string(), text));
+            while let Some((phase, outputs)) = slots.get_mut(emitted) {
+                if !outputs.iter().all(Option::is_some) {
+                    break;
                 }
-                crawl_emitted = true;
-            }
-            if crawl_emitted && !incog_emitted && incogs_done == n_incog {
-                let incognito: Vec<_> = incog_analyses.drain(..).flatten().collect();
-                let (name, text) = timed(&mut phases.render_us, || {
-                    render::incognito_section(&incognito_pairs(&crawled, incognito))
+                let outputs = outputs.drain(..).flatten();
+                let rendered = timed(&mut phases.render_us, || {
+                    assemble(*phase, outputs, &mut normal_arms).sections()
                 });
-                sink.event(&ev_section(name, &text))
-                    .map_err(StudyError::Disconnected)?;
-                sections.push((name.to_string(), text));
-                incog_emitted = true;
-            }
-            if incog_emitted && !idle_emitted && idles_done == n {
-                let analyses: Vec<_> = idle_analyses.drain(..).flatten().collect();
-                let rendered = timed(&mut phases.render_us, || render::idle_sections(&analyses));
                 for (name, text) in rendered {
                     sink.event(&ev_section(name, &text))
                         .map_err(StudyError::Disconnected)?;
                     sections.push((name.to_string(), text));
                 }
-                idle_emitted = true;
+                emitted += 1;
             }
 
-            // Results held for a not-yet-complete group: the stream's
+            // Results held for a not-yet-complete phase: the stream's
             // buffer occupancy.
-            let buffered = (if crawl_emitted { 0 } else { crawls_done })
-                + (if incog_emitted { 0 } else { incogs_done })
-                + (if idle_emitted { 0 } else { idles_done });
+            let buffered: usize = slots[emitted..]
+                .iter()
+                .map(|(_, outputs)| outputs.iter().flatten().count())
+                .sum();
             panoptes_obs::gauge_set!("serve.stream.buffered_units", buffered as i64);
 
             // The client drained everything due so far: release one
@@ -701,7 +660,7 @@ impl StudyEngine {
             self.pool.grant(lane, 1);
         }
 
-        if !(crawl_emitted && incog_emitted && idle_emitted) {
+        if emitted < slots.len() {
             return Err(StudyError::Fleet(
                 "study ended with incomplete groups".to_string(),
             ));
@@ -770,21 +729,22 @@ fn ev_progress(tag: &str, done: usize, total: usize) -> String {
 
 /// `{"event":"timing",...}` — the non-deterministic latency-attribution
 /// trailer, emitted immediately before `done`. `other_us` is the
-/// unattributed remainder, so the seven phases plus `other_us` sum to
+/// unattributed remainder, so the phases plus `other_us` sum to
 /// `total_us` exactly (modulo saturation when clock granularity makes
-/// the phase sum overshoot by a few µs).
+/// the phase sum overshoot by a few µs). Units are analysed where they
+/// are captured, inside `capture_us`; `analysis_us` stays in the
+/// trailer, always 0, because trailer parsers require every key.
 fn ev_timing(request: u64, cached: bool, total_us: u64, ttfe_us: u64, phases: &Phases) -> String {
     let other_us = total_us.saturating_sub(phases.sum());
     format!(
         "{{\"event\":\"timing\",\"request\":{request},\"cached\":{cached},\
          \"total_us\":{total_us},\"ttfe_us\":{ttfe_us},\
          \"admission_us\":{},\"cache_wait_us\":{},\"build_us\":{},\"capture_us\":{},\
-         \"analysis_us\":{},\"render_us\":{},\"write_us\":{},\"other_us\":{other_us}}}",
+         \"analysis_us\":0,\"render_us\":{},\"write_us\":{},\"other_us\":{other_us}}}",
         phases.admission_us,
         phases.cache_wait_us,
         phases.build_us,
         phases.capture_us,
-        phases.analysis_us,
         phases.render_us,
         phases.write_us,
     )
@@ -801,7 +761,6 @@ fn record_phase_histograms(total_us: u64, ttfe_us: u64, phases: &Phases) {
     panoptes_obs::record!("serve.phase.cache_wait_us", Runtime, phases.cache_wait_us);
     panoptes_obs::record!("serve.phase.build_us", Runtime, phases.build_us);
     panoptes_obs::record!("serve.phase.capture_us", Runtime, phases.capture_us);
-    panoptes_obs::record!("serve.phase.analysis_us", Runtime, phases.analysis_us);
     panoptes_obs::record!("serve.phase.render_us", Runtime, phases.render_us);
     panoptes_obs::record!("serve.phase.write_us", Runtime, phases.write_us);
 }

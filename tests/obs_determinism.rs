@@ -3,7 +3,7 @@
 //! so the deterministic section of the report renders **byte-identical**
 //! no matter how the study executes — in order on the calling thread
 //! (`--jobs 1`) or through the fleet at any worker count up to 8.
-//! Runtime-class metrics (timings, shard topology, process-lifetime
+//! Runtime-class metrics (timings, worker topology, process-lifetime
 //! caches) are allowed to differ and are excluded by construction.
 //!
 //! Metrics are process-global and cumulative, so the whole check lives

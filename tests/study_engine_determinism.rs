@@ -2,8 +2,8 @@
 //! the workspace level: the rendered study report is **byte-identical**
 //! whether the analysis runs
 //!
-//! * as the sequential fused single pass ([`analyze_study`]),
-//! * sharded across any fleet worker count,
+//! * as the sequential fused single pass over stored captures
+//!   ([`analyze_study`]),
 //! * or inside the study runner ([`Study::run`] — one fleet per phase,
 //!   each job analysing one crawl unit as it is captured, campaigns in
 //!   parallel).
@@ -20,8 +20,7 @@
 
 use panoptes::fleet::{self, FleetOptions, FleetUnit};
 use panoptes_analysis::engine::{
-    analyze_crawl, analyze_crawl_sharded, analyze_idle_sharded, analyze_study, AnalysisResources,
-    CampaignAnalysis, CrawlContext, StudyAnalyses,
+    analyze_crawl, analyze_study, AnalysisResources, CampaignAnalysis, CrawlContext, StudyAnalyses,
 };
 use panoptes_analysis::summary::study_report_from;
 use panoptes_bench::experiments::{crawl_population_jobs, idle_population_jobs, Scale};
@@ -36,7 +35,7 @@ const INCOGNITO_BROWSERS: [&str; 3] = ["Edge", "Opera", "UC International"];
 const IDLE: SimDuration = SimDuration::from_secs(120);
 
 #[test]
-fn fused_sharded_and_runner_reports_are_byte_identical() {
+fn fused_and_runner_reports_are_byte_identical() {
     let scale = Scale { idle: IDLE, ..Scale::quick() };
     let sequential = FleetOptions::with_jobs(1);
 
@@ -45,20 +44,6 @@ fn fused_sharded_and_runner_reports_are_byte_identical() {
     let res = AnalysisResources::standard();
     // The sequential fused pass is the reference.
     let reference = study_report_from(&analyze_study(&crawls, &idles, &res));
-
-    // Flow-level sharding of the fused pass inside each campaign.
-    for jobs in [3usize, 8] {
-        let options = FleetOptions::with_jobs(jobs);
-        let sharded = StudyAnalyses {
-            crawls: crawls.iter().map(|r| analyze_crawl_sharded(r, &res, &options)).collect(),
-            idles: idles.iter().map(|r| analyze_idle_sharded(r, &options)).collect(),
-        };
-        assert_eq!(
-            reference,
-            study_report_from(&sharded),
-            "flow-sharded report diverged at jobs={jobs}"
-        );
-    }
 
     // The study runner, capturing afresh, sequential and parallel. Its
     // live fold must equal the stored analysis field by field.

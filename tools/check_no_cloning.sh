@@ -75,13 +75,33 @@ if [ -n "$multipass_offenders" ]; then
     echo "fused engine pass:" >&2
     echo "$multipass_offenders" >&2
     echo >&2
-    echo "Feed the detector through engine::CrawlPartials (merge/" >&2
-    echo "finish, plus a per-flow or per-observation step) so the study" >&2
-    echo "stays single-pass." >&2
+    echo "Feed the detector through engine::CrawlPartials (observe/" >&2
+    echo "finish, per flow or per observation) so the study stays" >&2
+    echo "single-pass." >&2
     exit 1
 fi
 
 echo "ok: no multi-pass snapshot iterations outside the fused engine in $engine_dirs"
+
+# One analysis path: the study server runs and analyses every unit
+# through the study's unit job (`panoptes_bench::study::analyse_unit`),
+# the code `repro` runs, so a served study equals `repro` because it is
+# the same code. Serve never runs a unit or analyses a capture itself.
+
+serve_unit_pattern='\banalyze_(crawl|idle)\b|\brun_unit\b'
+serve_unit_offenders=$(grep -rnE "$serve_unit_pattern" crates/serve/src --include='*.rs' \
+    | grep -vE ':[0-9]+: *//' || true)
+
+if [ -n "$serve_unit_offenders" ]; then
+    echo "error: the study server runs or analyses a unit itself:" >&2
+    echo "$serve_unit_offenders" >&2
+    echo >&2
+    echo "Run each unit through panoptes_bench::study::analyse_unit and" >&2
+    echo "each phase through study::assemble, as Study::run does." >&2
+    exit 1
+fi
+
+echo "ok: crates/serve/src runs units only through the study's unit job"
 
 # Fourth gate: structured progress output. Library crates must report
 # progress through `panoptes_obs::progress::emit` (single atomic write,
