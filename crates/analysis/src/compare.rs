@@ -52,16 +52,6 @@ pub fn compare_campaigns(a: &CampaignAnalysis, b: &CampaignAnalysis) -> BrowserD
     }
 }
 
-/// Compares two full studies pairwise (matched by browser name; browsers
-/// present in only one study are skipped).
-pub fn compare_studies(a: &[CampaignAnalysis], b: &[CampaignAnalysis]) -> Vec<BrowserDelta> {
-    a.iter()
-        .filter_map(|ra| {
-            b.iter().find(|rb| rb.browser == ra.browser).map(|rb| compare_campaigns(ra, rb))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

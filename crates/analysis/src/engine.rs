@@ -29,7 +29,7 @@ use panoptes_blocklist::HostsList;
 use panoptes_browsers::BrowserProfile;
 use panoptes_device::DeviceProperties;
 use panoptes_geo::GeoDb;
-use panoptes_http::url::Url;
+use panoptes_http::url::{registrable_suffix, Url};
 use panoptes_mitm::{Flow, FlowClass};
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::site::SiteSpec;
@@ -206,7 +206,7 @@ impl CrawlPartials {
         // itself to itself a leak: skip flows to any *visited* site's
         // own domain.
         if let Some(channel) = HistoryPartial::channel_of(flow.class) {
-            if !ctx.visited_domains.contains(&flow.registrable_domain()) {
+            if !ctx.visited_domains.contains(registrable_suffix(&flow.host)) {
                 // DNS-over-HTTPS lookups necessarily carry the queried
                 // hostname; the paper reports the DoH behaviour
                 // separately (§3.2, see `crate::dns`) rather than as a

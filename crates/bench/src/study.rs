@@ -271,7 +271,7 @@ pub fn analyse_unit(
 ) -> UnitAnalysis {
     if unit.kind == UnitKind::Crawl && !keep {
         let crawl = capture_crawl(world, &unit.profile, &world.sites, unit.config_or(config), res);
-        fleet::narrate_crawl(&crawl.result, crawl.flows, options);
+        fleet::narrate_crawl(unit, &crawl.result, crawl.flows, options);
         return UnitAnalysis::Crawl(Box::new(crawl.analysis), None);
     }
     let output = fleet::run_unit(world, &world.sites, config, unit);
@@ -337,4 +337,32 @@ fn incognito_pairs(
             (crawled.unwrap_or_else(&mut next_arm), next_arm())
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn labels(units: &[FleetUnit]) -> Vec<String> {
+        units.iter().map(FleetUnit::label).collect()
+    }
+
+    #[test]
+    fn incognito_arms_are_named_apart_from_the_crawl() {
+        let scale = Scale::quick();
+        let config = scale.config();
+        for population_size in [15, 3] {
+            let study = Study { scale, population: population_size };
+            let profiles = population(scale.seed, population_size);
+            let [(_, crawl), (_, incognito), _] = study.plan(&Phase::ALL, &profiles, &config);
+            let (crawl, incognito) = (labels(&crawl), labels(&incognito));
+            for name in INCOGNITO_BROWSERS {
+                assert!(incognito.contains(&format!("{name} incognito crawl")), "{incognito:?}");
+            }
+            assert!(
+                incognito.iter().all(|label| !crawl.contains(label)),
+                "population {population_size}: {crawl:?} vs {incognito:?}"
+            );
+        }
+    }
 }

@@ -154,6 +154,7 @@ impl Browser {
                 profile: &self.profile,
                 seed: self.seed,
                 now: env.clock.now(),
+                user_agent: self.session.user_agent().clone(),
             };
             let req = build_native_request(call, &mut ctx, visit, copy);
             // Native traffic resolves through the same mechanism the

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use panoptes_blocklist::filterlist::easylist_excerpt;
 use panoptes_blocklist::FilterList;
 use panoptes_device::DeviceProperties;
+use panoptes_http::headers::vocab;
 use panoptes_http::request::HttpVersion;
 use panoptes_http::url::Url;
 use panoptes_http::useragent::UserAgent;
@@ -79,7 +80,7 @@ pub struct EngineSession {
     h3_blocked: HashSet<Atom>,
     /// Cookie jar used in incognito (discarded when the session ends).
     pub incognito_jar: CookieJar,
-    user_agent: String,
+    user_agent: Atom,
 }
 
 impl EngineSession {
@@ -122,8 +123,14 @@ impl EngineSession {
             dns_cache: HashSet::new(),
             h3_blocked: HashSet::new(),
             incognito_jar: CookieJar::new(),
-            user_agent: UserAgent::for_browser(browser, version).render(),
+            user_agent: Atom::from(UserAgent::for_browser(browser, version).render()),
         }
+    }
+
+    /// The user agent every request of the session sends, engine and
+    /// native alike, interned once per session.
+    pub(crate) fn user_agent(&self) -> &Atom {
+        &self.user_agent
     }
 
     /// The configured resolver.
@@ -143,16 +150,17 @@ impl EngineSession {
         host: &str,
         stats: &mut EngineStats,
     ) {
-        if !self.dns_cache.insert(host.to_string()) {
+        if self.dns_cache.contains(host) {
             return;
         }
+        self.dns_cache.insert(host.to_string());
         match self.resolver {
             ResolverKind::LocalStub => {
                 let _ = net.resolve_stub(client.uid, host);
             }
             ResolverKind::Doh(provider) => {
                 let mut req = provider.query_request(host);
-                req.headers.set("user-agent", self.user_agent.clone());
+                req.headers.set(vocab().user_agent.clone(), self.user_agent.clone());
                 match net.send_http(&client.ctx(clock.now()), req) {
                     Ok((_, report)) => {
                         clock.advance(panoptes_simnet::SimDuration(
@@ -170,6 +178,11 @@ impl EngineSession {
     /// Sends one engine request: resolve, apply filterlist, attempt h3
     /// once per host, taint through the tap, attach cookies, dispatch,
     /// store cookies. Returns the response when one was received.
+    ///
+    /// Header names and constant values come from the process-wide
+    /// vocabulary and the user agent from the session; the referer and
+    /// the cookie are per-request values, built without the intern
+    /// table.
     #[allow(clippy::too_many_arguments)]
     fn fetch(
         &mut self,
@@ -183,23 +196,23 @@ impl EngineSession {
         full_latency: bool,
     ) -> Option<panoptes_http::Response> {
         let host = url.host_atom().clone();
-        let url_text = url.to_string_full();
         if let Some(filter) = &self.filter {
-            if filter.should_block(&host, &url_text) {
+            if filter.should_block(&host, &url.to_string_full()) {
                 stats.adblocked += 1;
                 return None;
             }
         }
         self.ensure_resolved(net, client, clock, &host, stats);
 
+        let v = vocab();
         let mut req = Request::get(url);
-        req.headers.set("user-agent", self.user_agent.clone());
-        req.headers.set("accept", "text/html,application/xhtml+xml,*/*;q=0.8");
-        req.headers.set("accept-language", "en-GR,en;q=0.9,el;q=0.8");
-        req.headers.set("accept-encoding", "gzip, deflate, br");
-        req.headers.set("referer", format!("https://{host}/"));
+        req.headers.set(v.user_agent.clone(), self.user_agent.clone());
+        req.headers.set(v.accept.clone(), v.accept_document.clone());
+        req.headers.set(v.accept_language.clone(), v.languages.clone());
+        req.headers.set(v.accept_encoding.clone(), v.encodings.clone());
+        req.headers.set(v.referer.clone(), Atom::owned(&format!("https://{host}/")));
         if let Some(cookie) = jar.header_for(&host) {
-            req.headers.set("cookie", cookie);
+            req.headers.set(v.cookie.clone(), Atom::owned(&cookie));
         }
         if let Some(tap) = tap {
             tap.on_engine_request(&mut req);
@@ -350,11 +363,6 @@ impl EngineSession {
         let dcl_at = start.plus(dcl_offset);
         let fired = site.page.dom_content_loaded_ms < 60_000;
         (stats, fired.then_some(dcl_at))
-    }
-
-    /// Drops incognito state (leaving incognito mode).
-    pub fn end_incognito(&mut self) {
-        self.incognito_jar.clear();
     }
 
     /// Number of hosts in the DNS cache (tests).

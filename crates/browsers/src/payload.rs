@@ -11,11 +11,11 @@ use bytes::Bytes;
 
 use panoptes_device::{AppDataStore, DeviceProperties};
 use panoptes_http::codec::b64_encode_url;
+use panoptes_http::headers::vocab;
 use panoptes_http::json::{self, Value};
 use panoptes_http::method::Method;
 use panoptes_http::url::Url;
-use panoptes_http::useragent::UserAgent;
-use panoptes_http::Request;
+use panoptes_http::{Atom, Request};
 use panoptes_simnet::clock::SimInstant;
 
 use crate::identifiers::persistent_id;
@@ -33,6 +33,8 @@ pub struct PayloadCtx<'a> {
     pub seed: u64,
     /// Virtual send time (timestamps inside bodies).
     pub now: SimInstant,
+    /// The session's user agent, which native requests send too.
+    pub user_agent: Atom,
 }
 
 /// Renders `call` into a request. `visit` is the page currently being
@@ -93,12 +95,11 @@ pub fn build_native_request(
         body = Some(Bytes::from(padded));
     }
 
-    let ua = UserAgent::for_browser(&ctx.profile.name, &ctx.profile.version).render();
     let mut req = match method {
         Method::Post => Request::post(url, body.unwrap_or_default()),
         _ => Request::get(url),
     };
-    req.headers.set("user-agent", ua);
+    req.headers.set(vocab().user_agent.clone(), ctx.user_agent.clone());
     req
 }
 
@@ -190,6 +191,7 @@ fn ad_sdk_body(ctx: &mut PayloadCtx<'_>) -> String {
 mod tests {
     use super::*;
     use crate::model::BehaviorModel;
+    use panoptes_http::useragent::UserAgent;
 
     fn profile(pii: &[PiiField], id_key: Option<&str>) -> BrowserProfile {
         let mut model = BehaviorModel::new("Opera", "75.1.3978.72329", "com.opera.browser")
@@ -205,7 +207,15 @@ mod tests {
         data: &'a mut AppDataStore,
         profile: &'a BrowserProfile,
     ) -> PayloadCtx<'a> {
-        PayloadCtx { props, data, profile, seed: 7, now: SimInstant(3_000_000) }
+        let user_agent = UserAgent::for_browser(&profile.name, &profile.version).render();
+        PayloadCtx {
+            props,
+            data,
+            profile,
+            seed: 7,
+            now: SimInstant(3_000_000),
+            user_agent: Atom::from(user_agent),
+        }
     }
 
     #[test]

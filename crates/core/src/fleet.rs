@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use parking_lot::Mutex;
 
-use panoptes_browsers::BrowserProfile;
+use panoptes_browsers::{BrowserProfile, BrowsingMode};
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::site::SiteSpec;
 use panoptes_web::World;
@@ -407,9 +407,14 @@ impl FleetUnit {
         self.config.as_ref().unwrap_or(config)
     }
 
-    /// The unit's progress label: browser name + experiment kind.
+    /// The unit's progress label: browser name + experiment kind, with
+    /// a crawl whose own config is incognito (§3.2's incognito arm)
+    /// named "<browser> incognito crawl".
     pub fn label(&self) -> String {
+        let incognito =
+            self.config.as_ref().is_some_and(|config| config.mode == BrowsingMode::Incognito);
         match self.kind {
+            UnitKind::Crawl if incognito => format!("{} incognito crawl", self.profile.name),
             UnitKind::Crawl => format!("{} crawl", self.profile.name),
             UnitKind::Idle(_) => format!("{} idle", self.profile.name),
         }
@@ -470,7 +475,7 @@ pub fn narrate_capture(unit: &FleetUnit, output: &UnitOutput, options: &FleetOpt
         return;
     }
     match output {
-        UnitOutput::Crawl(result) => narrate_crawl(result, result.store.len(), options),
+        UnitOutput::Crawl(result) => narrate_crawl(unit, result, result.store.len(), options),
         UnitOutput::Idle(result) => {
             let duration = match unit.kind {
                 UnitKind::Idle(d) => d,
@@ -480,7 +485,7 @@ pub fn narrate_capture(unit: &FleetUnit, output: &UnitOutput, options: &FleetOpt
                 "fleet",
                 &options.decorate(&format!(
                     "{}: {} flows captured, sim {}",
-                    labels_for_progress(&unit.profile.name, "idle"),
+                    unit.label(),
                     result.store.len(),
                     duration,
                 )),
@@ -489,10 +494,15 @@ pub fn narrate_capture(unit: &FleetUnit, output: &UnitOutput, options: &FleetOpt
     }
 }
 
-/// [`narrate_capture`] for a finished crawl that captured `flows` flows:
-/// its store's length, or the number folded as the crawl went (its
-/// store is then empty).
-pub fn narrate_crawl(result: &CampaignResult, flows: usize, options: &FleetOptions) {
+/// [`narrate_capture`] for a finished crawl `unit` that captured `flows`
+/// flows: its store's length, or the number folded as the crawl went
+/// (its store is then empty).
+pub fn narrate_crawl(
+    unit: &FleetUnit,
+    result: &CampaignResult,
+    flows: usize,
+    options: &FleetOptions,
+) {
     if !options.progress {
         return;
     }
@@ -502,7 +512,7 @@ pub fn narrate_crawl(result: &CampaignResult, flows: usize, options: &FleetOptio
         "fleet",
         &options.decorate(&format!(
             "{}: {} flows captured, {} visits, sim {}",
-            labels_for_progress(&result.profile.name, "crawl"),
+            unit.label(),
             flows,
             result.visits.len(),
             sim,
@@ -525,10 +535,6 @@ pub fn run_units(
         narrate_capture(&units[index], &output, options);
         output
     })
-}
-
-fn labels_for_progress(name: &str, kind: &str) -> String {
-    format!("{name} {kind}")
 }
 
 /// Crawls `sites` with every browser in `profiles` across the worker

@@ -8,7 +8,7 @@
 //! none of the requests the browser app initiates natively, which is the
 //! entire measurement idea.
 
-use panoptes_http::Request;
+use panoptes_http::{Atom, Request};
 
 /// Which instrumentation mechanism a browser supports (§2.1/§2.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,10 +27,12 @@ pub trait RequestTap: Send + Sync {
     fn on_engine_request(&self, request: &mut Request);
 }
 
-/// The taint injector: adds the campaign's `x-` header and token.
+/// The taint injector: adds the campaign's `x-` header and token, both
+/// atoms built once here, so tainting a request is two reference-count
+/// bumps.
 pub struct TaintInjector {
-    header: String,
-    token: String,
+    header: Atom,
+    token: Atom,
 }
 
 impl TaintInjector {
@@ -40,7 +42,7 @@ impl TaintInjector {
             header.len() >= 2 && header[..2].eq_ignore_ascii_case("x-"),
             "taint header must use the x- prefix (paper §2.3)"
         );
-        TaintInjector { header: header.to_string(), token: token.to_string() }
+        TaintInjector { header: Atom::intern(header), token: Atom::intern(token) }
     }
 
     /// The header name being injected.

@@ -144,7 +144,7 @@ impl HttpHandler for TransparentProxy {
             }
             Err(err) => {
                 let gateway = Response::status(StatusCode::BAD_GATEWAY)
-                    .with_header("x-mitm-error", &err.to_string());
+                    .with_header("x-mitm-error", err.to_string());
                 flow.status = StatusCode::BAD_GATEWAY.0;
                 flow.bytes_in = gateway.wire_size();
                 self.store.push(flow);

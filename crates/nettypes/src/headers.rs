@@ -5,15 +5,19 @@
 //! the rest byte-identically, otherwise origin servers could detect the
 //! measurement. Lookups are ASCII-case-insensitive per RFC 9110.
 
+use std::sync::OnceLock;
+
 use crate::atom::Atom;
 
 /// One `name: value` header field.
 ///
-/// Both halves are interned. Names draw from a tiny population; values
-/// draw from the bounded vocabularies of the generated world (profile
-/// constants, taint tokens, content types, per-site redirect targets),
-/// so repeated `set`/`append`/clone — and every captured flow record —
-/// is a reference-count bump instead of a fresh allocation.
+/// Both halves are atoms, so cloning a field (into a forwarded request,
+/// or into a captured flow record) is two reference-count bumps. Names
+/// and constant values come from the process-wide [`vocab`], a
+/// session's user agent and a campaign's taint header and token are
+/// interned once, and per-request values (referers, cookies, content
+/// lengths, redirect targets) are [`Atom::owned`], outside the intern
+/// table. Setting a header on the capture path therefore takes no lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderField {
     /// Field name exactly as set (original casing preserved for the wire).
@@ -163,6 +167,59 @@ impl FromIterator<(String, String)> for Headers {
     }
 }
 
+macro_rules! vocabulary {
+    ($($field:ident = $text:literal,)*) => {
+        /// The header names and constant header values the capture path
+        /// sends and serves, interned once per process ([`vocab`]).
+        #[derive(Debug)]
+        pub struct Vocabulary {
+            $(#[doc = concat!("`", $text, "`")] pub $field: Atom,)*
+        }
+
+        impl Vocabulary {
+            fn intern() -> Vocabulary {
+                Vocabulary { $($field: Atom::intern($text),)* }
+            }
+        }
+    };
+}
+
+vocabulary! {
+    // Names.
+    user_agent = "user-agent",
+    accept = "accept",
+    accept_language = "accept-language",
+    accept_encoding = "accept-encoding",
+    referer = "referer",
+    cookie = "cookie",
+    content_type = "content-type",
+    content_length = "content-length",
+    set_cookie = "set-cookie",
+    location = "location",
+    // The browser engine's constant request values.
+    accept_document = "text/html,application/xhtml+xml,*/*;q=0.8",
+    languages = "en-GR,en;q=0.9,el;q=0.8",
+    encodings = "gzip, deflate, br",
+    // Content types: DoH answers, vendor APIs and site content.
+    dns_json = "application/dns-json",
+    json = "application/json",
+    javascript = "application/javascript",
+    css = "text/css",
+    jpeg = "image/jpeg",
+    html = "text/html",
+    // The simulated web's cookies.
+    session_cookie = "session=sim; Path=/",
+    ad_cookie = "aduid=sim-cookie-1; Max-Age=31536000",
+}
+
+/// The header vocabulary, interned on first use and then shared by
+/// every thread of the process. Taking an entry is an atom clone, a
+/// reference-count bump: no intern-table lookup, no lock.
+pub fn vocab() -> &'static Vocabulary {
+    static VOCAB: OnceLock<Vocabulary> = OnceLock::new();
+    VOCAB.get_or_init(Vocabulary::intern)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,6 +269,15 @@ mod tests {
         h.append("X-Panoptes-Taint", "tok");
         h.append("x-requested-with", "app");
         assert_eq!(h.custom_field_names(), vec!["X-Panoptes-Taint", "x-requested-with"]);
+    }
+
+    #[test]
+    fn vocabulary_is_interned_once_and_shared() {
+        let here = vocab();
+        let there = std::thread::spawn(|| vocab().user_agent.clone()).join().unwrap();
+        assert!(Atom::ptr_eq(&here.user_agent, &there));
+        assert!(Atom::ptr_eq(&here.content_type, &Atom::intern("content-type")));
+        assert_eq!(here.set_cookie, "set-cookie");
     }
 
     #[test]

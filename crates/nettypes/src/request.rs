@@ -2,6 +2,7 @@
 
 use bytes::Bytes;
 
+use crate::atom::Atom;
 use crate::headers::Headers;
 use crate::method::Method;
 use crate::url::Url;
@@ -79,7 +80,7 @@ impl Request {
     }
 
     /// Adds a header (builder style).
-    pub fn with_header(mut self, name: &str, value: &str) -> Request {
+    pub fn with_header(mut self, name: impl Into<Atom>, value: impl Into<Atom>) -> Request {
         self.headers.append(name, value);
         self
     }

@@ -4,7 +4,8 @@ use std::sync::{Mutex, OnceLock};
 
 use bytes::Bytes;
 
-use crate::headers::Headers;
+use crate::atom::Atom;
+use crate::headers::{vocab, Headers};
 use crate::status::StatusCode;
 
 /// Returns `size` filler bytes (`b'.'`) as a zero-copy slice of a shared
@@ -45,15 +46,16 @@ impl Response {
 
     /// Builds an `OK` response whose body is `size` filler bytes — the
     /// simulated web serves *sized* content, not real content, since only
-    /// volumes and structure matter to the measurement.
+    /// volumes and structure matter to the measurement. The length is a
+    /// per-response value, so it stays out of the intern table.
     pub fn sized(size: usize) -> Response {
         let mut r = Response::ok(filler(size));
-        r.headers.set("content-length", size.to_string());
+        r.headers.set(vocab().content_length.clone(), Atom::owned(&size.to_string()));
         r
     }
 
     /// Adds a header (builder style).
-    pub fn with_header(mut self, name: &str, value: &str) -> Response {
+    pub fn with_header(mut self, name: impl Into<Atom>, value: impl Into<Atom>) -> Response {
         self.headers.append(name, value);
         self
     }

@@ -196,11 +196,6 @@ impl Url {
         self
     }
 
-    /// True when there is at least one query parameter.
-    pub fn has_query(&self) -> bool {
-        !self.query.is_empty()
-    }
-
     /// Rewrites every query value in place with `f(key, value)` —
     /// `Some(new)` replaces the value, `None` keeps it. Returns how many
     /// values changed. Used by enforcement layers that redact leaking

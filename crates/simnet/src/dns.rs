@@ -19,6 +19,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use panoptes_http::headers::vocab;
 use panoptes_http::netaddr::IpAddr;
 use panoptes_http::url::Url;
 use panoptes_http::{Atom, Request};
@@ -92,7 +93,8 @@ impl DohProvider {
             .with_path("/dns-query")
             .with_query_param("name", name)
             .with_query_param("type", "A");
-        Request::get(url).with_header("accept", "application/dns-json")
+        let v = vocab();
+        Request::get(url).with_header(v.accept.clone(), v.dns_json.clone())
     }
 }
 

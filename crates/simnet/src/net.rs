@@ -410,11 +410,6 @@ impl Network {
         }
     }
 
-    /// Replaces the latency model.
-    pub fn set_latency_model(&mut self, model: LatencyModel) {
-        self.latency = model;
-    }
-
     /// Registers an A record in the zone (overlays any installed
     /// [`RouteTable`]).
     pub fn register_host(&self, host: &str, addr: IpAddr) {

@@ -5,8 +5,9 @@
 
 use std::collections::HashMap;
 
+use panoptes_http::headers::vocab;
 use panoptes_http::json::{self, Value};
-use panoptes_http::{Request, Response, StatusCode};
+use panoptes_http::{Atom, Request, Response, StatusCode};
 use panoptes_simnet::net::{FlowContext, HttpHandler, NetError, Network};
 
 use crate::site::SiteSpec;
@@ -25,7 +26,7 @@ use crate::vendors::{endpoint, Purpose};
 #[derive(Debug, Default)]
 pub struct Directory {
     resources: HashMap<String, HashMap<String, PreparedResource>>,
-    redirects: HashMap<String, HashMap<String, String>>,
+    redirects: HashMap<String, HashMap<String, Atom>>,
     resource_count: usize,
     /// Deep-tail landing hosts → document size. Tail sites are served
     /// formulaically — their static resources carry the byte size in the
@@ -56,7 +57,7 @@ impl Directory {
                 dir.redirects
                     .entry(site.domain.clone())
                     .or_default()
-                    .insert(site.landing_path.clone(), site.landing_url_string());
+                    .insert(site.landing_path.clone(), Atom::owned(&site.landing_url_string()));
             }
             for r in &site.page.resources {
                 dir.insert_resource(&r.host, r.path_without_query(), r.size);
@@ -74,8 +75,8 @@ impl Directory {
     }
 
     /// The redirect target of `path` on `host`, if one is configured.
-    pub fn redirect_of(&self, host: &str, path: &str) -> Option<&str> {
-        self.redirects.get(host)?.get(path).map(String::as_str)
+    pub fn redirect_of(&self, host: &str, path: &str) -> Option<&Atom> {
+        self.redirects.get(host)?.get(path)
     }
 
     /// Looks up the size of `path` on `host` (query string ignored, as an
@@ -134,6 +135,7 @@ impl OriginServer {
     }
 
     fn vendor_response(&self, purpose: Purpose, net: &Network, req: &Request) -> Response {
+        let v = vocab();
         match purpose {
             Purpose::Doh => {
                 // Resolve for real against the zone so the client can
@@ -151,24 +153,24 @@ impl OriginServer {
                         ("data", Value::str(answer)),
                     ])])),
                 ]));
-                Response::ok(body).with_header("content-type", "application/dns-json")
+                Response::ok(body).with_header(v.content_type.clone(), v.dns_json.clone())
             }
             Purpose::History | Purpose::Telemetry => {
                 Response::status(StatusCode::NO_CONTENT)
             }
             Purpose::Update => Response::sized(2_048),
             Purpose::Config => Response::ok(r#"{"features":{},"ttl":3600}"#)
-                .with_header("content-type", "application/json"),
+                .with_header(v.content_type.clone(), v.json.clone()),
             Purpose::SiteCheck => Response::ok(r#"{"verdict":"clean"}"#)
-                .with_header("content-type", "application/json"),
+                .with_header(v.content_type.clone(), v.json.clone()),
             Purpose::StartPage => Response::sized(15_000),
             Purpose::AdSdk => Response::ok(
                 r#"{"bid":{"price":0.42,"creative":"..."},"ttl":300}"#,
             )
-            .with_header("content-type", "application/json")
-            .with_header("set-cookie", "aduid=sim-cookie-1; Max-Age=31536000"),
+            .with_header(v.content_type.clone(), v.json.clone())
+            .with_header(v.set_cookie.clone(), v.ad_cookie.clone()),
             Purpose::SocialGraph => Response::ok(r#"{"data":[],"paging":{}}"#)
-                .with_header("content-type", "application/json"),
+                .with_header(v.content_type.clone(), v.json.clone()),
         }
     }
 }
@@ -191,7 +193,7 @@ impl HttpHandler for OriginServer {
         // Apex → www redirects.
         if let Some(location) = self.directory.redirect_of(host, path) {
             return Ok(Response::status(StatusCode::MOVED_PERMANENTLY)
-                .with_header("location", location));
+                .with_header(vocab().location.clone(), location.clone()));
         }
 
         // Site / CDN content: template clone for head sites, formulaic
@@ -219,10 +221,11 @@ impl HttpHandler for OriginServer {
 /// `content-type` by extension, first-party session cookie on document
 /// loads. Exactly what the handler used to assemble per request.
 fn render_content(path: &str, size: u32) -> Response {
+    let v = vocab();
     let mut resp = Response::sized(size as usize);
-    resp.headers.set("content-type", content_type_for(path));
+    resp.headers.set(v.content_type.clone(), content_type_for(path).clone());
     if path == "/" || !path.contains('.') {
-        resp.headers.append("set-cookie", "session=sim; Path=/");
+        resp.headers.append(v.set_cookie.clone(), v.session_cookie.clone());
     }
     resp
 }
@@ -233,17 +236,18 @@ fn tail_path_size(path: &str) -> Option<u32> {
     path.strip_prefix("/s/")?.split('/').next()?.parse().ok()
 }
 
-fn content_type_for(path: &str) -> &'static str {
+fn content_type_for(path: &str) -> &'static Atom {
+    let v = vocab();
     if path.ends_with(".js") {
-        "application/javascript"
+        &v.javascript
     } else if path.ends_with(".css") {
-        "text/css"
+        &v.css
     } else if path.ends_with(".jpg") || path.ends_with(".png") {
-        "image/jpeg"
+        &v.jpeg
     } else if path.starts_with("/api/") {
-        "application/json"
+        &v.json
     } else {
-        "text/html"
+        &v.html
     }
 }
 

@@ -102,11 +102,6 @@ impl World {
         self.host_ips.len()
     }
 
-    /// The site serving `domain`, if any.
-    pub fn site_by_domain(&self, domain: &str) -> Option<&SiteSpec> {
-        self.sites.iter().find(|s| s.domain == domain)
-    }
-
     /// Iterates `(host, ip)` pairs.
     pub fn hosts(&self) -> impl Iterator<Item = (&str, IpAddr)> {
         self.host_ips.iter().map(|(h, ip)| (h.as_str(), *ip))

@@ -1,0 +1,71 @@
+//! The capture path's budget, as deterministic counts: the 15 pinned
+//! crawls of a quick-scale study, captured and folded one after another
+//! through `capture_crawl`, must stay under a ceiling of heap
+//! allocations and of intern-table calls per captured flow.
+//!
+//! Both counts are identical from run to run (and in debug and release
+//! builds), so a regression fails here without timing noise. Header
+//! names and constant values come from the process-wide vocabulary, and
+//! per-request values (referers, cookies, content lengths) are atoms
+//! outside the intern table, so what is left to intern per flow is
+//! mostly the hosts `Url::parse` reads.
+//!
+//! The allocator and the metrics are process-global, so the whole check
+//! is one `#[test]`.
+
+use panoptes_analysis::engine::{capture_crawl, AnalysisResources};
+use panoptes_bench::experiments::Scale;
+use panoptes_bench::mem::{self, CountingAlloc};
+use panoptes_browsers::registry::all_profiles;
+use panoptes_obs::metrics::{counter, MetricClass};
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Heap allocations per captured flow: 48.31 measured (991,070 for
+/// 20,514 flows), plus 3.5 %.
+const MAX_ALLOCATIONS_PER_FLOW: f64 = 50.0;
+/// `atom.intern.calls` per captured flow: 1.76 measured (36,016), plus
+/// 4.8 %.
+const MAX_INTERNS_PER_FLOW: f64 = 1.84;
+
+#[test]
+fn quick_crawls_capture_within_the_allocation_and_intern_budget() {
+    let scale = Scale::quick();
+    let world = scale.world();
+    let config = scale.config();
+    let res = AnalysisResources::standard();
+    let profiles = all_profiles();
+    panoptes_obs::enable(panoptes_obs::METRICS);
+    let interns = counter("atom.intern.calls", MetricClass::Deterministic);
+
+    let (allocations_before, interns_before) = (mem::allocations(), interns.value());
+    let mut flows = 0;
+    for profile in &profiles {
+        flows += capture_crawl(&world, profile, &world.sites, &config, &res).flows;
+    }
+    let allocations = mem::allocations() - allocations_before;
+    let interns = interns.value() - interns_before;
+    panoptes_obs::disable(panoptes_obs::METRICS);
+
+    assert_eq!(profiles.len(), 15);
+    assert!(flows > 20_000, "the quick crawls captured only {flows} flows");
+    let per_flow = |n: u64| n as f64 / flows as f64;
+    eprintln!(
+        "{flows} flows: {allocations} allocations ({:.2} per flow), {interns} interns ({:.2} per flow)",
+        per_flow(allocations),
+        per_flow(interns),
+    );
+    assert!(
+        per_flow(allocations) <= MAX_ALLOCATIONS_PER_FLOW,
+        "{allocations} allocations for {flows} flows: {:.2} per flow, ceiling {MAX_ALLOCATIONS_PER_FLOW}",
+        per_flow(allocations),
+    );
+    // A counter that reads 0 would pass any ceiling.
+    assert!(interns > 0, "atom.intern.calls counted nothing");
+    assert!(
+        per_flow(interns) <= MAX_INTERNS_PER_FLOW,
+        "{interns} interns for {flows} flows: {:.2} per flow, ceiling {MAX_INTERNS_PER_FLOW}",
+        per_flow(interns),
+    );
+}

@@ -1,9 +1,10 @@
 //! Request-scoped tracing, end-to-end over real TCP: turning the trace
 //! layer and flight recorder on must not change a single served byte,
 //! every `serve.*` trace event must carry the id of the request it
-//! served (across the admission queue, the pool's worker threads, and
-//! the handler's analysis/render path), and the `timing` trailer's
-//! phase attribution must reconcile with the measured completion.
+//! served (across the admission queue, the pool's worker threads, which
+//! capture and analyse each unit, and the handler's assemble/render
+//! path), and the `timing` trailer's phase attribution must reconcile
+//! with the measured completion.
 
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
