@@ -1,9 +1,18 @@
-//! Offline shim for `bytes` 1.x: just [`Bytes`], an immutable
-//! reference-counted byte buffer. Clones share the allocation, which is
-//! what the proxy relies on when the same request body flows through
-//! several addons, and [`Bytes::slice`] produces zero-copy sub-views of
-//! the same allocation — the capture path serves sized filler bodies by
-//! slicing one shared buffer instead of allocating per response.
+//! Offline shim for `bytes` 1.x: just [`Bytes`], an immutable byte
+//! buffer that is cheap to clone, in two forms.
+//!
+//! - A **static** view ([`Bytes::from_static`], and the empty buffer of
+//!   [`Bytes::new`]) borrows data that lives for the whole process:
+//!   cloning it copies a pointer, dropping it does nothing, and its
+//!   slices are sub-slices of the same static data. Constant bodies, the
+//!   empty body of every GET and the filler behind every sized response
+//!   take this form, so the workers of a fleet share no reference count
+//!   through them.
+//! - A **shared** view owns a reference-counted allocation. Clones share
+//!   the allocation, which is what the proxy relies on when the same
+//!   request body flows through several addons.
+//!
+//! [`Bytes::slice`] produces zero-copy sub-views of either form.
 
 #![forbid(unsafe_code)]
 
@@ -12,35 +21,42 @@ use std::hash::{Hash, Hasher};
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
 
-/// An immutable, cheaply clonable contiguous byte buffer (a view
-/// `[start, end)` into a shared allocation).
+/// An immutable, cheaply clonable contiguous byte buffer: a static
+/// slice, or a view `[start, end)` into a shared allocation.
 #[derive(Clone)]
-pub struct Bytes {
-    data: Arc<[u8]>,
-    start: usize,
-    end: usize,
+pub struct Bytes(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Static(&'static [u8]),
+    Shared { data: Arc<[u8]>, start: usize, end: usize },
 }
 
 impl Bytes {
-    /// The empty buffer (no allocation shared with anything).
-    pub fn new() -> Bytes {
-        Bytes { data: Arc::from(&[][..]), start: 0, end: 0 }
+    /// The empty buffer: a static view, so it allocates nothing.
+    pub const fn new() -> Bytes {
+        Bytes::from_static(&[])
+    }
+
+    /// A view of static data, with no allocation and no reference count.
+    pub const fn from_static(data: &'static [u8]) -> Bytes {
+        Bytes(Repr::Static(data))
     }
 
     /// Copies `data` into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Bytes {
         let len = data.len();
-        Bytes { data: Arc::from(data), start: 0, end: len }
+        Bytes(Repr::Shared { data: Arc::from(data), start: 0, end: len })
     }
 
     /// Length in bytes.
     pub fn len(&self) -> usize {
-        self.end - self.start
+        self.as_slice().len()
     }
 
     /// Whether the buffer is empty.
     pub fn is_empty(&self) -> bool {
-        self.start == self.end
+        self.len() == 0
     }
 
     /// Copies the contents into a `Vec<u8>`.
@@ -48,9 +64,10 @@ impl Bytes {
         self.as_slice().to_vec()
     }
 
-    /// Returns a view of `range` within this buffer, sharing the same
-    /// allocation (no copy). Panics when the range is out of bounds,
-    /// matching slice-indexing semantics.
+    /// Returns a view of `range` within this buffer over the same data:
+    /// the same static bytes, or the same shared allocation (no copy).
+    /// Panics when the range is out of bounds, matching slice-indexing
+    /// semantics.
     pub fn slice(&self, range: impl RangeBounds<usize>) -> Bytes {
         let len = self.len();
         let begin = match range.start_bound() {
@@ -65,11 +82,19 @@ impl Bytes {
         };
         assert!(begin <= end, "slice start {begin} > end {end}");
         assert!(end <= len, "slice end {end} out of bounds (len {len})");
-        Bytes { data: self.data.clone(), start: self.start + begin, end: self.start + end }
+        Bytes(match &self.0 {
+            Repr::Static(data) => Repr::Static(&data[begin..end]),
+            Repr::Shared { data, start, .. } => {
+                Repr::Shared { data: data.clone(), start: start + begin, end: start + end }
+            }
+        })
     }
 
     fn as_slice(&self) -> &[u8] {
-        &self.data[self.start..self.end]
+        match &self.0 {
+            Repr::Static(data) => data,
+            Repr::Shared { data, start, end } => &data[*start..*end],
+        }
     }
 }
 
@@ -136,7 +161,7 @@ impl fmt::Debug for Bytes {
 impl From<Vec<u8>> for Bytes {
     fn from(v: Vec<u8>) -> Bytes {
         let len = v.len();
-        Bytes { data: Arc::from(v.into_boxed_slice()), start: 0, end: len }
+        Bytes(Repr::Shared { data: Arc::from(v.into_boxed_slice()), start: 0, end: len })
     }
 }
 
@@ -222,6 +247,21 @@ mod tests {
         assert_eq!(c, "or");
         assert_eq!(a.slice(..), a);
         assert!(a.slice(3..3).is_empty());
+    }
+
+    #[test]
+    fn static_views_clones_and_slices_point_into_the_static_data() {
+        static DATA: &[u8] = b"static body";
+        let a = Bytes::from_static(DATA);
+        assert_eq!(a, "static body");
+        assert_eq!(a.as_ptr(), DATA.as_ptr());
+        assert_eq!(a.clone().as_ptr(), DATA.as_ptr());
+        let body = a.slice(7..);
+        assert_eq!(body, "body");
+        assert_eq!(body.as_ptr(), DATA[7..].as_ptr());
+        assert_eq!(body.slice(1..3).as_ptr(), DATA[8..].as_ptr());
+        assert_eq!(a, Bytes::copy_from_slice(DATA));
+        assert_eq!(std::mem::size_of::<Bytes>(), 32);
     }
 
     #[test]

@@ -28,8 +28,9 @@ pub trait RequestTap: Send + Sync {
 }
 
 /// The taint injector: adds the campaign's `x-` header and token, both
-/// atoms built once here, so tainting a request is two reference-count
-/// bumps.
+/// atoms built once here. The paper's header is a static vocabulary
+/// atom and the token is interned, so tainting a request is a pointer
+/// copy and one reference-count bump.
 pub struct TaintInjector {
     header: Atom,
     token: Atom,

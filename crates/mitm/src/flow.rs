@@ -67,8 +67,9 @@ pub struct Flow {
     /// Full serialized request URL (after taint-header removal).
     pub url: String,
     /// Request headers as `name: value` lines (wire order, post-addon).
-    /// Both halves interned — recording a flow's headers is one `Vec`
-    /// plus reference-count bumps.
+    /// Both halves are atoms — recording a flow's headers is one `Vec`
+    /// plus atom clones: pointer copies for the static vocabulary,
+    /// reference-count bumps for the rest.
     pub request_headers: Vec<(Atom, Atom)>,
     /// Request body (lossy UTF-8; synthetic bodies are always text).
     pub request_body: String,

@@ -70,8 +70,8 @@ impl TransparentProxy {
             id: self.next_id.fetch_add(1, Ordering::Relaxed),
             time_us: ctx.time.0,
             uid: ctx.uid,
-            // Atoms carried through the FlowContext: cloning is a
-            // reference-count bump, not a string copy.
+            // Atoms carried through the FlowContext: cloning copies no
+            // string.
             package: ctx.app_package.clone(),
             host: ctx.sni.clone(),
             dst_ip: ctx.dst_ip,
@@ -158,7 +158,7 @@ impl HttpHandler for TransparentProxy {
         // Only connection metadata is observable for pinned flows.
         let placeholder = Request {
             method: Method::Connect,
-            url: panoptes_http::url::Url::https(&ctx.sni),
+            url: panoptes_http::url::Url::https_for(ctx.sni.clone()),
             headers: panoptes_http::Headers::new(),
             body: bytes::Bytes::new(),
             version: ctx.version,

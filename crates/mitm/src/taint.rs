@@ -19,7 +19,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::addon::{Addon, InterceptedRequest};
 use crate::flow::FlowClass;
 
-/// The custom header name the instrumentation injects.
+/// The custom header name the instrumentation injects. It is an entry
+/// of the static header vocabulary (`panoptes_http::headers::vocab`), so
+/// interning it yields a static atom and tainting a request touches no
+/// shared reference count.
 pub const TAINT_HEADER: &str = "x-panoptes-taint";
 
 /// The taint-splitting addon.
@@ -152,6 +155,14 @@ mod tests {
         assert_eq!(classify(&addon, &mut req), FlowClass::Native);
         assert_eq!(addon.spoofed_count(), 1);
         assert!(!req.headers.contains(TAINT_HEADER), "forged taint still stripped");
+    }
+
+    #[test]
+    fn taint_header_interns_to_its_static_vocabulary_atom() {
+        let vocabulary = &panoptes_http::headers::vocab().taint;
+        let interned = panoptes_http::Atom::intern(TAINT_HEADER);
+        assert!(interned.is_static());
+        assert!(panoptes_http::Atom::ptr_eq(&interned, vocabulary));
     }
 
     #[test]

@@ -1,29 +1,37 @@
 //! Atoms: the shared strings of the capture hot path.
 //!
-//! An [`Atom`] is an immutable, reference-counted string (`Arc<str>`).
-//! Cloning one is a reference-count bump, and equality, ordering and
-//! hashing go by content, with a pointer comparison as the fast path.
-//! So an atom behaves the same whichever way it was built, and there
-//! are two ways:
+//! An [`Atom`] is an immutable string that is cheap to clone. Equality,
+//! ordering and hashing go by content, with a pointer comparison as the
+//! fast path, so an atom behaves the same whichever way it was built.
+//! There are three forms, and what a string is decides its form:
 //!
-//! - [`Atom::intern`] (and the `From` impls) looks the string up in a
+//! - **Static** ([`Atom::from_static`]): a process constant, held in a
+//!   `static` and never freed. Cloning one copies a pointer and dropping
+//!   it does nothing, so the workers of a fleet never write to a shared
+//!   reference count. The header vocabulary of [`crate::headers::vocab`]
+//!   (names, constant values, the taint header), [`Atom::default`], the
+//!   CA ids and the DoH provider hosts take this form. A string literal
+//!   on the capture path is a process constant, so library code never
+//!   interns one (`tools/check_no_cloning.sh` enforces it).
+//! - **Interned** ([`Atom::intern`] and the `From` impls): looked up in a
 //!   sharded, process-wide table under one shard's lock. Equal inputs
 //!   yield pointer-identical atoms, whatever thread or shard did the
-//!   intern (the shard is chosen by a content hash). The table only
-//!   ever grows, so only bounded vocabularies belong in it: hosts,
-//!   registrable domains, package names, certificate subjects, a
-//!   session's user agent, a campaign's taint header and token, and
-//!   the header vocabulary of [`crate::headers::vocab`], which is
-//!   interned once per process.
-//! - [`Atom::owned`] copies a per-request value into an atom of its own,
-//!   with no table and no lock. Referers, cookies and content lengths
-//!   are built this way: in the table they would cost a locked lookup
-//!   per request and grow it with every new value.
+//!   intern (the shard is chosen by a content hash). The table is
+//!   seeded with the static vocabulary, so interning a vocabulary string
+//!   returns its static atom, whatever was interned first. Every other
+//!   entry is reference-counted, and the table only ever grows, so only
+//!   bounded vocabularies of the world belong in it: hosts, registrable
+//!   domains, package names, certificate subjects, a session's user
+//!   agent and a seed's taint token.
+//! - **Owned** ([`Atom::owned`]): a per-request value copied into an
+//!   atom of its own, with no table and no lock. Referers, cookies and
+//!   content lengths are built this way: in the table they would cost a
+//!   locked lookup per request and grow it with every new value.
 //!
 //! Capture therefore interns little beyond the hosts `Url::parse` reads:
-//! at quick scale the 15 pinned crawls make 1.76 interns and 48.3 heap
+//! at quick scale the 15 pinned crawls make 1.68 interns and 47.3 heap
 //! allocations per captured flow, and `tests/capture_budget.rs` pins
-//! ceilings of 1.84 and 50. The deterministic `atom.intern.calls`
+//! ceilings of 1.76 and 48.95. The deterministic `atom.intern.calls`
 //! counter (under METRICS) counts every intern.
 
 use std::borrow::Borrow;
@@ -37,9 +45,23 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// low bits of the content hash).
 const SHARDS: usize = 16;
 
-fn table() -> &'static [Mutex<HashSet<Arc<str>>>; SHARDS] {
-    static TABLE: OnceLock<[Mutex<HashSet<Arc<str>>>; SHARDS]> = OnceLock::new();
-    TABLE.get_or_init(|| std::array::from_fn(|_| Mutex::new(HashSet::new())))
+fn shard_of(s: &str) -> usize {
+    (fnv1a(s) as usize) & (SHARDS - 1)
+}
+
+/// The intern table, seeded with every static atom of this crate (the
+/// empty atom and the header vocabulary) so that interning one of those
+/// strings returns the static atom.
+fn table() -> &'static [Mutex<HashSet<Atom>>; SHARDS] {
+    static TABLE: OnceLock<[Mutex<HashSet<Atom>>; SHARDS]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut shards: [Mutex<HashSet<Atom>>; SHARDS] = Default::default();
+        for atom in std::iter::once(&EMPTY).chain(crate::headers::vocab().atoms()) {
+            let shard = shards[shard_of(atom)].get_mut().expect("fresh intern shard");
+            shard.insert(atom.clone());
+        }
+        shards
+    })
 }
 
 /// Per-shard hit/miss counters, resolved once. Runtime-class: the
@@ -74,74 +96,108 @@ fn fnv1a(s: &str) -> u64 {
     hash
 }
 
-/// An interned, immutable, cheaply clonable string.
+/// The empty atom, [`Atom::default`].
+static EMPTY: Atom = Atom::from_static(&"");
+
+/// An immutable, cheaply clonable string: static, interned or owned
+/// (see the module doc).
 #[derive(Clone)]
-pub struct Atom(Arc<str>);
+pub struct Atom(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    /// A process constant. The double reference keeps the pointer thin,
+    /// so an atom stays two words.
+    Static(&'static &'static str),
+    /// An interned or owned string behind a reference count.
+    Shared(Arc<str>),
+}
 
 impl Atom {
+    /// The static atom of a process constant. Build it once, in a
+    /// `static`, so every clone shares its pointer:
+    /// `static NAME: Atom = Atom::from_static(&"name");`.
+    pub const fn from_static(s: &'static &'static str) -> Atom {
+        Atom(Repr::Static(s))
+    }
+
     /// Interns `s`, returning the canonical atom for its content. Equal
-    /// inputs yield pointer-identical atoms.
+    /// inputs yield pointer-identical atoms, and a string of the static
+    /// vocabulary yields its static atom.
     pub fn intern(s: &str) -> Atom {
         panoptes_obs::count!("atom.intern.calls", Deterministic);
-        let shard_index = (fnv1a(s) as usize) & (SHARDS - 1);
+        let shard_index = shard_of(s);
         let shard = &table()[shard_index];
         let mut set = shard.lock().expect("intern shard poisoned");
         if let Some(existing) = set.get(s) {
             if panoptes_obs::metrics_enabled() {
                 shard_stats()[shard_index].0.incr();
             }
-            return Atom(existing.clone());
+            return existing.clone();
         }
         if panoptes_obs::metrics_enabled() {
             shard_stats()[shard_index].1.incr();
         }
-        let arc: Arc<str> = Arc::from(s);
-        set.insert(arc.clone());
-        Atom(arc)
+        let atom = Atom::owned(s);
+        set.insert(atom.clone());
+        atom
     }
 
     /// An atom holding its own copy of `s`, outside the intern table:
     /// the form of a per-request value. It compares and hashes like the
     /// interned atom of the same content.
     pub fn owned(s: &str) -> Atom {
-        Atom(Arc::from(s))
+        Atom(Repr::Shared(Arc::from(s)))
     }
 
     /// The string content.
     pub fn as_str(&self) -> &str {
-        &self.0
+        match &self.0 {
+            Repr::Static(s) => s,
+            Repr::Shared(s) => s,
+        }
     }
 
-    /// True when both atoms share the same allocation. Interned atoms
-    /// with equal content always do; this is the O(1) fast path behind
-    /// [`PartialEq`].
+    /// True for the static form: cloning copies a pointer, and no
+    /// reference count is shared.
+    pub fn is_static(&self) -> bool {
+        matches!(self.0, Repr::Static(_))
+    }
+
+    /// True when both atoms are the same static constant or share the
+    /// same allocation. Interned atoms with equal content always do;
+    /// this is the O(1) fast path behind [`PartialEq`].
     pub fn ptr_eq(a: &Atom, b: &Atom) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
+        match (&a.0, &b.0) {
+            (Repr::Static(a), Repr::Static(b)) => std::ptr::eq(*a, *b),
+            (Repr::Shared(a), Repr::Shared(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
 impl Default for Atom {
     fn default() -> Atom {
-        Atom::intern("")
+        EMPTY.clone()
     }
 }
 
 impl Deref for Atom {
     type Target = str;
     fn deref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl AsRef<str> for Atom {
     fn as_ref(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
 impl Borrow<str> for Atom {
     fn borrow(&self) -> &str {
-        &self.0
+        self.as_str()
     }
 }
 
@@ -178,8 +234,8 @@ impl From<Atom> for String {
 impl PartialEq for Atom {
     fn eq(&self, other: &Atom) -> bool {
         // Interned equal content shares a pointer; the content fallback
-        // keeps equality correct for owned atoms.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        // keeps equality correct across forms and for owned atoms.
+        Atom::ptr_eq(self, other) || self.as_str() == other.as_str()
     }
 }
 
@@ -187,37 +243,37 @@ impl Eq for Atom {}
 
 impl PartialEq<str> for Atom {
     fn eq(&self, other: &str) -> bool {
-        &*self.0 == other
+        self.as_str() == other
     }
 }
 
 impl PartialEq<&str> for Atom {
     fn eq(&self, other: &&str) -> bool {
-        &*self.0 == *other
+        self.as_str() == *other
     }
 }
 
 impl PartialEq<String> for Atom {
     fn eq(&self, other: &String) -> bool {
-        &*self.0 == other.as_str()
+        self.as_str() == other.as_str()
     }
 }
 
 impl PartialEq<Atom> for str {
     fn eq(&self, other: &Atom) -> bool {
-        self == &*other.0
+        self == other.as_str()
     }
 }
 
 impl PartialEq<Atom> for &str {
     fn eq(&self, other: &Atom) -> bool {
-        *self == &*other.0
+        *self == other.as_str()
     }
 }
 
 impl PartialEq<Atom> for String {
     fn eq(&self, other: &Atom) -> bool {
-        self.as_str() == &*other.0
+        self.as_str() == other.as_str()
     }
 }
 
@@ -229,10 +285,10 @@ impl PartialOrd for Atom {
 
 impl Ord for Atom {
     fn cmp(&self, other: &Atom) -> std::cmp::Ordering {
-        if Arc::ptr_eq(&self.0, &other.0) {
+        if Atom::ptr_eq(self, other) {
             std::cmp::Ordering::Equal
         } else {
-            self.0.cmp(&other.0)
+            self.as_str().cmp(other.as_str())
         }
     }
 }
@@ -241,19 +297,19 @@ impl Ord for Atom {
 // probed with a plain `&str` key without interning or allocating.
 impl Hash for Atom {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        (*self.0).hash(state)
+        self.as_str().hash(state)
     }
 }
 
 impl fmt::Display for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
+        f.write_str(self.as_str())
     }
 }
 
 impl fmt::Debug for Atom {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::Debug::fmt(&*self.0, f)
+        fmt::Debug::fmt(self.as_str(), f)
     }
 }
 
@@ -307,9 +363,23 @@ mod tests {
     }
 
     #[test]
-    fn default_is_empty() {
+    fn default_is_the_static_empty_atom() {
         assert_eq!(Atom::default(), "");
         assert!(Atom::default().is_empty());
+        assert!(Atom::default().is_static());
+        assert!(Atom::ptr_eq(&Atom::default(), &Atom::intern("")));
+    }
+
+    #[test]
+    fn static_atoms_stay_two_words_and_clone_by_pointer() {
+        assert_eq!(std::mem::size_of::<Atom>(), 16);
+        static NAME: Atom = Atom::from_static(&"static.example");
+        let copy = NAME.clone();
+        assert!(copy.is_static());
+        assert!(Atom::ptr_eq(&NAME, &copy));
+        assert_eq!(copy, Atom::owned("static.example"));
+        assert!(!Atom::intern("interned.example").is_static());
+        assert!(!Atom::owned("owned.example").is_static());
     }
 
     #[test]

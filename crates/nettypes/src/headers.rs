@@ -5,19 +5,19 @@
 //! the rest byte-identically, otherwise origin servers could detect the
 //! measurement. Lookups are ASCII-case-insensitive per RFC 9110.
 
-use std::sync::OnceLock;
-
 use crate::atom::Atom;
 
 /// One `name: value` header field.
 ///
 /// Both halves are atoms, so cloning a field (into a forwarded request,
-/// or into a captured flow record) is two reference-count bumps. Names
-/// and constant values come from the process-wide [`vocab`], a
-/// session's user agent and a campaign's taint header and token are
+/// or into a captured flow record) copies no string. Names and constant
+/// values, the taint header among them, are the static atoms of
+/// [`vocab`], so cloning one copies a pointer and touches no shared
+/// reference count. A session's user agent and a seed's taint token are
 /// interned once, and per-request values (referers, cookies, content
 /// lengths, redirect targets) are [`Atom::owned`], outside the intern
-/// table. Setting a header on the capture path therefore takes no lock.
+/// table; cloning either is a reference-count bump. Setting a header on
+/// the capture path therefore takes no lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderField {
     /// Field name exactly as set (original casing preserved for the wire).
@@ -112,9 +112,8 @@ impl Headers {
         self.fields.iter().map(|f| (f.name.as_str(), f.value.as_str()))
     }
 
-    /// Iterates fields in wire order as interned atoms, for consumers
-    /// that keep the fields (cloning an [`Atom`] is a reference-count
-    /// bump, not a string copy).
+    /// Iterates fields in wire order as atoms, for consumers that keep
+    /// the fields (cloning an [`Atom`] copies no string).
     pub fn iter_interned(&self) -> impl Iterator<Item = (&Atom, &Atom)> {
         self.fields.iter().map(|f| (&f.name, &f.value))
     }
@@ -170,15 +169,18 @@ impl FromIterator<(String, String)> for Headers {
 macro_rules! vocabulary {
     ($($field:ident = $text:literal,)*) => {
         /// The header names and constant header values the capture path
-        /// sends and serves, interned once per process ([`vocab`]).
+        /// sends and serves, as static atoms ([`vocab`]).
         #[derive(Debug)]
         pub struct Vocabulary {
             $(#[doc = concat!("`", $text, "`")] pub $field: Atom,)*
         }
 
+        static VOCAB: Vocabulary = Vocabulary { $($field: Atom::from_static(&$text),)* };
+
         impl Vocabulary {
-            fn intern() -> Vocabulary {
-                Vocabulary { $($field: Atom::intern($text),)* }
+            /// Every entry, in declaration order (the intern table's seed).
+            pub(crate) fn atoms(&self) -> impl Iterator<Item = &Atom> {
+                [$(&self.$field,)*].into_iter()
             }
         }
     };
@@ -196,6 +198,9 @@ vocabulary! {
     content_length = "content-length",
     set_cookie = "set-cookie",
     location = "location",
+    // The taint header the instrumentation injects into every engine
+    // request (§2.3; `panoptes_mitm::TAINT_HEADER`).
+    taint = "x-panoptes-taint",
     // The browser engine's constant request values.
     accept_document = "text/html,application/xhtml+xml,*/*;q=0.8",
     languages = "en-GR,en;q=0.9,el;q=0.8",
@@ -212,12 +217,13 @@ vocabulary! {
     ad_cookie = "aduid=sim-cookie-1; Max-Age=31536000",
 }
 
-/// The header vocabulary, interned on first use and then shared by
-/// every thread of the process. Taking an entry is an atom clone, a
-/// reference-count bump: no intern-table lookup, no lock.
+/// The header vocabulary: static atoms shared by every thread of the
+/// process. Taking an entry is an atom clone that copies a pointer: no
+/// intern-table lookup, no lock, and no reference count that two
+/// workers write. [`Atom::intern`] of a vocabulary string returns the
+/// same static atom.
 pub fn vocab() -> &'static Vocabulary {
-    static VOCAB: OnceLock<Vocabulary> = OnceLock::new();
-    VOCAB.get_or_init(Vocabulary::intern)
+    &VOCAB
 }
 
 #[cfg(test)]
@@ -272,11 +278,14 @@ mod tests {
     }
 
     #[test]
-    fn vocabulary_is_interned_once_and_shared() {
+    fn vocabulary_is_static_and_shared() {
         let here = vocab();
         let there = std::thread::spawn(|| vocab().user_agent.clone()).join().unwrap();
         assert!(Atom::ptr_eq(&here.user_agent, &there));
-        assert!(Atom::ptr_eq(&here.content_type, &Atom::intern("content-type")));
+        assert!(here.atoms().all(Atom::is_static));
+        for atom in here.atoms() {
+            assert!(Atom::ptr_eq(atom, &Atom::intern(atom)), "{atom} interns apart");
+        }
         assert_eq!(here.set_cookie, "set-cookie");
     }
 

@@ -1,25 +1,25 @@
 //! HTTP responses with wire-size accounting.
 
-use std::sync::{Mutex, OnceLock};
-
 use bytes::Bytes;
 
 use crate::atom::Atom;
 use crate::headers::{vocab, Headers};
 use crate::status::StatusCode;
 
-/// Returns `size` filler bytes (`b'.'`) as a zero-copy slice of a shared
-/// buffer, growing the buffer geometrically when a larger size appears.
-/// The simulated web serves tens of thousands of sized bodies per study;
-/// sharing one allocation removes a `vec![b'.'; size]` per response.
+/// The filler data behind sized bodies: 256 KiB of `b'.'`, above the
+/// simulated web's largest document (150,000 bytes).
+static FILLER: [u8; 256 * 1024] = [b'.'; 256 * 1024];
+
+/// Returns `size` filler bytes (`b'.'`). Up to the static [`FILLER`]'s
+/// length the body is a static view of it: no allocation, no lock, and
+/// no reference count that the workers serving tens of thousands of
+/// sized bodies per study would share. A larger size, which the
+/// simulated web never serves, gets a buffer of its own.
 fn filler(size: usize) -> Bytes {
-    static FILLER: OnceLock<Mutex<Bytes>> = OnceLock::new();
-    let cell = FILLER.get_or_init(|| Mutex::new(Bytes::from(vec![b'.'; 64 * 1024])));
-    let mut buf = cell.lock().expect("filler buffer poisoned");
-    if buf.len() < size {
-        *buf = Bytes::from(vec![b'.'; size.next_power_of_two()]);
+    match FILLER.get(..size) {
+        Some(view) => Bytes::from_static(view),
+        None => Bytes::from(vec![b'.'; size]),
     }
-    buf.slice(..size)
 }
 
 /// An HTTP response.
@@ -88,8 +88,6 @@ mod tests {
 
     #[test]
     fn sized_bodies_share_the_filler_buffer() {
-        // Grow first so the buffer is stable for the sharing check even
-        // when other tests run concurrently.
         let big = Response::sized(200_000);
         assert_eq!(big.body.len(), 200_000);
         assert!(big.body.iter().all(|&c| c == b'.'));
@@ -97,6 +95,15 @@ mod tests {
         let b = Response::sized(40);
         assert_eq!(a.body.as_ptr(), b.body.as_ptr());
         assert!(a.body.iter().all(|&c| c == b'.'));
+        // The shared buffer is the static filler itself, so a template
+        // clone copies a pointer.
+        assert_eq!(a.body.as_ptr(), FILLER.as_ptr());
+        assert_eq!(big.clone().body.as_ptr(), FILLER.as_ptr());
+        // Beyond the static filler a body gets a buffer of its own.
+        let huge = Response::sized(FILLER.len() + 1);
+        assert_eq!(huge.body.len(), FILLER.len() + 1);
+        assert!(huge.body.iter().all(|&c| c == b'.'));
+        assert_ne!(huge.body.as_ptr(), FILLER.as_ptr());
     }
 
     #[test]

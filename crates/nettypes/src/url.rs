@@ -137,6 +137,14 @@ impl Url {
         } else {
             Atom::intern(host)
         };
+        Url::https_for(host)
+    }
+
+    /// Builds an `https` URL with path `/` for a host the caller already
+    /// holds as a lowercase atom (a static provider host, a flow's SNI),
+    /// without an intern-table lookup.
+    pub fn https_for(host: Atom) -> Url {
+        debug_assert!(!host.bytes().any(|b| b.is_ascii_uppercase()));
         Url {
             scheme: Scheme::Https,
             host,
@@ -157,8 +165,8 @@ impl Url {
         &self.host
     }
 
-    /// The hostname as its interned atom — for callers that keep it
-    /// (cloning an [`Atom`] is a reference-count bump).
+    /// The hostname as its atom — for callers that keep it (cloning an
+    /// [`Atom`] copies no string).
     pub fn host_atom(&self) -> &Atom {
         &self.host
     }

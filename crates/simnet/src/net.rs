@@ -14,6 +14,7 @@
 //! 4. deliver the request to the proxy or the origin server and account
 //!    for bytes and virtual latency.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -270,8 +271,9 @@ impl RouteTable {
 }
 
 /// A resolved destination: the interned host name, its address, and the
-/// handler listening there (if any). Cached per host so repeat requests
-/// skip name resolution and endpoint lookup entirely.
+/// handler listening there (if any). Compiled once per world plan (or
+/// cached per host on the dynamic path), so repeat requests skip name
+/// resolution and endpoint lookup entirely.
 #[derive(Clone)]
 struct Route {
     host: Atom,
@@ -521,18 +523,21 @@ impl Network {
     /// Resolves `host` to its [`Route`]: interned name, address, and
     /// endpoint handler.
     ///
-    /// The campaign path (no dynamic registrations) is **lock-free**:
-    /// one probe of the world plan's compiled route map — built once
-    /// per plan, shared by every campaign — cloning out two `Arc`s.
-    /// With dynamic overlays present the prior cached slow path runs:
-    /// first request to a host pays the zone and endpoint lookups under
-    /// locks, later ones are one shared-lock cache probe.
-    fn route_for(&self, host: &str) -> Option<Route> {
+    /// The campaign path (no dynamic registrations) is **lock-free** and
+    /// borrows: one probe of the world plan's compiled route map — built
+    /// once per plan, shared by every campaign — returns the plan's own
+    /// route, so a request clones neither the host atom nor the world's
+    /// origin handler, and the workers of a fleet write no shared
+    /// reference count here. With dynamic overlays present the prior
+    /// cached slow path runs and returns an owned route: first request
+    /// to a host pays the zone and endpoint lookups under locks, later
+    /// ones are one shared-lock cache probe.
+    fn route_for(&self, host: &str) -> Option<Cow<'_, Route>> {
         if !self.dynamic.load(Ordering::Acquire) {
-            return self.base.get()?.route(host).cloned();
+            return self.base.get()?.route(host).map(Cow::Borrowed);
         }
         if let Some(route) = self.route_cache.read().get(host) {
-            return Some(route.clone());
+            return Some(Cow::Owned(route.clone()));
         }
         let ip = self.resolve_silent(host)?;
         let handler = self.endpoints.read().get(&ip).cloned().or_else(|| {
@@ -544,7 +549,7 @@ impl Network {
         });
         let route = Route { host: Atom::intern(host), ip, handler };
         self.route_cache.write().insert(route.host.clone(), route.clone());
-        Some(route)
+        Some(Cow::Owned(route))
     }
 
     /// Snapshot of the aggregate counters.
@@ -624,7 +629,7 @@ impl Network {
             }
         }
         let handler =
-            route.handler.clone().ok_or(NetError::ConnectionRefused(route.ip))?;
+            route.handler.as_deref().ok_or(NetError::ConnectionRefused(route.ip))?;
         let ctx = self.make_ctx(client, route, dst_port, req.version, false);
         self.finish(handler, ctx, req)
     }
@@ -638,12 +643,10 @@ impl Network {
         proxy_port: u16,
     ) -> Result<(Response, TransportReport), NetError> {
         let host = &route.host;
-        let (handler, forged) = {
-            let reg = self
-                .proxy_for(proxy_port)
-                .ok_or(NetError::ConnectionRefused(self.device_ip))?;
-            (reg.handler.clone(), reg.ca.issue_for(host))
-        };
+        let reg =
+            self.proxy_for(proxy_port).ok_or(NetError::ConnectionRefused(self.device_ip))?;
+        let handler = &*reg.handler;
+        let forged = reg.ca.issue_for(host);
         let ctx = self.make_ctx(client, route, dst_port, req.version, true);
         if req.url.scheme() == Scheme::Https {
             let outcome = handshake(&client.trust, &client.pins, host, &forged, true);
@@ -662,7 +665,7 @@ impl Network {
 
     fn finish(
         &self,
-        handler: Arc<dyn HttpHandler>,
+        handler: &dyn HttpHandler,
         ctx: FlowContext,
         req: Request,
     ) -> Result<(Response, TransportReport), NetError> {
@@ -711,12 +714,13 @@ impl Network {
             None => {}
         }
         let handler =
-            route.handler.clone().ok_or(NetError::ConnectionRefused(route.ip))?;
+            route.handler.as_deref().ok_or(NetError::ConnectionRefused(route.ip))?;
         let upstream_ctx = FlowContext {
             intercepted: false,
             dst_ip: route.ip,
-            sni: route.host,
-            ..ctx.clone()
+            sni: route.host.clone(),
+            app_package: ctx.app_package.clone(),
+            ..*ctx
         };
         handler.handle(self, &upstream_ctx, req)
     }

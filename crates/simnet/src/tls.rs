@@ -13,27 +13,31 @@ use std::sync::Arc;
 use panoptes_http::Atom;
 use parking_lot::Mutex;
 
-/// Identifies a certificate authority. Interned: the handful of CA
-/// identities in a study are shared atoms, so cloning one into every
-/// issued certificate is a reference-count bump.
+/// Identifies a certificate authority. The two CAs of a study are
+/// process constants, static atoms, so cloning one into every forged
+/// certificate copies a pointer and touches no shared reference count.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CaId(pub Atom);
+
+static PUBLIC_WEB_PKI: Atom = Atom::from_static(&"public-web-pki");
+static MITM_CA: Atom = Atom::from_static(&"panoptes-mitm-ca");
 
 impl CaId {
     /// The public Web PKI root that signs every origin server in the
     /// simulated world.
     pub fn public_web_pki() -> CaId {
-        CaId(Atom::intern("public-web-pki"))
+        CaId(PUBLIC_WEB_PKI.clone())
     }
 
     /// The Panoptes mitmproxy CA installed on the test device.
     pub fn mitm() -> CaId {
-        CaId(Atom::intern("panoptes-mitm-ca"))
+        CaId(MITM_CA.clone())
     }
 }
 
 /// A leaf certificate presented during a handshake. Both fields are
-/// interned, so a cached certificate clones for free.
+/// atoms (an interned subject, a static issuer), so a cached
+/// certificate clones without copying a string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Certificate {
     /// The DNS name the certificate covers (exact or `*.`-wildcard).
@@ -182,7 +186,7 @@ pub struct CertificateAuthority {
     id: CaId,
     /// Per-subject certificate cache, shared across clones of the
     /// authority. A repeat handshake for a host clones the cached
-    /// certificate — two reference-count bumps, no allocation.
+    /// certificate — a subject reference-count bump, no allocation.
     issued: Arc<Mutex<HashMap<Atom, Certificate>>>,
 }
 
@@ -200,8 +204,9 @@ impl CertificateAuthority {
     /// Issues a leaf certificate for an already-interned `subject` —
     /// the lock-free request path. A certificate is just the subject
     /// atom plus the CA identity, so when the caller already holds the
-    /// interned host (every resolved route does) minting is two
-    /// reference-count bumps: no cache, no lock, no allocation.
+    /// interned host (every resolved route does) minting is one
+    /// reference-count bump on the subject and a pointer copy of the
+    /// static CA id: no cache, no lock, no allocation.
     pub fn issue_for(&self, subject: &Atom) -> Certificate {
         panoptes_obs::count!("simnet.tls.certs_issued", Deterministic);
         Certificate { subject: subject.clone(), issuer: self.id.clone() }
@@ -291,6 +296,16 @@ mod tests {
             handshake(&trust, &PinPolicy::none(), "other.com", &public_cert("example.com"), false),
             TlsOutcome::NameMismatch
         );
+    }
+
+    #[test]
+    fn ca_ids_are_static_atoms() {
+        for ca in [CaId::public_web_pki(), CaId::mitm()] {
+            assert!(ca.0.is_static(), "{ca:?}");
+        }
+        assert!(Atom::ptr_eq(&CaId::mitm().0, &CaId::mitm().0));
+        let forged = CertificateAuthority::new(CaId::mitm()).issue_for(&Atom::intern("e.com"));
+        assert!(forged.issuer.0.is_static());
     }
 
     #[test]

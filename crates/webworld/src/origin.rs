@@ -20,9 +20,11 @@ use crate::vendors::{endpoint, Purpose};
 ///
 /// Responses are rendered once at build time (status line, filler body,
 /// `content-length`, `content-type`, session cookie); serving a request
-/// clones the template — a `Bytes` reference-count bump plus the header
-/// fields — instead of re-deriving headers per request under the shared
-/// filler-buffer lock.
+/// clones the template instead of re-deriving its headers. The body is
+/// a static view of the filler and the content type and cookie are
+/// static vocabulary atoms, so those clones copy pointers; only the
+/// template's `content-length` value, a world value, is a
+/// reference-count bump, and the header `Vec` is copied.
 #[derive(Debug, Default)]
 pub struct Directory {
     resources: HashMap<String, HashMap<String, PreparedResource>>,

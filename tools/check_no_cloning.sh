@@ -13,10 +13,13 @@
 # / `by_package(...)` on a store.
 #
 # It also guards the zero-allocation capture path: fields that hold
-# interned atoms (hosts, package names, certificate subjects, SNI) must
-# be cloned as atoms (a refcount bump), never re-materialised as owned
-# `String`s with `.to_string()` inside the capture crates. Cold paths
-# (error construction, one-time world build) opt out with `clone-ok`.
+# atoms (hosts, package names, certificate subjects, SNI) must be cloned
+# as atoms (no string copy), never re-materialised as owned `String`s
+# with `.to_string()` inside the capture crates. Cold paths (error
+# construction, one-time world build) opt out with `clone-ok`. And a
+# string literal in library code is a process constant, so it is a
+# static atom (a clone copies a pointer), never interned (a clone
+# writes a reference count that every worker shares).
 
 set -eu
 
@@ -49,12 +52,37 @@ if [ -n "$atom_offenders" ]; then
     echo "in capture-path code:" >&2
     echo "$atom_offenders" >&2
     echo >&2
-    echo "Clone the Atom (a refcount bump) instead of .to_string()," >&2
+    echo "Clone the Atom (no string copy) instead of .to_string()," >&2
     echo "or mark an intentional cold-path copy with 'clone-ok'." >&2
     exit 1
 fi
 
 echo "ok: no atom-to-String conversions in $capture_dirs"
+
+# Process constants are static atoms. A string literal passed to
+# `Atom::intern` or `Atom::from` in library code names a process
+# constant, and interning it makes every clone and drop write one
+# reference count that all workers share. Build it once instead as a
+# static atom (`static NAME: Atom = Atom::from_static(&"...")`), or take
+# it from the header vocabulary (`panoptes_http::headers::vocab`).
+# Binaries, test modules (below the first `#[cfg(test)]`) and comment
+# lines are exempt. No opt-out marker.
+
+literal_atom_offenders=$(find crates -path '*/src/*' -name '*.rs' | grep -v '/src/bin/' | sort \
+    | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
+done | grep -E 'Atom::(intern|from)\((r#*)?"' | grep -vE ':[0-9]+: *//' || true)
+
+if [ -n "$literal_atom_offenders" ]; then
+    echo "error: string literal interned in library code:" >&2
+    echo "$literal_atom_offenders" >&2
+    echo >&2
+    echo "A literal is a process constant: make it a static atom" >&2
+    echo "(Atom::from_static in a static) or use headers::vocab()." >&2
+    exit 1
+fi
+
+echo "ok: no interned string literals in crates/*/src"
 
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
