@@ -190,8 +190,9 @@ impl CrawlPartials {
     /// Fusion shares more than the iteration: the first-party test runs
     /// once for history *and* sensitive, one decoded-values sweep feeds
     /// both, and one observations sweep feeds pii *and* identifiers. A
-    /// flow's URL and observations are parsed at most once, and only
-    /// when a branch below reads them.
+    /// flow's observations are extracted at most once, and only when a
+    /// branch below reads them; the URL's query pairs come from the
+    /// flow's text, never from a second parse.
     pub fn observe(&mut self, flow: &Flow, ctx: &CrawlContext, pii: &PiiMatcher<'_>) {
         self.volume.observe(flow);
         self.addomains.observe(flow);

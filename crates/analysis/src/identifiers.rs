@@ -49,7 +49,7 @@ impl IdentifierPartial {
     pub(crate) fn scan_observation<'a>(
         &mut self,
         destination: &str,
-        obs: &'a crate::scan::Observation,
+        obs: &'a crate::scan::Observation<'_>,
         seen_in_flow: &mut HashMap<(&'a str, &'a str), ()>,
     ) {
         if !looks_like_identifier(&obs.value) {
@@ -59,7 +59,7 @@ impl IdentifierPartial {
         if seen_in_flow.insert((&obs.key, &obs.value), ()).is_none() {
             *self
                 .counts
-                .entry((destination.to_string(), obs.key.clone(), obs.value.clone()))
+                .entry((destination.to_string(), obs.key.to_string(), obs.value.to_string()))
                 .or_default() += 1;
         }
     }
@@ -144,9 +144,9 @@ mod tests {
     fn threshold_filters_one_off_tokens() {
         let recurring = "0123456789abcdef0123456789abcdef";
         let one_off = "fedcba9876543210fedcba9876543210";
-        let obs = |value: &str| Observation {
-            key: "id".to_string(),
-            value: value.to_string(),
+        let obs = |value: &'static str| Observation {
+            key: "id".into(),
+            value: value.into(),
             source: Source::Query,
         };
         // The recurring token rides two flows (twice in the second, which

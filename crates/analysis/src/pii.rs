@@ -110,7 +110,7 @@ impl PiiPartial {
         &mut self,
         matcher: &PiiMatcher<'_>,
         destination: &str,
-        obs: &crate::scan::Observation,
+        obs: &crate::scan::Observation<'_>,
     ) {
         if self.leaked.len() == PiiField::ALL.len() {
             return;

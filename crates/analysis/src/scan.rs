@@ -6,19 +6,27 @@
 //! (Listing 1). This module flattens both sources into `(key, value)`
 //! observations and offers Base64/percent decoding of candidate values
 //! for the history analysis.
+//!
+//! Query pairs are read straight from the flow's recorded URL text
+//! ([`url::query_pairs`]): the fold never parses a flow's URL again, and
+//! a pair borrows from the flow unless a component holds an escape.
 
-use panoptes_http::codec::{b64_decode, b64_decode_url, percent_decode};
+use std::borrow::Cow;
+
+use panoptes_http::codec::{b64_decode, b64_decode_url, percent_decode, percent_decode_cow};
 use panoptes_http::json;
-use panoptes_http::url::Url;
+use panoptes_http::url;
 use panoptes_mitm::Flow;
 
-/// One observed key/value pair from a flow.
+/// One observed key/value pair from a flow. Query and form-body pairs
+/// borrow from the flow unless a component holds a `%` escape; JSON
+/// leaves are owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Observation {
+pub struct Observation<'a> {
     /// Parameter name or JSON path.
-    pub key: String,
-    /// The raw value.
-    pub value: String,
+    pub key: Cow<'a, str>,
+    /// The decoded value.
+    pub value: Cow<'a, str>,
     /// Where it came from.
     pub source: Source,
 }
@@ -35,13 +43,10 @@ pub enum Source {
 }
 
 /// Extracts every key/value observation from a flow.
-pub fn observations(flow: &Flow) -> Vec<Observation> {
-    let mut out = Vec::new();
-    if let Ok(url) = Url::parse(&flow.url) {
-        for (k, v) in url.query_pairs() {
-            out.push(Observation { key: k.clone(), value: v.clone(), source: Source::Query });
-        }
-    }
+pub fn observations(flow: &Flow) -> Vec<Observation<'_>> {
+    let mut out: Vec<Observation<'_>> = url::query_pairs(&flow.url)
+        .map(|(key, value)| Observation { key, value, source: Source::Query })
+        .collect();
     let body = flow.request_body.trim();
     if body.starts_with('{') || body.starts_with('[') {
         if let Ok(value) = json::parse(body) {
@@ -51,8 +56,8 @@ pub fn observations(flow: &Flow) -> Vec<Observation> {
                     other => json::to_string(other),
                 };
                 out.push(Observation {
-                    key: path.to_string(),
-                    value: rendered,
+                    key: Cow::Owned(path.to_string()),
+                    value: Cow::Owned(rendered),
                     source: Source::JsonBody,
                 });
             });
@@ -61,8 +66,8 @@ pub fn observations(flow: &Flow) -> Vec<Observation> {
         for pair in body.split('&') {
             if let Some((k, v)) = pair.split_once('=') {
                 out.push(Observation {
-                    key: percent_decode(k),
-                    value: percent_decode(v),
+                    key: percent_decode_cow(k),
+                    value: percent_decode_cow(v),
                     source: Source::FormBody,
                 });
             }
@@ -73,18 +78,22 @@ pub fn observations(flow: &Flow) -> Vec<Observation> {
 
 /// All plausible decodings of a value: itself, percent-decoded, and
 /// Base64 (URL-safe and standard) when it decodes to printable UTF-8.
-/// This is how the Yandex Base64-wrapped URL is recovered (§3.2).
-pub fn decodings(value: &str) -> Vec<String> {
-    let mut out = vec![value.to_string()];
-    let pct = percent_decode(value);
-    if pct != value {
-        out.push(pct);
+/// This is how the Yandex Base64-wrapped URL is recovered (§3.2). The
+/// value itself is borrowed, and a value with no `%` is not
+/// percent-decoded (it would decode to itself).
+pub fn decodings(value: &str) -> Vec<Cow<'_, str>> {
+    let mut out = vec![Cow::Borrowed(value)];
+    if value.contains('%') {
+        let pct = percent_decode(value);
+        if pct != value {
+            out.push(Cow::Owned(pct));
+        }
     }
     if value.len() >= 8 {
         for decoded in [b64_decode_url(value), b64_decode(value)].into_iter().flatten() {
             if let Ok(text) = String::from_utf8(decoded) {
                 if text.chars().all(|c| !c.is_control()) {
-                    out.push(text);
+                    out.push(Cow::Owned(text));
                     break;
                 }
             }
@@ -124,7 +133,7 @@ mod tests {
             time_us: 0,
             uid: 1,
             package: "p".into(),
-            host: Url::parse(url).unwrap().host().into(),
+            host: panoptes_http::Url::parse(url).unwrap().host().into(),
             dst_ip: IpAddr::new(1, 1, 1, 1),
             dst_port: 443,
             method: Method::Post,
@@ -152,6 +161,25 @@ mod tests {
             .iter()
             .any(|o| o.key == "device.model" && o.value == "SM-T580" && o.source == Source::JsonBody));
         assert!(obs.iter().any(|o| o.key == "lat" && o.value == "35.33"));
+    }
+
+    #[test]
+    fn query_pairs_borrow_from_the_flow_unless_escaped() {
+        let f = flow("https://t.example/p?uid=abc&tz=Europe%2FAthens#x=1", "");
+        let obs = observations(&f);
+        assert_eq!(obs.len(), 2, "{obs:?}");
+        assert!(matches!(obs[0].key, Cow::Borrowed("uid")));
+        assert!(matches!(obs[0].value, Cow::Borrowed("abc")));
+        assert!(matches!(&obs[1].value, Cow::Owned(v) if v == "Europe/Athens"));
+    }
+
+    #[test]
+    fn decodings_borrow_the_value_and_skip_a_decode_without_escapes() {
+        let d = decodings("plain.value");
+        assert_eq!(d.len(), 1);
+        assert!(matches!(d[0], Cow::Borrowed("plain.value")));
+        let d = decodings("100%");
+        assert_eq!(d, ["100%"], "a malformed escape decodes to itself");
     }
 
     #[test]

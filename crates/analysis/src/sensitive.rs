@@ -3,6 +3,7 @@
 //! Google Ads' blocked sensitive categories (religion, sexuality,
 //! politics, health) — no local filtering at all.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use crate::engine::CrawlContext;
@@ -31,16 +32,17 @@ impl SensitivePartial {
     /// Tests one observation's decodings against the sensitive ground
     /// truth. The fused pass ([`crate::engine::CrawlPartials::observe`])
     /// decides which flows reach it.
-    pub(crate) fn scan_values(&mut self, decoded_values: &[String], ctx: &CrawlContext) {
+    pub(crate) fn scan_values(&mut self, decoded_values: &[Cow<'_, str>], ctx: &CrawlContext) {
         for decoded in decoded_values {
+            let decoded: &str = decoded;
             // The ground truth holds full visit URLs, which always
             // contain a `/`; skip the set hash for values that cannot
             // match.
             if decoded.contains('/')
-                && ctx.sensitive_urls.contains(decoded.as_str())
-                && !self.leaked.contains(decoded.as_str())
+                && ctx.sensitive_urls.contains(decoded)
+                && !self.leaked.contains(decoded)
             {
-                self.leaked.insert(decoded.clone());
+                self.leaked.insert(decoded.to_string());
             }
         }
     }

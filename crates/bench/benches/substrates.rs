@@ -76,7 +76,7 @@ fn url_parse(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(url.len() as u64));
     group.bench_function("parse", |b| b.iter(|| Url::parse(black_box(url)).unwrap()));
     let parsed = Url::parse(url).unwrap();
-    group.bench_function("serialize", |b| b.iter(|| black_box(&parsed).to_string_full()));
+    group.bench_function("serialize", |b| b.iter(|| black_box(&parsed).as_str().to_owned()));
     group.finish();
 }
 

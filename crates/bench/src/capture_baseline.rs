@@ -130,7 +130,7 @@ impl OldFlowLog {
         let record = OldFlowRecord {
             package: template.package.clone(), // clone-ok: pre-refactor baseline
             host: req.url.host().to_string(),
-            url: req.url.to_string_full(),
+            url: req.url.as_str().to_owned(),
             headers: req
                 .headers
                 .iter()
@@ -197,9 +197,9 @@ pub fn replicate_request_overhead(req: &panoptes_http::Request) {
         .collect();
     black_box(headers.len());
     black_box(req.body.to_vec().len());
-    black_box(req.url.to_string_full().len());
+    black_box(req.url.as_str().to_owned().len());
     // Wire-size accounting re-serialized the URL a second time.
-    black_box(req.url.to_string_full().len());
+    black_box(req.url.as_str().to_owned().len());
     // Two flow contexts (client→proxy, proxy→origin), each with an owned
     // package and SNI string.
     black_box((host.to_string(), host.to_string()));

@@ -197,7 +197,7 @@ impl EngineSession {
     ) -> Option<panoptes_http::Response> {
         let host = url.host_atom().clone();
         if let Some(filter) = &self.filter {
-            if filter.should_block(&host, &url.to_string_full()) {
+            if filter.should_block(&host, url.as_str()) {
                 stats.adblocked += 1;
                 return None;
             }
@@ -263,9 +263,9 @@ impl EngineSession {
         let advance =
             if full_latency { report.latency.0 } else { report.latency.0 / PARALLELISM };
         clock.advance(panoptes_simnet::SimDuration(advance));
-        let domain = panoptes_http::url::registrable_domain(host);
+        let domain = panoptes_http::url::registrable_suffix(host);
         for value in resp.headers.get_all("set-cookie") {
-            if let Some(cookie) = Cookie::parse_set_cookie(value, &domain) {
+            if let Some(cookie) = Cookie::parse_set_cookie(value, domain) {
                 jar.store(cookie);
             }
         }
@@ -329,11 +329,10 @@ impl EngineSession {
             if self.filter.is_some() && r.kind == ResourceKind::Ad {
                 // Covered by the filterlist path inside fetch(); kept
                 // explicit so blocked ads never even resolve DNS.
-                let url_text = url.to_string_full();
                 if self
                     .filter
                     .as_ref()
-                    .is_some_and(|f| f.should_block(url.host(), &url_text))
+                    .is_some_and(|f| f.should_block(url.host(), url.as_str()))
                 {
                     stats.adblocked += 1;
                     continue;
@@ -347,7 +346,7 @@ impl EngineSession {
         if let Some(collector) = js_collector {
             let url = Url::https(collector)
                 .with_path("/v1/pv")
-                .with_query_param("url", &doc_url.to_string_full())
+                .with_query_param("url", doc_url.as_str())
                 .with_query_param("city", &props.city)
                 .with_query_param("isp", &props.isp);
             self.fetch(net, client, clock, tap, jar, url, &mut stats, false);

@@ -54,7 +54,7 @@ pub fn build_native_request(
         Payload::None => {}
         Payload::FullUrlBase64 { param } => {
             let visited = visit.expect("per-visit payload without a visit");
-            url = url.with_query_param(param, &b64_encode_url(visited.to_string_full().as_bytes()));
+            url = url.with_query_param(param, &b64_encode_url(visited.as_str().as_bytes()));
         }
         Payload::HostnamePlusId { host_param, id_param } => {
             let visited = visit.expect("per-visit payload without a visit");
@@ -66,7 +66,7 @@ pub fn build_native_request(
         }
         Payload::FullUrlPlain { param } => {
             let visited = visit.expect("per-visit payload without a visit");
-            url = url.with_query_param(param, &visited.to_string_full());
+            url = url.with_query_param(param, visited.as_str());
         }
         Payload::DomainOnly { param } => {
             let visited = visit.expect("per-visit payload without a visit");
@@ -228,7 +228,7 @@ mod tests {
         let visit = Url::parse("https://www.youtube.com/watch?v=abc").unwrap();
         let req = build_native_request(&call, &mut ctx(&props, &mut data, &p), Some(&visit), 0);
         let encoded = req.url.query_param("url").unwrap();
-        let decoded = panoptes_http::codec::b64_decode_url(encoded).unwrap();
+        let decoded = panoptes_http::codec::b64_decode_url(&encoded).unwrap();
         assert_eq!(
             String::from_utf8(decoded).unwrap(),
             "https://www.youtube.com/watch?v=abc"
@@ -246,8 +246,8 @@ mod tests {
         let v2 = Url::parse("https://b.com/y").unwrap();
         let r1 = build_native_request(&call, &mut ctx(&props, &mut data, &p), Some(&v1), 0);
         let r2 = build_native_request(&call, &mut ctx(&props, &mut data, &p), Some(&v2), 0);
-        assert_eq!(r1.url.query_param("h"), Some("a.com"));
-        assert_eq!(r2.url.query_param("h"), Some("b.com"));
+        assert_eq!(r1.url.query_param("h").as_deref(), Some("a.com"));
+        assert_eq!(r2.url.query_param("h").as_deref(), Some("b.com"));
         let id1 = r1.url.query_param("uid").unwrap();
         assert_eq!(id1.len(), 64);
         assert_eq!(id1, r2.url.query_param("uid").unwrap(), "same id across visits");
@@ -262,8 +262,8 @@ mod tests {
             .carrying(Payload::domain_only("d"));
         let visit = Url::parse("https://www.health-support001.org/health/depression-support").unwrap();
         let req = build_native_request(&call, &mut ctx(&props, &mut data, &p), Some(&visit), 0);
-        assert_eq!(req.url.query_param("d"), Some("health-support001.org"));
-        assert!(!req.url.to_string_full().contains("depression"));
+        assert_eq!(req.url.query_param("d").as_deref(), Some("health-support001.org"));
+        assert!(!req.url.as_str().contains("depression"));
     }
 
     #[test]
@@ -303,10 +303,10 @@ mod tests {
         let call = NativeCall::ping("vortex.data.microsoft.com", "/collect")
             .carrying(Payload::Telemetry);
         let req = build_native_request(&call, &mut ctx(&props, &mut data, &p), None, 0);
-        assert_eq!(req.url.query_param("screen"), Some("1200x1920"));
-        assert_eq!(req.url.query_param("networkType"), Some("WIFI"));
-        assert_eq!(req.url.query_param("localIp"), None);
-        assert_eq!(req.url.query_param("latitude"), None);
+        assert_eq!(req.url.query_param("screen").as_deref(), Some("1200x1920"));
+        assert_eq!(req.url.query_param("networkType").as_deref(), Some("WIFI"));
+        assert_eq!(req.url.query_param("localIp").as_deref(), None);
+        assert_eq!(req.url.query_param("latitude").as_deref(), None);
     }
 
     #[test]

@@ -102,13 +102,13 @@ fn yandex_leaks_full_url_and_persistent_id() {
     assert_eq!(sba.len(), 1);
     let url = panoptes_http::Url::parse(&sba[0].url).unwrap();
     let encoded = url.query_param("url").unwrap();
-    let decoded = String::from_utf8(b64_decode_url(encoded).unwrap()).unwrap();
+    let decoded = String::from_utf8(b64_decode_url(&encoded).unwrap()).unwrap();
     assert_eq!(decoded, site.url_string(), "full URL recovered from Base64 param");
 
     let api: Vec<_> = native.iter().filter(|f| f.host == "api.browser.yandex.ru").collect();
     assert_eq!(api.len(), 1);
     let url = panoptes_http::Url::parse(&api[0].url).unwrap();
-    assert_eq!(url.query_param("host"), Some(site.host.as_str()));
+    assert_eq!(url.query_param("host").as_deref(), Some(site.host.as_str()));
     assert_eq!(url.query_param("yandexuid").unwrap().len(), 64);
 }
 
@@ -165,8 +165,8 @@ fn uc_exfiltrates_via_tainted_js_injection() {
     assert_eq!(collectors[0].class, FlowClass::Engine);
     let url = panoptes_http::Url::parse(&collectors[0].url).unwrap();
     assert!(url.query_param("url").unwrap().contains(&site.domain));
-    assert_eq!(url.query_param("city"), Some("Heraklion"));
-    assert_eq!(url.query_param("isp"), Some("FORTHnet"));
+    assert_eq!(url.query_param("city").as_deref(), Some("Heraklion"));
+    assert_eq!(url.query_param("isp").as_deref(), Some("FORTHnet"));
     // Its *native* traffic carries no URL.
     for f in rig.store.native_flows() {
         assert!(!f.url.contains(site.domain.as_str()));

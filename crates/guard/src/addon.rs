@@ -154,7 +154,7 @@ mod tests {
             Url::parse("https://doubleclick.net/bid?page=https://a.com/x").unwrap(),
         );
         assert_eq!(run(&addon, &mut req, FlowClass::Engine), Verdict::Forward);
-        assert_eq!(req.url.query_param("page"), Some("https://a.com/x"));
+        assert_eq!(req.url.query_param("page").as_deref(), Some("https://a.com/x"));
         assert_eq!(addon.stats().blocked, 0);
     }
 
@@ -166,8 +166,8 @@ mod tests {
                 .unwrap(),
         );
         assert_eq!(run(&addon, &mut req, FlowClass::Native), Verdict::Forward);
-        assert_eq!(req.url.query_param("url"), Some("redacted"));
-        assert_eq!(req.url.query_param("seq"), Some("1"), "non-URL values untouched");
+        assert_eq!(req.url.query_param("url").as_deref(), Some("redacted"));
+        assert_eq!(req.url.query_param("seq").as_deref(), Some("1"), "non-URL values untouched");
         assert_eq!(addon.stats().redacted_values, 1);
     }
 
@@ -180,7 +180,7 @@ mod tests {
             .with_query_param("u", &encoded);
         let mut req = Request::get(url);
         run(&addon, &mut req, FlowClass::Native);
-        assert_eq!(req.url.query_param("u"), Some("redacted"));
+        assert_eq!(req.url.query_param("u").as_deref(), Some("redacted"));
     }
 
     #[test]
@@ -211,7 +211,7 @@ mod tests {
             Url::parse("https://sba.yandex.net/r?url=https://a.com/").unwrap(),
         );
         assert_eq!(run(&addon, &mut req, FlowClass::Native), Verdict::Forward);
-        assert_eq!(req.url.query_param("url"), Some("https://a.com/"));
+        assert_eq!(req.url.query_param("url").as_deref(), Some("https://a.com/"));
         assert_eq!(addon.stats().passed, 1);
     }
 }

@@ -69,7 +69,7 @@ impl CdpSession {
     /// Issues `Page.navigate` — the navigation never touches the address
     /// bar, so auto-complete traffic cannot pollute the capture (§2.1).
     pub fn navigate(&mut self, url: &Url) {
-        self.commands.push(CdpCommand::PageNavigate(url.to_string_full()));
+        self.commands.push(CdpCommand::PageNavigate(url.as_str().to_owned()));
     }
 
     /// The tap the engine must run every website-initiated request

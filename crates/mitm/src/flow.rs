@@ -64,7 +64,10 @@ pub struct Flow {
     pub dst_port: u16,
     /// Request method.
     pub method: Method,
-    /// Full serialized request URL (after taint-header removal).
+    /// Full request URL (after taint-header removal): a copy of the
+    /// canonical text of the request's `Url` (`Url::as_str`), so it
+    /// parses back to the same URL. The fold reads its query pairs from
+    /// this text (`panoptes_http::url::query_pairs`) without parsing it.
     pub url: String,
     /// Request headers as `name: value` lines (wire order, post-addon).
     /// Both halves are atoms — recording a flow's headers is one `Vec`

@@ -7,7 +7,7 @@
 //! package) rides in `_`-prefixed custom fields, as the HAR spec allows.
 
 use panoptes_http::json::{self, Value};
-use panoptes_http::url::Url;
+use panoptes_http::url;
 
 use crate::flow::Flow;
 use crate::store::FlowStore;
@@ -46,16 +46,9 @@ pub fn store_to_har(store: &FlowStore) -> String {
 }
 
 fn entry(flow: &Flow) -> Value {
-    let query: Vec<Value> = Url::parse(&flow.url)
-        .map(|u| {
-            u.query_pairs()
-                .iter()
-                .map(|(k, v)| {
-                    Value::object(vec![("name", Value::str(k)), ("value", Value::str(v))])
-                })
-                .collect()
-        })
-        .unwrap_or_default();
+    let query: Vec<Value> = url::query_pairs(&flow.url)
+        .map(|(k, v)| Value::object(vec![("name", Value::str(k)), ("value", Value::str(v))]))
+        .collect();
     let headers: Vec<Value> = flow
         .request_headers
         .iter()

@@ -77,7 +77,7 @@ impl TransparentProxy {
             dst_ip: ctx.dst_ip,
             dst_port: ctx.dst_port,
             method: req.method,
-            url: req.url.to_string_full(),
+            url: req.url.as_str().to_owned(),
             request_headers: req
                 .headers
                 .iter_interned()

@@ -28,11 +28,12 @@
 //!   content lengths are built this way: in the table they would cost a
 //!   locked lookup per request and grow it with every new value.
 //!
-//! Capture therefore interns little beyond the hosts `Url::parse` reads:
-//! at quick scale the 15 pinned crawls make 1.68 interns and 47.3 heap
-//! allocations per captured flow, and `tests/capture_budget.rs` pins
-//! ceilings of 1.76 and 48.95. The deterministic `atom.intern.calls`
-//! counter (under METRICS) counts every intern.
+//! Capture therefore interns little beyond the host `Url::parse` reads
+//! once per request (the fold reads a flow's URL as text and interns
+//! nothing): at quick scale the 15 pinned crawls make 1.18 interns and
+//! 23.5 heap allocations per captured flow, and `tests/capture_budget.rs`
+//! pins ceilings of 1.24 and 24.35. The deterministic
+//! `atom.intern.calls` counter (under METRICS) counts every intern.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;

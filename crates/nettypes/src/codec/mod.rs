@@ -12,4 +12,4 @@ pub mod percent;
 
 pub use base64::{b64_decode, b64_decode_url, b64_encode, b64_encode_url};
 pub use hex::{hex_decode, hex_encode};
-pub use percent::{percent_decode, percent_encode, percent_encode_component};
+pub use percent::{percent_decode, percent_decode_cow, percent_encode, percent_encode_component};

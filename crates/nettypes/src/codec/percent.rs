@@ -1,5 +1,7 @@
 //! Percent-encoding (RFC 3986) for URL components.
 
+use std::borrow::Cow;
+
 /// Returns true for bytes that never need escaping in any URL component
 /// (RFC 3986 "unreserved" set).
 fn is_unreserved(b: u8) -> bool {
@@ -19,15 +21,26 @@ pub fn percent_encode_component(input: &str) -> String {
     encode_with(input, is_unreserved)
 }
 
-/// Length in bytes of [`percent_encode_component`]'s output, without
-/// building the string: unreserved bytes cost 1, everything else 3
-/// (`%XX`). Lets wire-size accounting skip the encode allocation.
-pub fn percent_encode_component_len(input: &str) -> usize {
-    input.bytes().map(|b| if is_unreserved(b) { 1 } else { 3 }).sum()
+/// Appends [`percent_encode_component`]'s output to `out`, so a caller
+/// that is building a larger string (a URL's canonical text) encodes
+/// in place.
+pub(crate) fn percent_encode_component_into(out: &mut String, input: &str) {
+    encode_into(out, input, is_unreserved);
+}
+
+/// True when `input` is its own [`percent_encode_component`]: it holds
+/// only unreserved bytes.
+pub(crate) fn is_unreserved_component(input: &str) -> bool {
+    input.bytes().all(is_unreserved)
 }
 
 fn encode_with(input: &str, keep: impl Fn(u8) -> bool) -> String {
     let mut out = String::with_capacity(input.len());
+    encode_into(&mut out, input, keep);
+    out
+}
+
+fn encode_into(out: &mut String, input: &str, keep: impl Fn(u8) -> bool) {
     for &b in input.as_bytes() {
         if keep(b) {
             out.push(b as char);
@@ -37,7 +50,6 @@ fn encode_with(input: &str, keep: impl Fn(u8) -> bool) -> String {
             out.push(char::from_digit((b & 0xf) as u32, 16).unwrap().to_ascii_uppercase());
         }
     }
-    out
 }
 
 /// Decodes percent-escapes. Invalid escapes (`%` not followed by two hex
@@ -61,6 +73,17 @@ pub fn percent_decode(input: &str) -> String {
         i += 1;
     }
     String::from_utf8_lossy(&out).into_owned()
+}
+
+/// [`percent_decode`], borrowing `input` when it holds no `%`: only an
+/// escape can make the decoded text differ from the input, so only a
+/// value with one allocates.
+pub fn percent_decode_cow(input: &str) -> Cow<'_, str> {
+    if input.contains('%') {
+        Cow::Owned(percent_decode(input))
+    } else {
+        Cow::Borrowed(input)
+    }
 }
 
 #[cfg(test)]
@@ -87,9 +110,21 @@ mod tests {
     }
 
     #[test]
-    fn encoded_component_len_matches_encoder() {
+    fn encoding_into_matches_encoder() {
         for s in ["", "plain", "a=b&c d", "ünïcode/✓", "100%", "safe-._~"] {
-            assert_eq!(percent_encode_component_len(s), percent_encode_component(s).len());
+            let mut out = String::from("x");
+            percent_encode_component_into(&mut out, s);
+            assert_eq!(out, format!("x{}", percent_encode_component(s)));
+            assert_eq!(is_unreserved_component(s), percent_encode_component(s) == s);
+        }
+    }
+
+    #[test]
+    fn cow_decode_borrows_only_without_escapes() {
+        for s in ["", "plain", "a=b&c d", "ünïcode/✓", "100%", "%zz", "a%20b", "%FF"] {
+            let decoded = percent_decode_cow(s);
+            assert_eq!(decoded, percent_decode(s));
+            assert_eq!(matches!(decoded, Cow::Borrowed(_)), !s.contains('%'));
         }
     }
 

@@ -49,11 +49,6 @@ impl Cookie {
             persistent,
         })
     }
-
-    /// Serializes for a `Cookie` request header fragment.
-    pub fn pair(&self) -> String {
-        format!("{}={}", self.name, self.value)
-    }
 }
 
 /// A cookie jar indexed by cookie domain.
@@ -113,27 +108,42 @@ impl CookieJar {
     ///
     /// Only the label-suffixes of `host` (`a.b.com` → `a.b.com`,
     /// `b.com`, `com`) can hold matching cookies, so the lookup probes
-    /// that handful of buckets instead of scanning the jar.
+    /// that handful of buckets instead of scanning the jar. The header
+    /// is written into one `String` of its final size.
     pub fn header_for(&self, host: &str) -> Option<String> {
         if self.live == 0 {
             return None;
         }
-        let mut matches: Vec<u32> = Vec::new();
-        for suffix in domain_suffixes(host) {
-            if let Some(bucket) = self.by_domain.get(suffix) {
-                matches.extend_from_slice(bucket);
+        let mut buckets = domain_suffixes(host).filter_map(|suffix| self.by_domain.get(suffix));
+        let first = buckets.next()?;
+        let merged: Vec<u32>;
+        let matches: &[u32] = match buckets.next() {
+            // One bucket is already in slot (insertion) order.
+            None => first,
+            // Several are merged back into slot order.
+            Some(second) => {
+                let mut all: Vec<u32> =
+                    first.iter().chain(second).chain(buckets.flatten()).copied().collect();
+                all.sort_unstable();
+                merged = all;
+                &merged
             }
-        }
+        };
         if matches.is_empty() {
             return None;
         }
-        matches.sort_unstable();
-        let pairs: Vec<String> = matches
-            .iter()
-            .filter_map(|&i| self.slots[i as usize].as_ref())
-            .map(Cookie::pair)
-            .collect();
-        Some(pairs.join("; "))
+        let cookies = || matches.iter().filter_map(|&i| self.slots[i as usize].as_ref());
+        let len: usize = cookies().map(|c| c.name.len() + c.value.len() + 3).sum();
+        let mut header = String::with_capacity(len.saturating_sub(2));
+        for cookie in cookies() {
+            if !header.is_empty() {
+                header.push_str("; ");
+            }
+            header.push_str(&cookie.name);
+            header.push('=');
+            header.push_str(&cookie.value);
+        }
+        Some(header)
     }
 
     /// Drops every cookie (what "Clear browsing data" or leaving incognito
@@ -253,6 +263,7 @@ mod tests {
             ("a=1", "example.com"),
             ("t=x; Domain=tracker.net", "cdn.tracker.net"),
             ("b=2", "example.com"),
+            ("h=1; Domain=www.example.com", "www.example.com"), // a second bucket
             ("a=9", "example.com"), // replaces a=1: moves to the end
             ("u=z; Domain=example.com", "www.example.com"),
         ];
@@ -274,7 +285,7 @@ mod tests {
             let scan: Vec<String> = flat
                 .iter()
                 .filter(|c| domain_matches(host, &c.domain))
-                .map(Cookie::pair)
+                .map(|c| format!("{}={}", c.name, c.value))
                 .collect();
             let expect = (!scan.is_empty()).then(|| scan.join("; "));
             assert_eq!(jar.header_for(host), expect, "host {host}");

@@ -9,8 +9,9 @@
 //! Base64-decodes suspicious parameter values, and parses JSON ad-SDK bodies
 //! (Listing 1 of the paper). This crate provides all of that from scratch:
 //!
-//! * [`url::Url`] — a parser for absolute `http`/`https` URLs with query
-//!   parameter access and registrable-domain extraction,
+//! * [`url::Url`] — a parser for absolute `http`/`https` URLs that keeps
+//!   each URL's canonical wire text, with query parameter access and
+//!   registrable-domain extraction,
 //! * [`headers::Headers`] — an ordered, case-insensitive header multimap,
 //! * [`request::Request`] / [`response::Response`] — HTTP messages with
 //!   wire-size estimation (needed for the paper's Figure 4 volume analysis),
@@ -33,7 +34,7 @@
 //!
 //! // ... and the analysis side recovers it.
 //! let param = phone_home.query_param("url").unwrap();
-//! let recovered = String::from_utf8(codec::b64_decode_url(param).unwrap()).unwrap();
+//! let recovered = String::from_utf8(codec::b64_decode_url(&param).unwrap()).unwrap();
 //! assert_eq!(recovered, visited);
 //! assert_eq!(phone_home.registrable_domain(), "yandex.net");
 //! ```

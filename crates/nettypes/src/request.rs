@@ -96,7 +96,7 @@ impl Request {
     /// paper's Figure 4 (outgoing traffic volume).
     pub fn wire_size(&self) -> u64 {
         let request_line =
-            self.method.as_str().len() as u64 + 1 + self.url.encoded_len() as u64 + 11;
+            self.method.as_str().len() as u64 + 1 + self.url.as_str().len() as u64 + 11;
         request_line + self.headers.wire_size() + 2 + self.body.len() as u64
     }
 

@@ -268,7 +268,7 @@ mod tests {
         assert!(Atom::ptr_eq(req.url.host_atom(), DohProvider::Google.host_atom()));
         assert!(req.url.host_atom().is_static());
         assert_eq!(req.url.path(), "/dns-query");
-        assert_eq!(req.url.query_param("name"), Some("www.youtube.com"));
+        assert_eq!(req.url.query_param("name").as_deref(), Some("www.youtube.com"));
         assert_eq!(req.headers.get("accept"), Some("application/dns-json"));
     }
 

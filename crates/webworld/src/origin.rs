@@ -142,7 +142,7 @@ impl OriginServer {
             Purpose::Doh => {
                 // Resolve for real against the zone so the client can
                 // proceed — and the exchange is a genuine HTTPS flow.
-                let name = req.url.query_param("name").unwrap_or_default().to_string();
+                let name = req.url.query_param("name").unwrap_or_default();
                 let answer = net
                     .resolve_silent(&name)
                     .map(|ip| ip.to_string())

@@ -84,6 +84,29 @@ fi
 
 echo "ok: no interned string literals in crates/*/src"
 
+# A captured flow's URL is the canonical text its request's `Url` wrote,
+# so library code never parses it into a `Url` again (that re-interns
+# the host and re-decodes every query pair of every flow the fold
+# scans): it reads the pairs from the text with
+# `panoptes_http::url::query_pairs`. Binaries, test modules (below the
+# first `#[cfg(test)]`) and comment lines are exempt. No opt-out marker.
+
+reparse_offenders=$(find crates -path '*/src/*' -name '*.rs' | grep -v '/src/bin/' | sort \
+    | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
+done | grep -E 'Url::parse\(&[^()]*\.url\)' | grep -vE ':[0-9]+: *//' || true)
+
+if [ -n "$reparse_offenders" ]; then
+    echo "error: library code re-parses a captured flow's URL:" >&2
+    echo "$reparse_offenders" >&2
+    echo >&2
+    echo "Read the query pairs from the flow's text with" >&2
+    echo "panoptes_http::url::query_pairs(&flow.url) instead." >&2
+    exit 1
+fi
+
+echo "ok: no captured flow's URL is parsed again in crates/*/src"
+
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
 # iteration — every extra `store.snapshot()` walk outside the engine is
