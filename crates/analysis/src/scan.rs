@@ -81,8 +81,9 @@ pub fn observations(flow: &Flow) -> Vec<Observation<'_>> {
 /// This is how the Yandex Base64-wrapped URL is recovered (§3.2). The
 /// value itself is borrowed, and a value with no `%` is not
 /// percent-decoded (it would decode to itself).
-pub fn decodings(value: &str) -> Vec<Cow<'_, str>> {
-    let mut out = vec![Cow::Borrowed(value)];
+pub fn decodings(value: &str) -> Decodings<'_> {
+    let mut out =
+        Decodings { items: [Cow::Borrowed(value), Cow::Borrowed(""), Cow::Borrowed("")], len: 1 };
     if value.contains('%') {
         let pct = percent_decode(value);
         if pct != value {
@@ -99,8 +100,39 @@ pub fn decodings(value: &str) -> Vec<Cow<'_, str>> {
             }
         }
     }
-    out.dedup();
     out
+}
+
+/// The decodings of one value ([`decodings`]): at most three, held
+/// inline, so a value with no decoding beyond itself allocates nothing.
+/// Derefs to the slice of decodings.
+pub struct Decodings<'a> {
+    items: [Cow<'a, str>; 3],
+    len: usize,
+}
+
+impl<'a> Decodings<'a> {
+    /// Appends a decoding unless it equals the last one.
+    fn push(&mut self, decoding: Cow<'a, str>) {
+        if self.items[self.len - 1] != decoding {
+            self.items[self.len] = decoding;
+            self.len += 1;
+        }
+    }
+}
+
+impl<'a> std::ops::Deref for Decodings<'a> {
+    type Target = [Cow<'a, str>];
+
+    fn deref(&self) -> &[Cow<'a, str>] {
+        &self.items[..self.len]
+    }
+}
+
+impl std::fmt::Debug for Decodings<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
 }
 
 /// True when `value` looks like a high-entropy persistent identifier:
@@ -179,7 +211,7 @@ mod tests {
         assert_eq!(d.len(), 1);
         assert!(matches!(d[0], Cow::Borrowed("plain.value")));
         let d = decodings("100%");
-        assert_eq!(d, ["100%"], "a malformed escape decodes to itself");
+        assert_eq!(*d, ["100%"], "a malformed escape decodes to itself");
     }
 
     #[test]

@@ -17,14 +17,16 @@
 //! scale IS the paper's exact web). Composes with `--jobs` like any
 //! other scale.
 //!
-//! `--jobs N` runs the campaigns and their analyses across an N-worker
-//! fleet (default: the machine's available parallelism; `--jobs 1` runs
-//! every unit in order on the main thread). Every crawl is analysed by
-//! the fused single-pass engine on the worker that runs it, visit by
-//! visit as its flows are captured, and every idle capture once it
-//! ends; all sections render from those analyses. Output is
-//! byte-identical for every N — results always come back in profile
-//! order before rendering.
+//! `--jobs N` runs every campaign of the study and its analysis in one
+//! pass across an N-worker fleet (default: the machine's available
+//! parallelism; `--jobs 1` runs every unit in order on the main thread).
+//! Every crawl is analysed by the fused single-pass engine on the worker
+//! that runs it, visit by visit as its flows are captured, and every
+//! idle capture once it ends; all sections render from those analyses.
+//! Each phase prints once its last unit is analysed, while the workers
+//! go on with the next phase's units. Output is byte-identical for every
+//! N — each phase's results are put back in profile order before
+//! rendering.
 //!
 //! `--population N` runs the study over an N-browser population: the
 //! paper's 15 pinned browsers first, then deterministically sampled

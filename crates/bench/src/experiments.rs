@@ -56,8 +56,14 @@ impl Scale {
     /// becomes deep tail (`--sites N`); `n` at or below the head leaves
     /// the scale untouched, so `--sites 1000` at paper scale is exact.
     pub fn with_sites(mut self, n: u32) -> Scale {
-        self.tail = n.saturating_sub(self.popular + self.sensitive);
+        self.tail = n.saturating_sub(self.popular.saturating_add(self.sensitive));
         self
+    }
+
+    /// The total site count, `popular + sensitive + tail`, summed in
+    /// `u64`, which no three `u32` counts overflow.
+    pub fn sites(&self) -> u64 {
+        u64::from(self.popular) + u64::from(self.sensitive) + u64::from(self.tail)
     }
 
     /// The (cached, shared) world for this scale: the plan cache builds

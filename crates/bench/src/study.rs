@@ -6,16 +6,18 @@
 //! comparison is the population crawl itself; only a §3.2 browser that
 //! crawl does not cover is crawled normally a second time.
 //! [`Study::plan`] lays those campaign units out by phase in document
-//! order, and [`Study::run`] runs the phases a caller selects, one after
-//! another: each fleet job runs one unit and analyses it on the same
+//! order, and [`Study::run`] runs the phases a caller selects in one
+//! fleet pass: each fleet job runs one unit and analyses it on the same
 //! worker ([`analyse_unit`]). A crawl unit is analysed as it is
 //! captured, so a worker holds one visit's flows, not a capture; an idle
-//! unit's capture is analysed and dropped. Each phase is handed over,
-//! assembled from its units' analyses ([`assemble`]), the moment its
-//! last unit is analysed. The study server schedules the same plan on
-//! its own pool and runs the same two halves, so a served study equals
-//! `repro` because it runs the same code.
+//! unit's capture is analysed and dropped. An [`Assembly`] hands each
+//! phase over in document order the moment its last unit is analysed.
+//! The study server schedules the same plan on its own pool and runs the
+//! same two halves, so a served study equals `repro` because it runs the
+//! same code.
 
+use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::OnceLock;
 
 use panoptes::campaign::CampaignResult;
@@ -108,6 +110,9 @@ impl Study {
         if self.population == 0 {
             return Err("population must be >= 1".to_string());
         }
+        if u32::try_from(self.scale.sites()).is_err() {
+            return Err("the site count (popular + sensitive + tail) overflows u32".to_string());
+        }
         match only {
             Some(name) if Study::phases(Some(name)).is_empty() => {
                 let names: Vec<&str> = Phase::ALL.iter().flat_map(|p| p.sections()).collect();
@@ -189,14 +194,12 @@ impl Study {
         Phase::ALL.map(|phase| (phase, units(phase)))
     }
 
-    /// Runs the selected `phases` in document order, each as one fleet
-    /// at `options`' width, and hands each phase to `on_phase` as soon as
-    /// its last unit is analysed. Each fleet job is one [`analyse_unit`],
-    /// which keeps a crawl's capture only when `keep_captures` asks for
-    /// the crawl phase's raw captures (`Analysed::Crawl::results`), and
-    /// each phase is [`assemble`]d from its units' analyses in plan
-    /// order. Output is identical for every worker count and either
-    /// path.
+    /// Runs the selected `phases`' units in one fleet pass at `options`'
+    /// width, each as one [`analyse_unit`], and hands each phase to
+    /// `on_phase` once complete ([`Assembly`]). A crawl keeps its capture
+    /// (`Analysed::Crawl::results`) only when `keep_captures` asks. Output
+    /// is identical for every worker count. Once a unit fails, no further
+    /// phase is handed over, and the error names the unit and its panic.
     pub fn run(
         &self,
         phases: &[Phase],
@@ -208,28 +211,20 @@ impl Study {
         let config = self.scale.config();
         let profiles = population(self.scale.seed, self.population);
         let res = AnalysisResources::standard();
-        // The crawl phase's analyses of the §3.2 browsers: the normal arms
-        // the incognito phase reuses.
-        let mut normal_arms = Vec::new();
-        for (phase, units) in self.plan(phases, &profiles, &config) {
-            if !phases.contains(&phase) {
-                continue;
-            }
-            if options.progress {
-                panoptes_obs::progress::emit(
-                    "study",
-                    &options.decorate(&format!("{phase:?} phase: {} units", units.len())),
-                );
-            }
-            let keep = keep_captures && phase == Phase::Crawl;
-            let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
-            let outputs = fleet::execute(&labels, options, |i| {
-                analyse_unit(&world, &config, &res, &units[i], keep, options)
-            })
-            .map_err(|e| format!("{phase:?} phase failed: {e}"))?;
-            on_phase(assemble(phase, outputs, &mut normal_arms));
-        }
-        Ok(())
+        let plan = self.plan(phases, &profiles, &config);
+        let mut assembly = Assembly::new(&plan);
+        // The crawl phase, whose captures `keep_captures` keeps, is first.
+        let kept = if keep_captures { plan[0].1.len() } else { 0 };
+        let units: Vec<FleetUnit> = plan.into_iter().flat_map(|(_, units)| units).collect();
+        let labels: Vec<String> = units.iter().map(FleetUnit::label).collect();
+        let analyse = |i: usize| analyse_unit(&world, &config, &res, &units[i], i < kept, options);
+        let mut result = Ok(());
+        fleet::execute_each(&labels, options, analyse, |i, outcome| match (outcome, &result) {
+            (Ok(unit), Ok(())) => assembly.accept(i, unit).into_iter().for_each(&mut on_phase),
+            (Err(e), Ok(())) => result = Err(format!("unit {} failed: {}", e.unit, e.message)),
+            _ => {}
+        });
+        result
     }
 }
 
@@ -285,36 +280,78 @@ pub fn analyse_unit(
     }
 }
 
-/// Assembles one phase from its units' analyses, in plan order. The
-/// crawl phase leaves its §3.2 browsers' analyses in `normal_arms`, and
-/// the incognito phase takes its normal arms from there; a caller runs
-/// the phases in document order with one `normal_arms`, empty at first.
-pub fn assemble(
-    phase: Phase,
-    outputs: impl IntoIterator<Item = UnitAnalysis>,
-    normal_arms: &mut Vec<CampaignAnalysis>,
-) -> Analysed {
-    let (mut results, mut analyses, mut idles) = (Vec::new(), Vec::new(), Vec::new());
-    for output in outputs {
-        match output {
-            UnitAnalysis::Crawl(analysis, result) => {
-                analyses.push(*analysis);
-                results.extend(result.map(|capture| *capture));
-            }
-            UnitAnalysis::Idle(analysis) => idles.push(analysis),
+/// Re-sequences a study's unit analyses, which arrive in any order,
+/// into its phases in document order: the one place that knows the
+/// order phases are handed over in. [`Study::run`] and the study server
+/// both feed it.
+pub struct Assembly {
+    /// The phases not handed over yet, with their units' plan indices.
+    phases: VecDeque<(Phase, Range<usize>)>,
+    /// One slot per planned unit, until its phase is handed over.
+    slots: Vec<Option<UnitAnalysis>>,
+    /// The crawl phase's §3.2 analyses: the incognito phase's normal arms.
+    normal_arms: Vec<CampaignAnalysis>,
+}
+
+impl Assembly {
+    /// An assembly for `plan` ([`Study::plan`]), whose units are numbered
+    /// in plan order; a phase that plans no units is never handed over.
+    pub fn new(plan: &[(Phase, Vec<FleetUnit>)]) -> Assembly {
+        let (mut phases, mut end) = (VecDeque::new(), 0);
+        for (phase, units) in plan.iter().filter(|(_, units)| !units.is_empty()) {
+            phases.push_back((*phase, end..end + units.len()));
+            end += units.len();
         }
+        Assembly { phases, slots: (0..end).map(|_| None).collect(), normal_arms: Vec::new() }
     }
-    match phase {
-        Phase::Crawl => {
-            *normal_arms = analyses
-                .iter()
-                .filter(|a| INCOGNITO_BROWSERS.contains(&a.browser.as_str()))
-                .cloned()
-                .collect();
-            Analysed::Crawl { results, analyses }
+
+    /// Takes the analysis of the unit at `plan_index` and returns the
+    /// phases it completes, assembled, in document order: none while an
+    /// earlier phase still waits for a unit.
+    pub fn accept(&mut self, plan_index: usize, analysis: UnitAnalysis) -> Vec<Analysed> {
+        self.slots[plan_index] = Some(analysis);
+        let mut complete = Vec::new();
+        while let Some((phase, units)) = self.phases.front().cloned() {
+            if self.slots[units.clone()].iter().any(Option::is_none) {
+                break;
+            }
+            self.phases.pop_front();
+            complete.push(self.assemble(phase, units));
         }
-        Phase::Incognito => Analysed::Incognito(incognito_pairs(normal_arms, analyses)),
-        Phase::Idle => Analysed::Idle(idles),
+        complete
+    }
+
+    /// How many analyses wait for their phase to complete.
+    pub fn buffered(&self) -> usize {
+        self.slots.iter().flatten().count()
+    }
+
+    /// Assembles `phase` from its `units`' analyses, in plan order. The
+    /// crawl phase keeps its §3.2 analyses as the normal arms of the
+    /// incognito phase, which is assembled after it.
+    fn assemble(&mut self, phase: Phase, units: Range<usize>) -> Analysed {
+        let (mut results, mut analyses, mut idles) = (Vec::new(), Vec::new(), Vec::new());
+        for slot in &mut self.slots[units] {
+            match slot.take().expect("the phase is complete") {
+                UnitAnalysis::Crawl(analysis, result) => {
+                    analyses.push(*analysis);
+                    results.extend(result.map(|capture| *capture));
+                }
+                UnitAnalysis::Idle(analysis) => idles.push(analysis),
+            }
+        }
+        match phase {
+            Phase::Crawl => {
+                self.normal_arms = analyses
+                    .iter()
+                    .filter(|a| INCOGNITO_BROWSERS.contains(&a.browser.as_str()))
+                    .cloned()
+                    .collect();
+                Analysed::Crawl { results, analyses }
+            }
+            Phase::Incognito => Analysed::Incognito(incognito_pairs(&self.normal_arms, analyses)),
+            Phase::Idle => Analysed::Idle(idles),
+        }
     }
 }
 
@@ -345,6 +382,45 @@ mod tests {
 
     fn labels(units: &[FleetUnit]) -> Vec<String> {
         units.iter().map(FleetUnit::label).collect()
+    }
+
+    #[test]
+    fn assembly_hands_phases_over_in_document_order() {
+        let scale = Scale { popular: 4, sensitive: 2, ..Scale::quick() };
+        let study = Study { scale, population: 3 };
+        let (world, config, res) = (scale.world(), scale.config(), AnalysisResources::standard());
+        let profiles = population(scale.seed, study.population);
+        let plan = study.plan(&Phase::ALL, &profiles, &config);
+        let units: Vec<&FleetUnit> = plan.iter().flat_map(|(_, units)| units).collect();
+        let options = FleetOptions::with_jobs(1);
+        let analyse = |i: usize| analyse_unit(&world, &config, &res, units[i], false, &options);
+        let sections = |phases: Vec<Analysed>| -> Vec<(&str, String)> {
+            phases.iter().flat_map(Analysed::sections).collect()
+        };
+        let mut in_order = Assembly::new(&plan);
+        let expected: Vec<_> =
+            (0..units.len()).flat_map(|i| sections(in_order.accept(i, analyse(i)))).collect();
+        // Every unit but the first arrives first: the crawl phase waits
+        // for its first unit, and the later phases wait for the crawl.
+        let mut reversed = Assembly::new(&plan);
+        for i in (1..units.len()).rev() {
+            assert!(reversed.accept(i, analyse(i)).is_empty(), "unit {i}");
+        }
+        assert_eq!(reversed.buffered(), units.len() - 1);
+        let phases = reversed.accept(0, analyse(0));
+        assert_eq!(phases.len(), 3);
+        assert_eq!(sections(phases), expected);
+        assert_eq!(reversed.buffered(), 0);
+    }
+
+    #[test]
+    fn validate_rejects_a_site_count_that_overflows() {
+        let scale = Scale { popular: u32::MAX, sensitive: 1, ..Scale::quick() };
+        assert!(Study { scale, population: 1 }.validate(None).is_err());
+        let scale = Scale { popular: u32::MAX - 1, sensitive: 1, ..Scale::quick() };
+        assert!(Study { scale, population: 1 }.validate(None).is_ok());
+        let scale = Scale { tail: 1, ..scale };
+        assert!(Study { scale, population: 1 }.validate(None).is_err());
     }
 
     #[test]

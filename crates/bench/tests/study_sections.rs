@@ -2,10 +2,12 @@
 //! phases that section needs print exactly the header plus that
 //! section's bytes of the full document, and no unit of any other phase
 //! is submitted — selecting a crawl section never pays for the
-//! incognito crawls or the idle experiment.
+//! incognito crawls or the idle experiment. Every run's trace holds one
+//! `fleet.unit` span per planned unit: the runner joins each worker, so
+//! no worker's trace ring is lost.
 //!
-//! The fleet counters are process-global, so the whole check is one
-//! `#[test]`.
+//! The fleet counters and the trace are process-global, so the whole
+//! check is one `#[test]`.
 
 use panoptes::fleet::FleetOptions;
 use panoptes_bench::experiments::Scale;
@@ -13,6 +15,7 @@ use panoptes_bench::render;
 use panoptes_bench::study::{Phase, Study};
 use panoptes_browsers::registry::population;
 use panoptes_obs::metrics::{counter, MetricClass};
+use panoptes_obs::trace::{self, EventKind};
 use panoptes_simnet::clock::SimDuration;
 
 #[test]
@@ -39,12 +42,17 @@ fn each_section_prints_alone_and_runs_only_its_phase() {
         assert_eq!(study.unit_count(phases), planned(phases).iter().sum::<usize>());
     }
     let submitted = counter("fleet.units.submitted", MetricClass::Runtime);
-    panoptes_obs::enable(panoptes_obs::METRICS);
+    panoptes_obs::enable(panoptes_obs::METRICS | panoptes_obs::TRACE);
+    let unit_spans = || {
+        let events = trace::drain();
+        events.iter().filter(|e| e.kind == EventKind::Start && e.name == "fleet.unit").count()
+    };
 
     let mut full = Vec::new();
     study
         .run(&Phase::ALL, false, &options, |phase| full.extend(phase.sections()))
         .expect("full study");
+    assert_eq!(unit_spans(), study.unit_count(&Phase::ALL));
 
     for phase in Phase::ALL {
         for name in phase.sections() {
@@ -65,9 +73,10 @@ fn each_section_prints_alone_and_runs_only_its_phase() {
             // One fleet job per planned unit of this phase, none of any
             // other.
             assert_eq!(submitted.value() - before, study.unit_count(&phases) as u64, "{name}");
+            assert_eq!(unit_spans(), study.unit_count(&phases), "{name}");
             let (_, text) = full.iter().find(|(n, _)| *n == name).expect("in the full document");
             assert_eq!(doc, format!("{header}{text}"), "{name}");
         }
     }
-    panoptes_obs::disable(panoptes_obs::METRICS);
+    panoptes_obs::disable(panoptes_obs::METRICS | panoptes_obs::TRACE);
 }

@@ -10,9 +10,9 @@
 //! * every unit computes exactly what the sequential path computes —
 //!   same flows, same ids, same virtual timestamps — because nothing a
 //!   unit observes depends on which worker ran it or when;
-//! * results are re-ordered into the submission order before they are
-//!   returned, so downstream renderers and exporters see the byte-exact
-//!   sequential output.
+//! * results are re-ordered into the submission order ([`execute`]) or
+//!   by the caller ([`execute_each`]), so downstream renderers and
+//!   exporters see the byte-exact sequential output.
 //!
 //! `tests/fleet_determinism.rs` (workspace root) enforces the guarantee
 //! end-to-end: the full-study export is byte-identical for any worker
@@ -31,11 +31,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex as StdMutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use panoptes_browsers::{BrowserProfile, BrowsingMode};
 use panoptes_simnet::clock::SimDuration;
@@ -174,20 +172,43 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs `runner(0..labels.len())` across a bounded worker pool and
-/// returns the results **in submission order** — the fleet's generic
-/// engine, also usable for non-campaign workloads (and for fault
-/// injection in tests).
-///
-/// With one effective worker the units run sequentially on the calling
-/// thread: no worker threads, same in-order execution as a plain loop.
-/// Panic isolation applies in both modes.
+/// [`execute_each`], collected: the results **in submission order**.
 pub fn execute<T, F>(
     labels: &[String],
     options: &FleetOptions,
     runner: F,
 ) -> Result<Vec<T>, FleetError<T>>
 where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut completed: Vec<Option<T>> = labels.iter().map(|_| None).collect();
+    let mut failures: Vec<FleetFailure> = Vec::new();
+    execute_each(labels, options, runner, |index, outcome| match outcome {
+        Ok(value) => completed[index] = Some(value),
+        Err(failure) => failures.push(failure),
+    });
+    if failures.is_empty() {
+        return Ok(completed.into_iter().flatten().collect());
+    }
+    failures.sort_by_key(|failure| failure.index);
+    Err(FleetError { failures, completed })
+}
+
+/// Runs `runner(0..labels.len())` across a bounded worker pool, which
+/// claims units in submission order, and hands each unit's outcome to
+/// `on_outcome` on the calling thread as it completes — the fleet's
+/// generic engine, also usable for fault injection in tests.
+///
+/// With one effective worker the units run in order on the calling
+/// thread, in its malloc arena, which measured faster than a worker
+/// thread's own. Panic isolation applies in both modes.
+pub fn execute_each<T, F>(
+    labels: &[String],
+    options: &FleetOptions,
+    runner: F,
+    mut on_outcome: impl FnMut(usize, Result<T, FleetFailure>),
+) where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
@@ -207,6 +228,7 @@ where
         );
     }
 
+    let failed = AtomicUsize::new(0);
     let run_one = |index: usize| -> Result<T, FleetFailure> {
         let _unit_span =
             panoptes_obs::trace::span_with("fleet.unit", None, || labels[index].clone());
@@ -243,6 +265,7 @@ where
                     index,
                     message: panic_message(payload.as_ref()),
                 };
+                failed.fetch_add(1, Ordering::Relaxed);
                 panoptes_obs::count!("fleet.units.failed", Runtime);
                 if options.progress {
                     panoptes_obs::progress::emit(
@@ -256,23 +279,13 @@ where
         }
     };
 
-    let mut slots: Vec<Option<T>> = Vec::with_capacity(n);
-    let mut failures: Vec<FleetFailure> = Vec::new();
-
     if jobs <= 1 {
         for index in 0..n {
-            match run_one(index) {
-                Ok(value) => slots.push(Some(value)),
-                Err(failure) => {
-                    failures.push(failure);
-                    slots.push(None);
-                }
-            }
+            on_outcome(index, run_one(index));
         }
     } else {
-        let results: Mutex<Vec<(usize, Result<T, FleetFailure>)>> =
-            Mutex::new(Vec::with_capacity(n));
         let next = AtomicUsize::new(0);
+        let (tx, rx) = mpsc::channel();
         // Hand the caller's request context (if any) across the worker
         // thread boundary, so units run for a served study keep carrying
         // its request id.
@@ -280,7 +293,8 @@ where
         crossbeam::thread::scope(|s| {
             let handles: Vec<_> = (0..jobs)
                 .map(|_| {
-                    s.spawn(|_| {
+                    let (tx, next, run_one) = (tx.clone(), &next, &run_one);
+                    s.spawn(move |_| {
                         let _ctx = ctx.map(panoptes_obs::ctx::enter);
                         panoptes_obs::gauge_add!("fleet.workers.active", 1);
                         let mut claimed = 0u64;
@@ -295,8 +309,10 @@ where
                             }
                             idle_us += wait_start.elapsed().as_micros() as u64;
                             claimed += 1;
-                            let outcome = run_one(index);
-                            results.lock().push((index, outcome));
+                            // The receiver is gone only if the caller panicked.
+                            if tx.send((index, run_one(index))).is_err() {
+                                break;
+                            }
                         }
                         // Per-worker balance: how many units this worker
                         // stole, and how long it spent waiting for work.
@@ -306,28 +322,18 @@ where
                     })
                 })
                 .collect();
+            drop(tx);
+            for (index, outcome) in rx {
+                on_outcome(index, outcome);
+            }
             for handle in handles {
-                // Worker bodies catch unit panics, so a worker thread
-                // itself never panics; join only for completion.
+                // A worker never panics (it catches unit panics). Join
+                // each one: its trace ring flushes on thread exit, after
+                // the scope's own join would return.
                 handle.join().expect("fleet worker survived");
             }
         })
         .expect("fleet scope");
-
-        // Re-order into submission order so downstream consumers see
-        // exactly the sequential sequence.
-        let mut collected = results.into_inner();
-        collected.sort_by_key(|(index, _)| *index);
-        debug_assert_eq!(collected.len(), n);
-        for (_, outcome) in collected {
-            match outcome {
-                Ok(value) => slots.push(Some(value)),
-                Err(failure) => {
-                    failures.push(failure);
-                    slots.push(None);
-                }
-            }
-        }
     }
 
     if options.progress {
@@ -335,23 +341,11 @@ where
             "fleet",
             &options.decorate(&format!(
                 "{}/{} units completed in {:?}",
-                n - failures.len(),
+                n - failed.into_inner(),
                 n,
                 started_at.elapsed()
             )),
         );
-    }
-
-    if failures.is_empty() {
-        Ok(slots
-            .into_iter()
-            .map(|slot| slot.expect("no failure recorded"))
-            .collect())
-    } else {
-        Err(FleetError {
-            failures,
-            completed: slots,
-        })
     }
 }
 
@@ -907,6 +901,26 @@ mod tests {
                 (0..17).map(|i| i * 10).collect::<Vec<_>>(),
                 "jobs={jobs}"
             );
+        }
+    }
+
+    #[test]
+    fn execute_each_hands_every_outcome_to_the_calling_thread() {
+        let caller = std::thread::current().id();
+        for jobs in [1, 3] {
+            let mut seen = Vec::new();
+            let runner = |i: usize| (i, std::thread::current().id());
+            execute_each(&labels(7), &FleetOptions::with_jobs(jobs), runner, |index, outcome| {
+                assert_eq!(std::thread::current().id(), caller, "jobs={jobs}");
+                let (i, ran_on) = outcome.expect("no failures");
+                assert_eq!(i, index);
+                if jobs == 1 {
+                    assert_eq!(ran_on, caller, "one worker runs units on the calling thread");
+                }
+                seen.push(index);
+            });
+            seen.sort_unstable();
+            assert_eq!(seen, (0..7).collect::<Vec<_>>(), "jobs={jobs}");
         }
     }
 

@@ -91,15 +91,16 @@ fn decode_with(alphabet: &[u8; 64], input: &str) -> Result<Vec<u8>, B64Error> {
         0 if pad > 0 && !body.len().is_multiple_of(4) => return Err(B64Error::InvalidLength(bytes.len())),
         _ => {}
     }
+    // Check the whole alphabet before allocating: most values the
+    // analysis tries are not Base64 at all.
+    if let Some(index) = body.iter().position(|&b| table[b as usize] < 0) {
+        return Err(B64Error::InvalidByte { index, byte: body[index] });
+    }
     let mut out = Vec::with_capacity(body.len() * 3 / 4);
     let mut acc: u32 = 0;
     let mut nbits = 0u32;
-    for (i, &b) in body.iter().enumerate() {
-        let v = table[b as usize];
-        if v < 0 {
-            return Err(B64Error::InvalidByte { index: i, byte: b });
-        }
-        acc = (acc << 6) | v as u32;
+    for &b in body {
+        acc = (acc << 6) | table[b as usize] as u32;
         nbits += 6;
         if nbits >= 8 {
             nbits -= 8;

@@ -163,7 +163,10 @@ impl Url {
         text.push_str(host_raw);
         text[host_at..].make_ascii_lowercase();
         let host = Atom::intern(&text[host_at..]);
-        if let Some(p) = port.filter(|&p| p != scheme.default_port()) {
+        // Like the text, the URL keeps only a port other than the
+        // scheme's default, so equal texts compare and hash equal.
+        let port = port.filter(|&p| p != scheme.default_port());
+        if let Some(p) = port {
             let _ = write!(text, ":{p}");
         }
         let path_at = text.len();
@@ -447,6 +450,23 @@ mod tests {
     fn default_port_not_serialized() {
         let u = Url::parse("https://example.com:443/x").unwrap();
         assert_eq!(u.as_str(), "https://example.com/x");
+    }
+
+    #[test]
+    fn equality_follows_the_text() {
+        let hash = |u: &Url| {
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            std::hash::Hash::hash(u, &mut h);
+            std::hash::Hasher::finish(&h)
+        };
+        let explicit = Url::parse("https://example.com:443/x").unwrap();
+        let implicit = Url::parse("https://example.com/x").unwrap();
+        assert_eq!(explicit, implicit);
+        assert_eq!(hash(&explicit), hash(&implicit));
+        assert_eq!(explicit.port(), 443);
+        let other = Url::parse("https://example.com:8443/x").unwrap();
+        assert_ne!(other, implicit);
+        assert_eq!(other.port(), 8443);
     }
 
     #[test]

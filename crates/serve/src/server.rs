@@ -344,7 +344,7 @@ fn parse_params(request: &Request) -> Result<StudyParams, String> {
     }
     if let Some(sites) = request.param("sites") {
         let n: u32 = sites.parse().map_err(|_| format!("bad sites {sites:?}"))?;
-        params.tail = n.saturating_sub(params.popular + params.sensitive);
+        params.tail = params.scale().with_sites(n).tail;
     }
     params.study().validate(None)?;
     Ok(params)
@@ -444,5 +444,27 @@ impl Drop for AdmissionPermit {
         }
         panoptes_obs::gauge_add!("serve.admission.active", -1);
         self.admission.freed.notify_one();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn request(query: &[(&str, &str)]) -> Request {
+        Request {
+            method: "GET".to_string(),
+            path: "/study".to_string(),
+            query: query.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
+        }
+    }
+
+    #[test]
+    fn parse_params_rejects_a_site_count_that_overflows() {
+        let head = [("popular", "4294967295"), ("sensitive", "1")];
+        assert!(parse_params(&request(&head)).is_err());
+        assert!(parse_params(&request(&[head[0], head[1], ("sites", "5")])).is_err());
+        let sites = parse_params(&request(&[("popular", "3"), ("sensitive", "2"), ("sites", "9")]));
+        assert_eq!(sites.map(|params| params.tail), Ok(4));
     }
 }

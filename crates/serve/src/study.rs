@@ -11,10 +11,10 @@
 //! request. Each job is `repro`'s unit job ([`analyse_unit`]): the
 //! worker that captures a crawl folds it into the analysis as it is
 //! captured, and hands back only the analysis. The request's handler
-//! thread re-sequences the analyses, assembles each phase the moment
-//! its last unit arrives ([`assemble`], as `repro` does), renders and
-//! streams it. Concatenating the streamed `header`/`section` payload
-//! bytes reproduces `repro`'s stdout exactly (enforced by
+//! thread feeds the analyses to `repro`'s re-sequencer ([`Assembly`]),
+//! which hands each phase over the moment its last unit arrives, then
+//! renders and streams it. Concatenating the streamed `header`/`section`
+//! payload bytes reproduces `repro`'s stdout exactly (enforced by
 //! `tests/serve_determinism.rs`).
 //!
 //! Backpressure: the lane is opened with a small credit allowance and
@@ -41,7 +41,7 @@ use panoptes::fleet::{FleetOptions, WorkPool};
 use panoptes_analysis::engine::AnalysisResources;
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::render;
-use panoptes_bench::study::{analyse_unit, assemble, Phase, Study, UnitAnalysis};
+use panoptes_bench::study::{analyse_unit, Analysed, Assembly, Phase, Study, UnitAnalysis};
 use panoptes_blocklist::filterlist::easylist_excerpt;
 use panoptes_browsers::registry::population;
 use panoptes_browsers::BrowserProfile;
@@ -121,7 +121,7 @@ impl StudyParams {
             self.sensitive,
             self.population,
             if self.tail > 0 {
-                format!("--sites {}", self.popular + self.sensitive + self.tail)
+                format!("--sites {}", self.scale().sites())
             } else {
                 String::new()
             }
@@ -497,7 +497,7 @@ impl StudyEngine {
             sensitive: params.sensitive,
             tail: params.tail,
         };
-        let sites = u64::from(params.popular + params.sensitive + params.tail);
+        let sites = scale.sites();
         let Some(cache) = &self.cache else {
             // Cache-disabled baseline: every request pays full price,
             // including the per-session filterlist compile the offline
@@ -560,14 +560,10 @@ impl StudyEngine {
         sink.event(&ev_header(&tag, &header))
             .map_err(StudyError::Disconnected)?;
 
-        // Units in submission order: the offline study's plan, its
-        // three phases back to back, each unit with one result slot.
+        // Units in submission order: the offline study's plan.
         let plan = params.study().plan(&Phase::ALL, &arts.profiles, &arts.config);
         let total: usize = plan.iter().map(|(_, units)| units.len()).sum();
-        let mut slots: Vec<(Phase, Vec<Option<UnitAnalysis>>)> = plan
-            .iter()
-            .map(|(phase, units)| (*phase, units.iter().map(|_| None).collect()))
-            .collect();
+        let mut assembly = Assembly::new(&plan);
 
         self.pool.open_lane(lane, self.credits);
         let mut lane_guard = LaneGuard {
@@ -575,7 +571,7 @@ impl StudyEngine {
             lane,
             completed: false,
         };
-        let (tx, rx) = mpsc::channel::<(usize, usize, UnitAnalysis)>();
+        let (tx, rx) = mpsc::channel::<(usize, UnitAnalysis)>();
         // The pool workers are long-lived threads with no thread-local
         // context of their own: the request's trace context is captured
         // here (it is `Copy`) and re-entered inside each job, so unit
@@ -586,85 +582,58 @@ impl StudyEngine {
             progress: self.narrate,
             tag: Some(tag.clone()),
         };
-        for (group, (_, units)) in plan.into_iter().enumerate() {
-            for (idx, unit) in units.into_iter().enumerate() {
-                let (world, res) = (Arc::clone(&arts.world), Arc::clone(&arts.res));
-                let (config, options, tx) = (arts.config.clone(), options.clone(), tx.clone());
-                let accepted = self.pool.push(
-                    lane,
-                    Box::new(move || {
-                        let _ctx = ctx.map(panoptes_obs::ctx::enter);
-                        let _span = panoptes_obs::trace::span_with("serve.unit", None, || {
-                            options.decorate(&unit.label())
-                        });
-                        let analysis = analyse_unit(&world, &config, &res, &unit, false, &options);
-                        // A dropped receiver means the client disconnected
-                        // and the lane is being torn down; the result is
-                        // simply discarded.
-                        let _ = tx.send((group, idx, analysis));
-                    }),
-                );
-                if !accepted {
-                    return Err(StudyError::Fleet("pool rejected study unit".to_string()));
-                }
+        for (index, unit) in plan.into_iter().flat_map(|(_, units)| units).enumerate() {
+            let (world, res) = (Arc::clone(&arts.world), Arc::clone(&arts.res));
+            let (config, options, tx) = (arts.config.clone(), options.clone(), tx.clone());
+            let accepted = self.pool.push(
+                lane,
+                Box::new(move || {
+                    let _ctx = ctx.map(panoptes_obs::ctx::enter);
+                    let _span = panoptes_obs::trace::span_with("serve.unit", None, || {
+                        options.decorate(&unit.label())
+                    });
+                    let analysis = analyse_unit(&world, &config, &res, &unit, false, &options);
+                    // A dropped receiver means the client disconnected
+                    // and the lane is being torn down; the result is
+                    // simply discarded.
+                    let _ = tx.send((index, analysis));
+                }),
+            );
+            if !accepted {
+                return Err(StudyError::Fleet("pool rejected study unit".to_string()));
             }
         }
         drop(tx);
 
-        // Collect in completion order; assemble and emit each phase in
-        // document order the moment its last unit arrives.
-        let mut emitted = 0;
-        // The crawl phase's §3.2 analyses, kept for the normal arms.
-        let mut normal_arms = Vec::new();
         let mut sections: Vec<(String, String)> = Vec::new();
-
         for received in 0..total {
-            let Ok((group, idx, analysis)) = timed(&mut phases.capture_us, || rx.recv()) else {
+            let Ok((index, analysis)) = timed(&mut phases.capture_us, || rx.recv()) else {
                 // A unit panicked (its sender died without sending) —
                 // the lane guard cancels what's left.
                 return Err(StudyError::Fleet(
                     "a campaign unit failed; study aborted".to_string(),
                 ));
             };
-            slots[group].1[idx] = Some(analysis);
             self.recorder.study_progress(req.id, received + 1, total);
             sink.event(&ev_progress(&tag, received + 1, total))
                 .map_err(StudyError::Disconnected)?;
-
-            while let Some((phase, outputs)) = slots.get_mut(emitted) {
-                if !outputs.iter().all(Option::is_some) {
-                    break;
-                }
-                let outputs = outputs.drain(..).flatten();
-                let rendered = timed(&mut phases.render_us, || {
-                    assemble(*phase, outputs, &mut normal_arms).sections()
-                });
-                for (name, text) in rendered {
-                    sink.event(&ev_section(name, &text))
-                        .map_err(StudyError::Disconnected)?;
-                    sections.push((name.to_string(), text));
-                }
-                emitted += 1;
+            let rendered: Vec<_> = timed(&mut phases.render_us, || {
+                assembly.accept(index, analysis).iter().flat_map(Analysed::sections).collect()
+            });
+            for (name, text) in rendered {
+                sink.event(&ev_section(name, &text))
+                    .map_err(StudyError::Disconnected)?;
+                sections.push((name.to_string(), text));
             }
-
             // Results held for a not-yet-complete phase: the stream's
             // buffer occupancy.
-            let buffered: usize = slots[emitted..]
-                .iter()
-                .map(|(_, outputs)| outputs.iter().flatten().count())
-                .sum();
-            panoptes_obs::gauge_set!("serve.stream.buffered_units", buffered as i64);
+            panoptes_obs::gauge_set!("serve.stream.buffered_units", assembly.buffered() as i64);
 
             // The client drained everything due so far: release one
             // more unit into the pool (backpressure valve).
             self.pool.grant(lane, 1);
         }
 
-        if emitted < slots.len() {
-            return Err(StudyError::Fleet(
-                "study ended with incomplete groups".to_string(),
-            ));
-        }
         lane_guard.completed = true;
         drop(lane_guard);
         Ok(StudyDoc { header, sections })

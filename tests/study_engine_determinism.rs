@@ -4,9 +4,9 @@
 //!
 //! * as the sequential fused single pass over stored captures
 //!   ([`analyze_study`]),
-//! * or inside the study runner ([`Study::run`] — one fleet per phase,
-//!   each job analysing one crawl unit as it is captured, campaigns in
-//!   parallel).
+//! * or inside the study runner ([`Study::run`] — one fleet pass per
+//!   study, each job analysing one crawl unit as it is captured,
+//!   campaigns in parallel).
 //!
 //! Parallelism buys wall-clock time only, never a different report. The
 //! runner's live fold must also equal the stored analysis as whole
