@@ -29,7 +29,7 @@ use panoptes_blocklist::HostsList;
 use panoptes_browsers::BrowserProfile;
 use panoptes_device::DeviceProperties;
 use panoptes_geo::GeoDb;
-use panoptes_http::url::{registrable_suffix, Url};
+use panoptes_http::url::{host_of, registrable_suffix};
 use panoptes_mitm::{Flow, FlowClass};
 use panoptes_simnet::clock::SimDuration;
 use panoptes_web::site::SiteSpec;
@@ -68,7 +68,7 @@ pub struct QuotedRequest {
 /// The per-campaign ground truth every context-dependent detector joins
 /// against — visited URLs/hosts/domains and the sensitive subset —
 /// built once per campaign.
-#[derive(Debug, PartialEq)]
+#[derive(Debug, Default, PartialEq)]
 pub struct CrawlContext {
     /// URLs the harness navigated to.
     pub visited_urls: HashSet<String>,
@@ -85,47 +85,38 @@ pub struct CrawlContext {
 impl CrawlContext {
     /// Builds the context from a campaign's ground-truth visit log.
     pub fn of(result: &CampaignResult) -> CrawlContext {
-        CrawlContext::from_visits(
-            result
-                .visits
-                .iter()
-                .map(|v| (v.url.clone(), v.domain.as_str(), v.sensitive)),
-        )
+        let mut ctx = CrawlContext::default();
+        for v in &result.visits {
+            ctx.record(&v.url, host_of(&v.url), &v.domain, v.sensitive);
+        }
+        ctx
     }
 
     /// Builds, before the crawl starts, the context a crawl of `sites`
-    /// records: the crawl visits each site once, in order, at its
-    /// `url_string()`, so this equals [`CrawlContext::of`] the finished
-    /// crawl.
+    /// records: the crawl visits each site once, in order, at its `url`,
+    /// so this equals [`CrawlContext::of`] the finished crawl. Each host
+    /// is read from the world's URL, not parsed.
     pub fn of_sites(sites: &[SiteSpec]) -> CrawlContext {
-        CrawlContext::from_visits(
-            sites
-                .iter()
-                .map(|s| (s.url_string(), s.domain.as_str(), s.category.is_sensitive())),
-        )
-    }
-
-    /// Folds `(url, registrable domain, sensitive)` visits into a context.
-    fn from_visits<'v>(visits: impl Iterator<Item = (String, &'v str, bool)>) -> CrawlContext {
-        let mut ctx = CrawlContext {
-            visited_urls: HashSet::new(),
-            visited_hosts: HashSet::new(),
-            visited_domains: HashSet::new(),
-            sensitive_urls: HashSet::new(),
-            total_visits: 0,
-        };
-        for (url, domain, sensitive) in visits {
-            if let Ok(parsed) = Url::parse(&url) {
-                ctx.visited_hosts.insert(parsed.host().to_string());
-            }
-            ctx.visited_domains.insert(domain.to_string());
-            if sensitive {
-                ctx.sensitive_urls.insert(url.clone());
-            }
-            ctx.visited_urls.insert(url);
-            ctx.total_visits += 1;
+        let mut ctx = CrawlContext::default();
+        for s in sites {
+            let sensitive = s.category.is_sensitive();
+            ctx.record(s.url.as_str(), Some(s.url.host()), &s.domain, sensitive);
         }
         ctx
+    }
+
+    /// Adds one visit: its URL, its host (when it has one), its
+    /// registrable domain and whether it is sensitive.
+    fn record(&mut self, url: &str, host: Option<&str>, domain: &str, sensitive: bool) {
+        if let Some(host) = host {
+            self.visited_hosts.insert(host.to_owned());
+        }
+        self.visited_domains.insert(domain.to_owned());
+        if sensitive {
+            self.sensitive_urls.insert(url.to_owned());
+        }
+        self.visited_urls.insert(url.to_owned());
+        self.total_visits += 1;
     }
 }
 

@@ -40,10 +40,8 @@ pub fn generator_config(popular: u32, sensitive: u32) -> GeneratorConfig {
 pub fn sweep_urls(world: &World) -> Vec<Url> {
     let mut urls = Vec::new();
     for site in &world.sites {
-        urls.push(Url::parse(&site.url_string()).expect("site url"));
-        for r in &site.page.resources {
-            urls.push(Url::parse(&r.url_string()).expect("resource url"));
-        }
+        urls.push(site.url.clone());
+        urls.extend(site.page.resources.iter().map(|r| r.url.clone()));
     }
     urls
 }

@@ -205,16 +205,15 @@ impl Browser {
         );
         env.data.cookies = persistent_jar;
 
-        let visit_url = Url::parse(&site.url_string()).expect("valid site url");
         // DoH lookups triggered by the page load are native traffic too.
         let mut native_sent = engine.doh_lookups;
         let calls = self.profile.per_visit.clone();
         for call in &calls {
-            native_sent += self.send_native(env, call, Some(&visit_url));
+            native_sent += self.send_native(env, call, Some(&site.url));
         }
 
         VisitOutcome {
-            url: site.url_string(),
+            url: site.url.as_str().to_owned(),
             engine,
             native_sent,
             dom_content_loaded_at: dcl,

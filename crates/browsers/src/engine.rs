@@ -17,7 +17,7 @@ use panoptes_http::headers::vocab;
 use panoptes_http::request::HttpVersion;
 use panoptes_http::url::Url;
 use panoptes_http::useragent::UserAgent;
-use panoptes_http::{Atom, CookieJar, Cookie, Request};
+use panoptes_http::{Atom, CookieJar, Cookie, Headers, Request};
 use panoptes_simnet::clock::{SimClock, SimInstant};
 use panoptes_simnet::dns::ResolverKind;
 use panoptes_simnet::net::{ClientCtx, NetError, Network};
@@ -28,6 +28,11 @@ use panoptes_web::site::{ResourceKind, SiteSpec};
 /// Browsers fetch subresources concurrently; the virtual clock advances
 /// by `latency / PARALLELISM` per subresource to approximate that.
 const PARALLELISM: u64 = 8;
+
+/// Header fields an engine request carries at most: user agent, accept,
+/// accept-language, accept-encoding, referer, cookie and the taint
+/// header the instrumentation injects. Reserved once per request.
+const ENGINE_HEADERS: usize = 7;
 
 /// The client identity the engine sends with.
 #[derive(Debug, Clone)]
@@ -77,7 +82,9 @@ pub struct EngineSession {
     filter: Option<Arc<FilterList>>,
     attempts_h3: bool,
     dns_cache: HashSet<String>,
-    h3_blocked: HashSet<Atom>,
+    /// Hosts whose HTTP/3 attempt is settled, by host text (copied once
+    /// per host per session).
+    h3_blocked: HashSet<String>,
     /// Cookie jar used in incognito (discarded when the session ends).
     pub incognito_jar: CookieJar,
     user_agent: Atom,
@@ -179,10 +186,11 @@ impl EngineSession {
     /// once per host, taint through the tap, attach cookies, dispatch,
     /// store cookies. Returns the response when one was received.
     ///
-    /// Header names and constant values come from the process-wide
-    /// vocabulary and the user agent from the session; the referer and
-    /// the cookie are per-request values, built without the intern
-    /// table.
+    /// The request clones `url`, usually the world's, so a fetch parses
+    /// and formats no URL. Header names and constant values come from
+    /// the process-wide vocabulary and the user agent from the session;
+    /// the referer and the cookie are per-request values, built without
+    /// the intern table.
     #[allow(clippy::too_many_arguments)]
     fn fetch(
         &mut self,
@@ -191,27 +199,32 @@ impl EngineSession {
         clock: &mut SimClock,
         tap: Option<&Arc<dyn RequestTap>>,
         jar: &mut CookieJar,
-        url: Url,
+        url: &Url,
         stats: &mut EngineStats,
         full_latency: bool,
     ) -> Option<panoptes_http::Response> {
-        let host = url.host_atom().clone();
+        let host = url.host();
         if let Some(filter) = &self.filter {
-            if filter.should_block(&host, url.as_str()) {
+            if filter.should_block(host, url.as_str()) {
                 stats.adblocked += 1;
                 return None;
             }
         }
-        self.ensure_resolved(net, client, clock, &host, stats);
+        self.ensure_resolved(net, client, clock, host, stats);
 
         let v = vocab();
-        let mut req = Request::get(url);
+        let mut req = Request {
+            headers: Headers::with_capacity(ENGINE_HEADERS),
+            ..Request::get(url.clone())
+        };
         req.headers.set(v.user_agent.clone(), self.user_agent.clone());
         req.headers.set(v.accept.clone(), v.accept_document.clone());
         req.headers.set(v.accept_language.clone(), v.languages.clone());
         req.headers.set(v.accept_encoding.clone(), v.encodings.clone());
-        req.headers.set(v.referer.clone(), Atom::owned(&format!("https://{host}/")));
-        if let Some(cookie) = jar.header_for(&host) {
+        // Every engine URL is https on the default port, so its root is
+        // `https://{host}/`, copied from the URL's text.
+        req.headers.set(v.referer.clone(), Atom::owned(url.root()));
+        if let Some(cookie) = jar.header_for(host) {
             req.headers.set(v.cookie.clone(), Atom::owned(&cookie));
         }
         if let Some(tap) = tap {
@@ -220,27 +233,23 @@ impl EngineSession {
 
         // QUIC first where supported; the Panoptes filter drops it and
         // the engine falls back to h2 (§2.2).
-        if self.attempts_h3 && !self.h3_blocked.contains(&host) {
+        if self.attempts_h3 && !self.h3_blocked.contains(host) {
             let h3 = req.clone().with_version(HttpVersion::H3);
-            match net.send_http(&client.ctx(clock.now()), h3) {
-                Err(NetError::Dropped) => {
-                    self.h3_blocked.insert(host.clone());
-                    stats.h3_fallbacks += 1;
-                }
+            let sent = net.send_http(&client.ctx(clock.now()), h3);
+            self.h3_blocked.insert(host.to_owned());
+            match sent {
+                Err(NetError::Dropped) => stats.h3_fallbacks += 1,
                 Ok((resp, report)) => {
                     // No filter rule for this app: h3 went straight out.
-                    self.h3_blocked.insert(host.clone());
-                    return Some(self.finish(resp, report, clock, jar, &host, stats, full_latency));
+                    return Some(self.finish(resp, report, clock, jar, host, stats, full_latency));
                 }
-                Err(_) => {
-                    self.h3_blocked.insert(host.clone());
-                }
+                Err(_) => {}
             }
         }
 
         match net.send_http(&client.ctx(clock.now()), req.with_version(HttpVersion::H2)) {
             Ok((resp, report)) => {
-                Some(self.finish(resp, report, clock, jar, &host, stats, full_latency))
+                Some(self.finish(resp, report, clock, jar, host, stats, full_latency))
             }
             Err(_) => {
                 stats.failures += 1;
@@ -305,15 +314,15 @@ impl EngineSession {
         // 1. Main document (full latency — everything waits for it).
         // Real top sites answer on the apex with a redirect to www; the
         // engine follows up to three hops, each a captured flow.
-        let doc_url = Url::parse(&site.url_string()).expect("site urls are valid");
-        let mut current = doc_url.clone();
+        // Only a redirect target is parsed; the world built the rest.
+        let mut redirected: Option<Url> = None;
         for _hop in 0..=3 {
-            let response =
-                self.fetch(net, client, clock, tap, jar, current.clone(), &mut stats, true);
+            let url = redirected.as_ref().unwrap_or(&site.url);
+            let response = self.fetch(net, client, clock, tap, jar, url, &mut stats, true);
             match response {
                 Some(resp) if resp.status.is_redirect() => {
                     match resp.headers.get("location").and_then(|l| Url::parse(l).ok()) {
-                        Some(next) => current = next,
+                        Some(next) => redirected = Some(next),
                         None => break,
                     }
                 }
@@ -323,7 +332,7 @@ impl EngineSession {
 
         // 2. Subresources, third parties, ads (parallel-ish).
         for r in &site.page.resources {
-            let url = Url::parse(&r.url_string()).expect("resource urls are valid");
+            let url = &r.url;
             // Engine-side ad blocking also consults the resource kind:
             // easylist's URL rules plus the element-hiding heuristics.
             if self.filter.is_some() && r.kind == ResourceKind::Ad {
@@ -346,10 +355,10 @@ impl EngineSession {
         if let Some(collector) = js_collector {
             let url = Url::https(collector)
                 .with_path("/v1/pv")
-                .with_query_param("url", doc_url.as_str())
+                .with_query_param("url", site.url.as_str())
                 .with_query_param("city", &props.city)
                 .with_query_param("isp", &props.isp);
-            self.fetch(net, client, clock, tap, jar, url, &mut stats, false);
+            self.fetch(net, client, clock, tap, jar, &url, &mut stats, false);
         }
 
         if incognito {

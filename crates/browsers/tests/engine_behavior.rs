@@ -97,7 +97,7 @@ fn cookies_persist_across_visits_in_normal_mode() {
         .store
         .engine_flows()
         .into_iter()
-        .find(|f| f.host == site.host && f.url.ends_with(&site.landing_path))
+        .find(|f| f.host == site.host && f.url.ends_with(site.url.path()))
         .expect("document flow");
     assert!(doc.header("cookie").is_some(), "persistent jar replays cookies");
 }

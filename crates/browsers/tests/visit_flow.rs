@@ -103,7 +103,7 @@ fn yandex_leaks_full_url_and_persistent_id() {
     let url = panoptes_http::Url::parse(&sba[0].url).unwrap();
     let encoded = url.query_param("url").unwrap();
     let decoded = String::from_utf8(b64_decode_url(&encoded).unwrap()).unwrap();
-    assert_eq!(decoded, site.url_string(), "full URL recovered from Base64 param");
+    assert_eq!(decoded, site.url.as_str(), "full URL recovered from Base64 param");
 
     let api: Vec<_> = native.iter().filter(|f| f.host == "api.browser.yandex.ru").collect();
     assert_eq!(api.len(), 1);

@@ -195,7 +195,7 @@ fn crawl(
         let start = bed.clock.now();
         if let Some(cdp) = cdp.as_mut() {
             cdp.reset_events();
-            cdp.navigate(&panoptes_http::Url::parse(&site.url_string()).expect("valid"));
+            cdp.navigate(&site.url);
         }
 
         let outcome = {

@@ -158,7 +158,7 @@ impl HttpHandler for TransparentProxy {
         // Only connection metadata is observable for pinned flows.
         let placeholder = Request {
             method: Method::Connect,
-            url: panoptes_http::url::Url::https_for(ctx.sni.clone()),
+            url: panoptes_http::url::Url::https(&ctx.sni),
             headers: panoptes_http::Headers::new(),
             body: bytes::Bytes::new(),
             version: ctx.version,

@@ -9,10 +9,10 @@
 //!   `static` and never freed. Cloning one copies a pointer and dropping
 //!   it does nothing, so the workers of a fleet never write to a shared
 //!   reference count. The header vocabulary of [`crate::headers::vocab`]
-//!   (names, constant values, the taint header), [`Atom::default`], the
-//!   CA ids and the DoH provider hosts take this form. A string literal
-//!   on the capture path is a process constant, so library code never
-//!   interns one (`tools/check_no_cloning.sh` enforces it).
+//!   (names, constant values, the taint header), [`Atom::default`] and
+//!   the CA ids take this form. A string literal on the capture path is
+//!   a process constant, so library code never interns one
+//!   (`tools/check_no_cloning.sh` enforces it).
 //! - **Interned** ([`Atom::intern`] and the `From` impls): looked up in a
 //!   sharded, process-wide table under one shard's lock. Equal inputs
 //!   yield pointer-identical atoms, whatever thread or shard did the
@@ -28,12 +28,16 @@
 //!   content lengths are built this way: in the table they would cost a
 //!   locked lookup per request and grow it with every new value.
 //!
-//! Capture therefore interns little beyond the host `Url::parse` reads
-//! once per request (the fold reads a flow's URL as text and interns
-//! nothing): at quick scale the 15 pinned crawls make 1.18 interns and
-//! 23.5 heap allocations per captured flow, and `tests/capture_budget.rs`
-//! pins ceilings of 1.24 and 24.35. The deterministic
-//! `atom.intern.calls` counter (under METRICS) counts every intern.
+//! Only world build and campaign set-up intern. A world interns each of
+//! its hosts once and shares the atom between a site's plan and the
+//! route table; a [`crate::url::Url`] holds its host as text, so
+//! parsing, building or cloning one interns nothing, and the DNS log
+//! names a host by its route's atom. At quick scale the 15 pinned
+//! crawls make 83 interns in all (0.004 per captured flow, each crawl's
+//! set-up) and 16.53 heap allocations per captured flow, and
+//! `tests/capture_budget.rs` pins ceilings of 0.00405 and 17.11. The
+//! deterministic `atom.intern.calls` counter (under METRICS) counts
+//! every intern.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;

@@ -13,7 +13,7 @@ use crate::method::Method;
 use crate::request::{HttpVersion, Request};
 use crate::response::Response;
 use crate::status::StatusCode;
-use crate::url::Url;
+use crate::url::{Scheme, Url};
 
 /// An HTTP/1.1 parse error with a human-readable cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -104,8 +104,8 @@ pub fn parse_request(input: &[u8], https: bool) -> Result<Request, H1Error> {
         return Err(err("truncated body"));
     }
 
-    let scheme = if https { "https" } else { "http" };
-    let url = Url::parse(&format!("{scheme}://{host}{target}"))
+    let scheme = if https { Scheme::Https } else { Scheme::Http };
+    let url = Url::parse_parts(scheme, &host, target)
         .map_err(|e| err(&format!("bad target url: {e}")))?;
     Ok(Request {
         method,

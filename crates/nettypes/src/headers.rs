@@ -16,8 +16,11 @@ use crate::atom::Atom;
 /// reference count. A session's user agent and a seed's taint token are
 /// interned once, and per-request values (referers, cookies, content
 /// lengths, redirect targets) are [`Atom::owned`], outside the intern
-/// table; cloning either is a reference-count bump. Setting a header on
-/// the capture path therefore takes no lock.
+/// table; cloning either is a reference-count bump. An engine request's
+/// referer is the root of its own URL (`https://{host}/`,
+/// `Url::root`), copied from the URL's text into its owned atom with no
+/// formatting. Setting a header on the capture path therefore takes no
+/// lock.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeaderField {
     /// Field name exactly as set (original casing preserved for the wire).
@@ -36,6 +39,12 @@ impl Headers {
     /// Creates an empty header map.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an empty header map with room for `fields` fields, for a
+    /// request whose header count is known before it is built.
+    pub fn with_capacity(fields: usize) -> Self {
+        Headers { fields: Vec::with_capacity(fields) }
     }
 
     /// Appends a field, keeping any existing fields with the same name.

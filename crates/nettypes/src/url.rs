@@ -9,14 +9,21 @@
 //! 3. the **registrable domain** (eTLD+1 — the unit used to decide whether
 //!    a native request goes to a third party).
 //!
-//! A [`Url`] holds its canonical wire text in one `String`: the scheme,
-//! the lowercased host, a port other than the scheme's default, the path
-//! (`/` when empty), the query and the fragment. Beside the text it keeps
-//! the byte offsets where the path, query and fragment begin, and the host
-//! as an interned [`Atom`]. The text is what [`Url::as_str`] borrows, what
-//! `Display` writes, what a captured flow records and what wire-size
-//! accounting measures, so a URL is serialised once, when it is parsed or
-//! built, and never again.
+//! A [`Url`] is its canonical wire text in one `String`: the scheme, the
+//! lowercased host, a port other than the scheme's default, the path (`/`
+//! when empty), the query and the fragment. Beside the text it keeps only
+//! the scheme, the port and, as `u32`s, the byte offsets where the host
+//! ends and the path, query and fragment begin, so a `Url` is 48 bytes on
+//! a 64-bit target. It holds no interned host: [`Url::host`] slices the
+//! text, and neither parsing nor building a URL touches the atom table.
+//! The text is what [`Url::as_str`] borrows, what `Display` writes, what
+//! a captured flow records and what wire-size accounting measures, so a
+//! URL is serialised once, when it is parsed or built, and never again.
+//! A text longer than `u32::MAX` bytes is rejected ([`UrlError::TooLong`])
+//! rather than given a truncated offset.
+//!
+//! A world plan that writes its URLs in canonical form builds each with
+//! [`Url::https_at`]: one allocation of exact size, no parse.
 //!
 //! The query is stored percent-encoded as `k=v` pairs joined by `&`.
 //! [`Url::parse`] copies a component that holds only unreserved bytes and
@@ -31,7 +38,6 @@
 use std::borrow::Cow;
 use std::fmt::Write as _;
 
-use crate::atom::Atom;
 use crate::codec::percent::{
     is_unreserved_component, percent_decode, percent_decode_cow, percent_encode_component_into,
 };
@@ -72,6 +78,9 @@ pub enum UrlError {
     BadHost(String),
     /// Port was present but not a valid u16.
     BadPort(String),
+    /// The canonical text is longer than `u32::MAX` bytes, past what a
+    /// [`Url`]'s offsets can address (its length in bytes).
+    TooLong(usize),
 }
 
 impl std::fmt::Display for UrlError {
@@ -80,6 +89,7 @@ impl std::fmt::Display for UrlError {
             UrlError::BadScheme(s) => write!(f, "unsupported or missing scheme in {s:?}"),
             UrlError::BadHost(s) => write!(f, "malformed host in {s:?}"),
             UrlError::BadPort(s) => write!(f, "malformed port {s:?}"),
+            UrlError::TooLong(n) => write!(f, "URL text of {n} bytes exceeds u32::MAX"),
         }
     }
 }
@@ -92,18 +102,22 @@ impl std::error::Error for UrlError {}
 pub struct Url {
     /// The canonical wire text.
     text: String,
-    scheme: Scheme,
-    /// Interned: hostnames repeat heavily across a study's requests, so
-    /// cloning a URL's host bumps a reference count instead of copying
-    /// the name.
-    host: Atom,
-    port: Option<u16>,
+    /// Offset just past the host, where the port's `:` or the path begins.
+    host_end: u32,
     /// Offset of the path's leading `/` in `text`.
-    path_at: usize,
+    path_at: u32,
     /// Offset of the query's `?`, or `fragment_at` when there is no query.
-    query_at: usize,
+    query_at: u32,
     /// Offset of the fragment's `#`, or `text.len()` when there is none.
-    fragment_at: usize,
+    fragment_at: u32,
+    port: Option<u16>,
+    scheme: Scheme,
+}
+
+/// A text offset as a [`Url`] stores it. The builders that grow a text
+/// past `u32::MAX` bytes panic here rather than truncate an offset.
+fn offset(at: usize) -> u32 {
+    u32::try_from(at).expect("URL text longer than u32::MAX bytes")
 }
 
 impl Url {
@@ -123,8 +137,18 @@ impl Url {
             Some(i) => (&rest[..i], &rest[i..]),
             None => (rest, ""),
         };
+        Url::parse_parts(scheme, authority, after)
+    }
+
+    /// Parses the URL whose authority (`host[:port]`) and remainder
+    /// (path, query and fragment) arrive apart, as an HTTP/1 `Host`
+    /// header and origin-form target do: [`Url::parse`] of
+    /// `{scheme}://{authority}{after}`, without joining them first. An
+    /// authority holding `/`, `?` or `#` is a malformed host.
+    pub fn parse_parts(scheme: Scheme, authority: &str, after: &str) -> Result<Url, UrlError> {
+        debug_assert!(after.is_empty() || after.starts_with(['/', '?', '#']));
         if authority.is_empty() {
-            return Err(UrlError::BadHost(input.to_string()));
+            return Err(UrlError::BadHost(String::new()));
         }
         let (host_raw, port) = match authority.rsplit_once(':') {
             Some((h, p)) if !p.is_empty() && p.bytes().all(|b| b.is_ascii_digit()) => {
@@ -141,7 +165,7 @@ impl Url {
                 .bytes()
                 .all(|b| b.is_ascii_alphanumeric() || matches!(b, b'-' | b'.' | b'_'))
         {
-            return Err(UrlError::BadHost(input.to_string()));
+            return Err(UrlError::BadHost(authority.to_string()));
         }
 
         // Split path / query / fragment.
@@ -156,13 +180,14 @@ impl Url {
 
         // The canonical text is rarely longer than the input: only an
         // empty path, a bare key or a re-encoded byte adds to it.
-        let mut text = String::with_capacity(input.len() + 1);
+        let input_len = scheme.as_str().len() + "://".len() + authority.len() + after.len();
+        let mut text = String::with_capacity(input_len + 1);
         text.push_str(scheme.as_str());
         text.push_str("://");
         let host_at = text.len();
         text.push_str(host_raw);
         text[host_at..].make_ascii_lowercase();
-        let host = Atom::intern(&text[host_at..]);
+        let host_end = text.len();
         // Like the text, the URL keeps only a port other than the
         // scheme's default, so equal texts compare and hash equal.
         let port = port.filter(|&p| p != scheme.default_port());
@@ -184,39 +209,63 @@ impl Url {
             text.push('#');
             text.push_str(f);
         }
+        if u32::try_from(text.len()).is_err() {
+            return Err(UrlError::TooLong(text.len()));
+        }
 
-        Ok(Url { text, scheme, host, port, path_at, query_at, fragment_at })
+        Ok(Url {
+            host_end: offset(host_end),
+            path_at: offset(path_at),
+            query_at: offset(query_at),
+            fragment_at: offset(fragment_at),
+            text,
+            port,
+            scheme,
+        })
     }
 
     /// Builds an `https` URL for `host` with path `/`.
     pub fn https(host: &str) -> Url {
-        let host = if host.bytes().any(|b| b.is_ascii_uppercase()) {
-            Atom::from(host.to_ascii_lowercase())
+        if host.bytes().any(|b| b.is_ascii_uppercase()) {
+            Url::https_at(&host.to_ascii_lowercase(), "/")
         } else {
-            Atom::intern(host)
-        };
-        Url::https_for(host)
+            Url::https_at(host, "/")
+        }
     }
 
-    /// Builds an `https` URL with path `/` for a host the caller already
-    /// holds as a lowercase atom (a static provider host, a flow's SNI),
-    /// without an intern-table lookup.
-    pub fn https_for(host: Atom) -> Url {
-        debug_assert!(!host.bytes().any(|b| b.is_ascii_uppercase()));
-        let mut text = String::with_capacity("https://".len() + host.len() + 1);
-        text.push_str("https://");
-        text.push_str(&host);
+    /// Builds the `https` URL on the default port of `host` and `target`
+    /// (the path, then any query), both already canonical: the host
+    /// lowercase, and the target exactly as [`Url::parse`] would write
+    /// it, with no fragment. The text is copied once, into a `String` of
+    /// its exact size, and nothing is parsed, decoded or re-encoded.
+    pub fn https_at(host: &str, target: &str) -> Url {
+        debug_assert!(
+            !host.is_empty()
+                && host.bytes().all(|b| {
+                    b.is_ascii_lowercase() || b.is_ascii_digit() || matches!(b, b'-' | b'.' | b'_')
+                }),
+            "not a canonical host: {host:?}"
+        );
+        debug_assert!(
+            target.starts_with('/') && !target.contains('#'),
+            "not a canonical target: {target:?}"
+        );
+        const SCHEME: &str = "https://";
+        let mut text = String::with_capacity(SCHEME.len() + host.len() + target.len());
+        text.push_str(SCHEME);
+        text.push_str(host);
         let path_at = text.len();
-        text.push('/');
-        let end = text.len();
+        text.push_str(target);
+        let query_at = target.find('?').map_or(text.len(), |i| path_at + i);
+        let (path_at, end) = (offset(path_at), offset(text.len()));
         Url {
             text,
-            scheme: Scheme::Https,
-            host,
-            port: None,
+            host_end: path_at,
             path_at,
-            query_at: end,
+            query_at: offset(query_at),
             fragment_at: end,
+            port: None,
+            scheme: Scheme::Https,
         }
     }
 
@@ -231,15 +280,16 @@ impl Url {
         self.scheme
     }
 
-    /// Lowercased hostname.
+    /// Lowercased hostname, sliced from the text.
     pub fn host(&self) -> &str {
-        &self.host
+        &self.text[self.scheme.as_str().len() + "://".len()..self.host_end as usize]
     }
 
-    /// The hostname as its atom — for callers that keep it (cloning an
-    /// [`Atom`] copies no string).
-    pub fn host_atom(&self) -> &Atom {
-        &self.host
+    /// The text up to and including the path's leading `/`: the URL of
+    /// the root page of this URL's origin (`https://host/`, with any
+    /// port other than the default).
+    pub fn root(&self) -> &str {
+        &self.text[..=self.path_at as usize]
     }
 
     /// Effective port (explicit, or the scheme default).
@@ -249,7 +299,7 @@ impl Url {
 
     /// The path component (always starts with `/`).
     pub fn path(&self) -> &str {
-        &self.text[self.path_at..self.query_at]
+        &self.text[self.path_at as usize..self.query_at as usize]
     }
 
     /// The encoded query, without its `?` (empty when there is none).
@@ -257,7 +307,7 @@ impl Url {
         if self.query_at == self.fragment_at {
             ""
         } else {
-            &self.text[self.query_at + 1..self.fragment_at]
+            &self.text[self.query_at as usize + 1..self.fragment_at as usize]
         }
     }
 
@@ -274,12 +324,12 @@ impl Url {
 
     /// Returns a copy with `key=value` appended to the query.
     pub fn with_query_param(mut self, key: &str, value: &str) -> Url {
-        let fragment = self.text.split_off(self.fragment_at);
+        let fragment = self.text.split_off(self.fragment_at as usize);
         self.text.push(if self.query_at == self.fragment_at { '?' } else { '&' });
         percent_encode_component_into(&mut self.text, key);
         self.text.push('=');
         percent_encode_component_into(&mut self.text, value);
-        self.fragment_at = self.text.len();
+        self.fragment_at = offset(self.text.len());
         self.text.push_str(&fragment);
         self
     }
@@ -287,10 +337,10 @@ impl Url {
     /// Returns a copy with the given path (must start with `/`).
     pub fn with_path(mut self, path: &str) -> Url {
         debug_assert!(path.starts_with('/'));
-        self.text.replace_range(self.path_at..self.query_at, path);
-        let end = self.path_at + path.len();
-        self.fragment_at = self.fragment_at - self.query_at + end;
-        self.query_at = end;
+        self.text.replace_range(self.path_at as usize..self.query_at as usize, path);
+        let end = self.path_at as usize + path.len();
+        self.fragment_at = offset(self.fragment_at as usize - self.query_at as usize + end);
+        self.query_at = offset(end);
         self
     }
 
@@ -319,8 +369,8 @@ impl Url {
             }
         }
         if changed > 0 {
-            self.text.replace_range(self.query_at..self.fragment_at, &query);
-            self.fragment_at = self.query_at + query.len();
+            self.text.replace_range(self.query_at as usize..self.fragment_at as usize, &query);
+            self.fragment_at = offset(self.query_at as usize + query.len());
         }
         changed
     }
@@ -332,7 +382,7 @@ impl Url {
     /// the simulated web plus the common real-world ones the paper's
     /// domains use (`.com`, `.net`, `.org`, `.ru`, `.cn`, `.co.uk`, ...).
     pub fn registrable_domain(&self) -> String {
-        registrable_domain(&self.host)
+        registrable_domain(self.host())
     }
 }
 
@@ -363,6 +413,17 @@ fn pairs_of(query: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
 pub fn query_pairs(url: &str) -> impl Iterator<Item = (Cow<'_, str>, Cow<'_, str>)> {
     let before_fragment = url.split_once('#').map_or(url, |(before, _)| before);
     pairs_of(before_fragment.split_once('?').map_or("", |(_, query)| query))
+}
+
+/// The host of a URL held only as its canonical text (a captured flow's
+/// or a visit's `url`), read without parsing it into a [`Url`]: the text
+/// between `://` and the port, path, query or fragment, exactly as
+/// [`Url::host`] returns it for the parsed URL. `None` when the text has
+/// no `://` or an empty host.
+pub fn host_of(url: &str) -> Option<&str> {
+    let (_, rest) = url.split_once("://")?;
+    let host = &rest[..rest.find([':', '/', '?', '#']).unwrap_or(rest.len())];
+    (!host.is_empty()).then_some(host)
 }
 
 impl std::fmt::Display for Url {
@@ -528,6 +589,39 @@ mod tests {
             assert_eq!(query_pairs(u.as_str()).collect::<Vec<_>>(), parsed, "for {s}");
             assert_eq!(query_pairs(s).collect::<Vec<_>>(), parsed, "for {s}");
         }
+    }
+
+    #[test]
+    fn text_host_matches_the_parsed_host() {
+        for s in ["https://t.example/p?q=1", "http://a.com:8080/x#f", "https://h.example?x=1"] {
+            let u = Url::parse(s).unwrap();
+            assert_eq!(host_of(u.as_str()), Some(u.host()), "for {s}");
+        }
+        assert_eq!(host_of("no-scheme"), None);
+        assert_eq!(host_of("https:///path"), None);
+    }
+
+    #[test]
+    fn parts_parse_like_the_joined_text() {
+        let joined = Url::parse("https://Example.com:8443/p?q=a b#f").unwrap();
+        let parts = Url::parse_parts(Scheme::Https, "Example.com:8443", "/p?q=a b#f").unwrap();
+        assert_eq!(parts, joined);
+        assert!(matches!(
+            Url::parse_parts(Scheme::Https, "a.com/x", "/y"),
+            Err(UrlError::BadHost(_))
+        ));
+    }
+
+    #[test]
+    fn built_urls_equal_their_parse() {
+        let at = Url::https_at("cdn.site.example", "/api/feed?page=3");
+        assert_eq!(at, Url::parse("https://cdn.site.example/api/feed?page=3").unwrap());
+        assert_eq!(at.host(), "cdn.site.example");
+        assert_eq!(at.path(), "/api/feed");
+        assert_eq!(at.query_param("page").as_deref(), Some("3"));
+        assert_eq!(at.root(), "https://cdn.site.example/");
+        assert_eq!(Url::https("WWW.Example.com"), Url::parse("https://www.example.com").unwrap());
+        assert_eq!(Url::parse("http://a.com:8080/x").unwrap().root(), "http://a.com:8080/");
     }
 
     #[test]

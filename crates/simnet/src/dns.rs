@@ -77,28 +77,20 @@ pub enum DohProvider {
     Google,
 }
 
-static CLOUDFLARE_HOST: Atom = Atom::from_static(&"cloudflare-dns.com");
-static GOOGLE_HOST: Atom = Atom::from_static(&"dns.google");
-
 impl DohProvider {
     /// The resolver endpoint hostname.
     pub fn host(self) -> &'static str {
-        self.host_atom().as_str()
-    }
-
-    /// The resolver endpoint hostname as a static atom: a process
-    /// constant, so a query's URL takes it without an intern.
-    fn host_atom(self) -> &'static Atom {
         match self {
-            DohProvider::Cloudflare => &CLOUDFLARE_HOST,
-            DohProvider::Google => &GOOGLE_HOST,
+            DohProvider::Cloudflare => "cloudflare-dns.com",
+            DohProvider::Google => "dns.google",
         }
     }
 
     /// Builds the HTTPS query request for `name` (RFC 8484's JSON-ish GET
-    /// form, which is what appears in the flow capture).
+    /// form, which is what appears in the flow capture). Building it
+    /// interns nothing: a URL holds its host as text.
     pub fn query_request(self, name: &str) -> Request {
-        let url = Url::https_for(self.host_atom().clone())
+        let url = Url::https(self.host())
             .with_path("/dns-query")
             .with_query_param("name", name)
             .with_query_param("type", "A");
@@ -265,8 +257,6 @@ mod tests {
     fn doh_query_shape() {
         let req = DohProvider::Google.query_request("www.youtube.com");
         assert_eq!(req.url.host(), "dns.google");
-        assert!(Atom::ptr_eq(req.url.host_atom(), DohProvider::Google.host_atom()));
-        assert!(req.url.host_atom().is_static());
         assert_eq!(req.url.path(), "/dns-query");
         assert_eq!(req.url.query_param("name").as_deref(), Some("www.youtube.com"));
         assert_eq!(req.headers.get("accept"), Some("application/dns-json"));

@@ -230,10 +230,12 @@ impl RouteTable {
     }
 
     /// Adds an A record (host must already be lowercase, as URL hosts
-    /// are).
-    pub fn add_host(&mut self, host: &str, addr: IpAddr) {
+    /// are). A host passed as an [`Atom`] is kept as it is, so a world
+    /// shares its host atoms with the table; a `&str` is interned.
+    pub fn add_host(&mut self, host: impl Into<Atom>, addr: IpAddr) {
+        let host = host.into();
         debug_assert!(!host.bytes().any(|b| b.is_ascii_uppercase()));
-        self.hosts.insert(Atom::intern(host), addr);
+        self.hosts.insert(host, addr);
     }
 
     /// Adds the handler serving `addr`.
@@ -480,10 +482,20 @@ impl Network {
     pub fn resolve_stub(&self, uid: u32, host: &str) -> Option<IpAddr> {
         self.dns_log.push(DnsLogEntry {
             uid,
-            name: Atom::intern(host),
+            name: self.name_atom(host),
             resolver: ResolverKind::LocalStub,
         });
         self.resolve_silent(host)
+    }
+
+    /// The atom a DNS-log entry names `host` by: the installed world
+    /// plan's route atom, so logging a query interns nothing. Only a
+    /// host the plan does not route is interned.
+    fn name_atom(&self, host: &str) -> Atom {
+        match self.base.get().and_then(|table| table.route(host)) {
+            Some(route) => route.host.clone(),
+            None => Atom::intern(host),
+        }
     }
 
     /// Zone lookup with no stub-query logging (used for transport-level
@@ -509,7 +521,7 @@ impl Network {
     pub fn log_doh_query(&self, uid: u32, name: &str, provider: crate::dns::DohProvider) {
         self.dns_log.push(DnsLogEntry {
             uid,
-            name: Atom::intern(name),
+            name: self.name_atom(name),
             resolver: ResolverKind::Doh(provider),
         });
     }

@@ -9,6 +9,10 @@
 //! topical landing paths so that *full-URL* leaks reveal strictly more
 //! than *hostname* leaks, the distinction §4 of the paper emphasizes.
 
+use std::fmt::{self, Write as _};
+
+use panoptes_http::url::Url;
+use panoptes_http::Atom;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -85,17 +89,46 @@ const HEALTH_TOPICS: &[&str] =
 pub fn generate(config: &GeneratorConfig) -> Vec<SiteSpec> {
     let mut sites =
         Vec::with_capacity((config.popular + config.sensitive + config.tail) as usize);
+    let mut writer = UrlWriter::default();
     for rank in 1..=config.popular {
-        sites.push(popular_site(config.seed, rank));
+        sites.push(popular_site(config.seed, rank, &mut writer));
     }
     for index in 1..=config.sensitive {
-        sites.push(sensitive_site(config.seed, index));
+        sites.push(sensitive_site(config.seed, index, &mut writer));
     }
     let head = config.popular + config.sensitive;
     for index in 1..=config.tail {
-        sites.push(tail_site(config.seed, head, index));
+        sites.push(tail_site(config.seed, head, index, &mut writer));
     }
     sites
+}
+
+/// Writes the world's landing hosts and URL targets through one reused
+/// buffer. A URL is then one allocation of exact size
+/// ([`Url::https_at`]) and a host one intern, with no formatted
+/// intermediate and no parse.
+#[derive(Default)]
+struct UrlWriter {
+    scratch: String,
+}
+
+impl UrlWriter {
+    fn write(&mut self, text: fmt::Arguments<'_>) -> &str {
+        self.scratch.clear();
+        self.scratch.write_fmt(text).expect("writing to a String cannot fail");
+        &self.scratch
+    }
+
+    /// Interns the host that `host` formats.
+    fn host(&mut self, host: fmt::Arguments<'_>) -> Atom {
+        Atom::intern(self.write(host))
+    }
+
+    /// The `https` URL of `host` at the canonical path and query that
+    /// `target` formats.
+    fn https(&mut self, host: &str, target: fmt::Arguments<'_>) -> Url {
+        Url::https_at(host, self.write(target))
+    }
 }
 
 fn site_rng(seed: u64, domain: &str) -> StdRng {
@@ -111,7 +144,7 @@ fn fnv1a(s: &str) -> u64 {
     hash
 }
 
-fn popular_site(seed: u64, rank: u32) -> SiteSpec {
+fn popular_site(seed: u64, rank: u32, writer: &mut UrlWriter) -> SiteSpec {
     let domain = if (rank as usize) <= HEAD_SITES.len() {
         HEAD_SITES[rank as usize - 1].to_string()
     } else {
@@ -119,7 +152,7 @@ fn popular_site(seed: u64, rank: u32) -> SiteSpec {
         let tld = TLDS[(rank as usize / THEMES.len()) % TLDS.len()];
         format!("{theme}{rank:03}.{tld}")
     };
-    let host = format!("www.{domain}");
+    let host = writer.host(format_args!("www.{domain}"));
     let mut rng = site_rng(seed, &domain);
 
     // Head sites are heavier; the tail thins out (Zipf-flavoured).
@@ -127,18 +160,18 @@ fn popular_site(seed: u64, rank: u32) -> SiteSpec {
     let n_static = 6 + (rng.gen_range(8..26) as f64 * (0.6 + weight)) as u32;
     let n_ads = rng.gen_range(3..=10);
     let n_trackers = rng.gen_range(1..=4);
-    let landing_path = "/".to_string();
-    let page = build_page(&mut rng, &domain, &host, n_static, n_ads, n_trackers, rank);
+    let page = build_page(&mut rng, writer, &domain, &host, n_static, n_ads, n_trackers, rank);
 
     // Most real top sites answer on the apex with a redirect to www;
     // every 9th site models that dance so the engine's redirect-following
     // is exercised at scale.
     let apex_redirect = rank.is_multiple_of(9);
+    let url = Url::https_at(if apex_redirect { &domain } else { &host }, "/");
     SiteSpec {
         rank,
         domain,
         host,
-        landing_path,
+        url,
         category: SiteCategory::Popular,
         page,
         apex_redirect,
@@ -170,14 +203,14 @@ fn tail_draw(site_key: u64, stream: u64, lo: u32, hi: u32) -> u32 {
 /// (`/s/{size}/...`), letting the origin answer them formulaically.
 /// Third-party ads/trackers still come from the shared networks so
 /// blocklist and tracking analyses see realistic tail traffic.
-fn tail_site(seed: u64, head: u32, index: u32) -> SiteSpec {
+fn tail_site(seed: u64, head: u32, index: u32, writer: &mut UrlWriter) -> SiteSpec {
     let rank = head + index;
     let theme = THEMES[(index as usize) % THEMES.len()];
     let tld = TLDS[(index as usize / THEMES.len()) % TLDS.len()];
     // 6-digit slot keeps tail domains disjoint from the 3-digit head
     // naming (`news042.com` vs `news100042.com`) for any head < 100_000.
     let domain = format!("{theme}{}.{tld}", 100_000 + index);
-    let host = format!("www.{domain}");
+    let host = writer.host(format_args!("www.{domain}"));
     let key = seed ^ fnv1a(&domain);
 
     // Zipf-flavoured thinning: deeper ranks carry fewer resources.
@@ -190,19 +223,18 @@ fn tail_site(seed: u64, head: u32, index: u32) -> SiteSpec {
     let mut resources = Vec::with_capacity((n_static + n_ads + n_trackers) as usize);
     for i in 0..n_static {
         let size = tail_draw(key, 16 + i as u64, 500, 60_000);
-        let (kind, path) = match i % 4 {
-            0 => (ResourceKind::Script, format!("/s/{size}/app{i}.js")),
-            1 => (ResourceKind::Style, format!("/s/{size}/style{i}.css")),
-            2 => (ResourceKind::Image, format!("/s/{size}/media{i}.jpg")),
-            _ => (ResourceKind::Xhr, format!("/s/{size}/feed{i}")),
+        let (kind, url) = match i % 4 {
+            0 => (ResourceKind::Script, writer.https(&host, format_args!("/s/{size}/app{i}.js"))),
+            1 => (ResourceKind::Style, writer.https(&host, format_args!("/s/{size}/style{i}.css"))),
+            2 => (ResourceKind::Image, writer.https(&host, format_args!("/s/{size}/media{i}.jpg"))),
+            _ => (ResourceKind::Xhr, writer.https(&host, format_args!("/s/{size}/feed{i}"))),
         };
-        resources.push(ResourceSpec { host: host.clone(), path, size, kind });
+        resources.push(ResourceSpec { url, size, kind });
     }
     for i in 0..n_ads {
         let network = AD_NETWORKS[tail_draw(key, 64 + i as u64, 0, AD_NETWORKS.len() as u32) as usize];
         resources.push(ResourceSpec {
-            host: network.to_string(),
-            path: format!("/bid?slot={i}&site={domain}"),
+            url: writer.https(network, format_args!("/bid?slot={i}&site={domain}")),
             size: tail_draw(key, 96 + i as u64, 800, 6_000),
             kind: ResourceKind::Ad,
         });
@@ -210,8 +242,8 @@ fn tail_site(seed: u64, head: u32, index: u32) -> SiteSpec {
     for i in 0..n_trackers {
         let tracker = TRACKERS[tail_draw(key, 128 + i as u64, 0, TRACKERS.len() as u32) as usize];
         resources.push(ResourceSpec {
-            host: tracker.to_string(),
-            path: format!("/collect?v=1&cid={i}&dl=https%3A%2F%2F{host}%2F"),
+            url: writer
+                .https(tracker, format_args!("/collect?v=1&cid={i}&dl=https%3A%2F%2F{host}%2F")),
             size: tail_draw(key, 160 + i as u64, 35, 600),
             kind: ResourceKind::Tracker,
         });
@@ -223,8 +255,8 @@ fn tail_site(seed: u64, head: u32, index: u32) -> SiteSpec {
     SiteSpec {
         rank,
         domain,
+        url: Url::https_at(&host, "/"),
         host,
-        landing_path: "/".to_string(),
         category: SiteCategory::Popular,
         page: PageSpec { document_size, resources, dom_content_loaded_ms },
         apex_redirect: false,
@@ -232,7 +264,7 @@ fn tail_site(seed: u64, head: u32, index: u32) -> SiteSpec {
     }
 }
 
-fn sensitive_site(seed: u64, index: u32) -> SiteSpec {
+fn sensitive_site(seed: u64, index: u32, writer: &mut UrlWriter) -> SiteSpec {
     let category = SensitiveCategory::ALL[(index as usize - 1) % 4];
     let (label, topics) = match category {
         SensitiveCategory::Society => ("society-watch", SOCIETY_TOPICS),
@@ -241,22 +273,23 @@ fn sensitive_site(seed: u64, index: u32) -> SiteSpec {
         SensitiveCategory::Health => ("health-support", HEALTH_TOPICS),
     };
     let domain = format!("{label}{index:03}.org");
-    let host = format!("www.{domain}");
+    let host = writer.host(format_args!("www.{domain}"));
     let mut rng = site_rng(seed, &domain);
     let topic = topics[rng.gen_range(0..topics.len())];
-    let landing_path = format!("/{}/{}", category.as_str(), topic);
+    let url = writer.https(&host, format_args!("/{}/{}", category.as_str(), topic));
 
     // Sensitive community sites are lighter and carry fewer ads.
     let n_static = rng.gen_range(5..16);
     let n_ads = rng.gen_range(0..=3);
     let n_trackers = rng.gen_range(0..=2);
-    let page = build_page(&mut rng, &domain, &host, n_static, n_ads, n_trackers, 500 + index);
+    let page =
+        build_page(&mut rng, writer, &domain, &host, n_static, n_ads, n_trackers, 500 + index);
 
     SiteSpec {
         rank: index,
         domain,
         host,
-        landing_path,
+        url,
         category: SiteCategory::Sensitive(category),
         page,
         apex_redirect: false,
@@ -264,8 +297,10 @@ fn sensitive_site(seed: u64, index: u32) -> SiteSpec {
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn build_page(
     rng: &mut StdRng,
+    writer: &mut UrlWriter,
     domain: &str,
     host: &str,
     n_static: u32,
@@ -275,30 +310,47 @@ fn build_page(
 ) -> PageSpec {
     let document_size = rng.gen_range(20_000..150_000);
     let mut resources = Vec::new();
+    let cdn = format!("cdn.{domain}");
+    let statics = format!("static.{domain}");
 
     for i in 0..n_static {
-        let (kind, path, size) = match i % 4 {
-            0 => (ResourceKind::Script, format!("/assets/app{i}.js"), rng.gen_range(4_000..80_000)),
-            1 => (ResourceKind::Style, format!("/assets/style{i}.css"), rng.gen_range(1_000..30_000)),
-            2 => (ResourceKind::Image, format!("/img/media{i}.jpg"), rng.gen_range(5_000..120_000)),
-            _ => (ResourceKind::Xhr, format!("/api/feed?page={i}"), rng.gen_range(500..8_000)),
-        };
         // Static assets split between the site host, its CDN subdomain
         // and shared CDNs.
         let res_host = match i % 5 {
-            0 | 1 => host.to_string(),
-            2 => format!("cdn.{domain}"),
-            3 => format!("static.{domain}"),
-            _ => CDNS[(i as usize) % CDNS.len()].to_string(),
+            0 | 1 => host,
+            2 => &cdn,
+            3 => &statics,
+            _ => CDNS[(i as usize) % CDNS.len()],
         };
-        resources.push(ResourceSpec { host: res_host, path, size, kind });
+        let (kind, url, size) = match i % 4 {
+            0 => (
+                ResourceKind::Script,
+                writer.https(res_host, format_args!("/assets/app{i}.js")),
+                rng.gen_range(4_000..80_000),
+            ),
+            1 => (
+                ResourceKind::Style,
+                writer.https(res_host, format_args!("/assets/style{i}.css")),
+                rng.gen_range(1_000..30_000),
+            ),
+            2 => (
+                ResourceKind::Image,
+                writer.https(res_host, format_args!("/img/media{i}.jpg")),
+                rng.gen_range(5_000..120_000),
+            ),
+            _ => (
+                ResourceKind::Xhr,
+                writer.https(res_host, format_args!("/api/feed?page={i}")),
+                rng.gen_range(500..8_000),
+            ),
+        };
+        resources.push(ResourceSpec { url, size, kind });
     }
 
     for i in 0..n_ads {
         let network = AD_NETWORKS[rng.gen_range(0..AD_NETWORKS.len())];
         resources.push(ResourceSpec {
-            host: network.to_string(),
-            path: format!("/bid?slot={i}&site={domain}"),
+            url: writer.https(network, format_args!("/bid?slot={i}&site={domain}")),
             size: rng.gen_range(800..6_000),
             kind: ResourceKind::Ad,
         });
@@ -307,8 +359,8 @@ fn build_page(
     for i in 0..n_trackers {
         let tracker = TRACKERS[rng.gen_range(0..TRACKERS.len())];
         resources.push(ResourceSpec {
-            host: tracker.to_string(),
-            path: format!("/collect?v=1&cid={i}&dl=https%3A%2F%2F{host}%2F"),
+            url: writer
+                .https(tracker, format_args!("/collect?v=1&cid={i}&dl=https%3A%2F%2F{host}%2F")),
             size: rng.gen_range(35..600),
             kind: ResourceKind::Tracker,
         });
@@ -367,8 +419,8 @@ mod tests {
         let sensitive: Vec<&SiteSpec> =
             sites.iter().filter(|s| s.category.is_sensitive()).collect();
         for s in &sensitive {
-            assert!(s.landing_path.len() > 1, "{} lacks a topical path", s.domain);
-            assert!(s.landing_path.starts_with('/'));
+            assert!(s.url.path().len() > 1, "{} lacks a topical path", s.domain);
+            assert!(s.url.path().starts_with('/'));
         }
         // All four categories present in equal measure.
         for cat in SensitiveCategory::ALL {
@@ -427,20 +479,21 @@ mod tests {
         let sites = generate(&GeneratorConfig { tail: 300, ..Default::default() });
         for s in sites.iter().filter(|s| s.tail) {
             for r in &s.page.resources {
-                let own = r.host == s.host;
-                let shared = AD_NETWORKS.contains(&r.host.as_str())
-                    || TRACKERS.contains(&r.host.as_str());
-                assert!(own || shared, "{} serves from {}", s.domain, r.host);
+                let host = r.url.host();
+                let own = host == s.host;
+                let shared = AD_NETWORKS.contains(&host) || TRACKERS.contains(&host);
+                assert!(own || shared, "{} serves from {}", s.domain, host);
                 if own {
                     // Size-addressed path: the origin re-derives the
                     // response size from the path alone.
                     let encoded: u32 = r
-                        .path
+                        .url
+                        .path()
                         .strip_prefix("/s/")
                         .and_then(|rest| rest.split('/').next())
                         .and_then(|n| n.parse().ok())
                         .expect("size-addressed path");
-                    assert_eq!(encoded, r.size, "{}{}", s.domain, r.path);
+                    assert_eq!(encoded, r.size, "{}", r.url);
                 }
             }
             assert!(s.page.request_count() >= 4);

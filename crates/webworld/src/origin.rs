@@ -7,6 +7,7 @@ use std::collections::HashMap;
 
 use panoptes_http::headers::vocab;
 use panoptes_http::json::{self, Value};
+use panoptes_http::url::Url;
 use panoptes_http::{Atom, Request, Response, StatusCode};
 use panoptes_simnet::net::{FlowContext, HttpHandler, NetError, Network};
 
@@ -33,8 +34,9 @@ pub struct Directory {
     /// Deep-tail landing hosts → document size. Tail sites are served
     /// formulaically — their static resources carry the byte size in the
     /// path (`/s/{size}/...`) — so a 100k-site world stores one `u32`
-    /// per tail site here instead of ~10 pre-rendered templates each.
-    tail_documents: HashMap<String, u32>,
+    /// per tail site here, keyed by the site's host atom, instead of ~10
+    /// pre-rendered templates each.
+    tail_documents: HashMap<Atom, u32>,
 }
 
 /// One indexed resource: its declared size and the response template
@@ -46,7 +48,9 @@ struct PreparedResource {
 }
 
 impl Directory {
-    /// Builds the index from the generated site population.
+    /// Builds the index from the generated site population. A resource
+    /// is indexed under its URL's path, without the query, as an origin
+    /// routes on the path.
     pub fn from_sites(sites: &[SiteSpec]) -> Directory {
         let mut dir = Directory::default();
         for site in sites {
@@ -54,24 +58,27 @@ impl Directory {
                 dir.tail_documents.insert(site.host.clone(), site.page.document_size);
                 continue;
             }
-            dir.insert_resource(&site.host, site.landing_path.clone(), site.page.document_size);
+            let landing_path = site.url.path();
+            dir.insert_resource(&site.host, landing_path, site.page.document_size);
             if site.apex_redirect {
+                // The apex entry URL answers with the landing URL's text.
+                let landing = Url::https_at(&site.host, landing_path);
                 dir.redirects
                     .entry(site.domain.clone())
                     .or_default()
-                    .insert(site.landing_path.clone(), Atom::owned(&site.landing_url_string()));
+                    .insert(landing_path.to_owned(), Atom::owned(landing.as_str()));
             }
             for r in &site.page.resources {
-                dir.insert_resource(&r.host, r.path_without_query(), r.size);
+                dir.insert_resource(r.url.host(), r.url.path(), r.size);
             }
         }
         dir
     }
 
-    fn insert_resource(&mut self, host: &str, path: String, size: u32) {
-        let paths = self.resources.entry(host.to_string()).or_default();
-        let prepared = PreparedResource { size, response: render_content(&path, size) };
-        if paths.insert(path, prepared).is_none() {
+    fn insert_resource(&mut self, host: &str, path: &str, size: u32) {
+        let paths = self.resources.entry(host.to_owned()).or_default();
+        let prepared = PreparedResource { size, response: render_content(path, size) };
+        if paths.insert(path.to_owned(), prepared).is_none() {
             self.resource_count += 1;
         }
     }
@@ -115,13 +122,6 @@ impl Directory {
     /// True when nothing is indexed.
     pub fn is_empty(&self) -> bool {
         self.resources.is_empty()
-    }
-}
-
-impl crate::site::ResourceSpec {
-    /// The path component of the resource without its query string.
-    pub fn path_without_query(&self) -> String {
-        self.path.split('?').next().unwrap_or(&self.path).to_string()
     }
 }
 
@@ -264,12 +264,9 @@ mod tests {
         let dir = Directory::from_sites(&sites);
         assert!(!dir.is_empty());
         let site = &sites[0];
-        assert_eq!(
-            dir.size_of(&site.host, &site.landing_path),
-            Some(site.page.document_size)
-        );
+        assert_eq!(dir.size_of(&site.host, site.url.path()), Some(site.page.document_size));
         let r = &site.page.resources[0];
-        assert_eq!(dir.size_of(&r.host, &r.path_without_query()), Some(r.size));
+        assert_eq!(dir.size_of(r.url.host(), r.url.path()), Some(r.size));
         assert_eq!(dir.size_of("nowhere.example", "/"), None);
     }
 

@@ -1,5 +1,8 @@
 //! Site and page models.
 
+use panoptes_http::url::Url;
+use panoptes_http::Atom;
+
 /// The sensitive Curlie categories the paper selected (§3: "websites
 /// associated with sensitive issues regarding Society (e.g., warfare and
 /// conflict), Religion, Sexuality and Health (e.g., mental health)").
@@ -81,21 +84,14 @@ impl ResourceKind {
 /// One resource a page load fetches.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResourceSpec {
-    /// Host serving the resource.
-    pub host: String,
-    /// Path on that host.
-    pub path: String,
+    /// The resource's `https` URL, built once with the world. A page
+    /// load clones it into its request; the host and path are slices of
+    /// its text.
+    pub url: Url,
     /// Response body size in bytes.
     pub size: u32,
     /// Resource kind.
     pub kind: ResourceKind,
-}
-
-impl ResourceSpec {
-    /// Full https URL of the resource.
-    pub fn url_string(&self) -> String {
-        format!("https://{}{}", self.host, self.path)
-    }
 }
 
 /// The load plan of a site's landing page.
@@ -124,7 +120,7 @@ impl PageSpec {
     /// Distinct hosts contacted by a full load (document host excluded —
     /// pass it separately since `PageSpec` doesn't know its own domain).
     pub fn third_party_hosts(&self) -> Vec<&str> {
-        let mut hosts: Vec<&str> = self.resources.iter().map(|r| r.host.as_str()).collect();
+        let mut hosts: Vec<&str> = self.resources.iter().map(|r| r.url.host()).collect();
         hosts.sort_unstable();
         hosts.dedup();
         hosts
@@ -138,11 +134,15 @@ pub struct SiteSpec {
     pub rank: u32,
     /// Registrable domain of the site.
     pub domain: String,
-    /// Hostname of the landing page (usually `www.` + domain).
-    pub host: String,
-    /// Landing-page path; sensitive sites get topical paths so full-URL
-    /// leaks are distinguishable from hostname-only leaks.
-    pub landing_path: String,
+    /// Hostname of the landing page (usually `www.` + domain), interned
+    /// once with the world and shared with its route table.
+    pub host: Atom,
+    /// The URL the crawler navigates to, built once with the world: the
+    /// apex URL for a redirecting site, the landing page on `host`
+    /// otherwise. Its path is the landing path, which is topical on
+    /// sensitive sites, so full-URL leaks are distinguishable from
+    /// hostname-only leaks.
+    pub url: Url,
     /// Ranking bucket / sensitive category.
     pub category: SiteCategory,
     /// The page load plan.
@@ -158,49 +158,21 @@ pub struct SiteSpec {
     pub tail: bool,
 }
 
-impl SiteSpec {
-    /// The URL the crawler navigates to: the apex for redirecting sites,
-    /// the `www.` landing page otherwise.
-    pub fn url_string(&self) -> String {
-        if self.apex_redirect {
-            format!("https://{}{}", self.domain, self.landing_path)
-        } else {
-            format!("https://{}{}", self.host, self.landing_path)
-        }
-    }
-
-    /// The post-redirect landing URL (`www.` host).
-    pub fn landing_url_string(&self) -> String {
-        format!("https://{}{}", self.host, self.landing_path)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn resource(url: &str, size: u32, kind: ResourceKind) -> ResourceSpec {
+        ResourceSpec { url: Url::parse(url).unwrap(), size, kind }
+    }
 
     fn page() -> PageSpec {
         PageSpec {
             document_size: 50_000,
             resources: vec![
-                ResourceSpec {
-                    host: "cdn.a.com".into(),
-                    path: "/app.js".into(),
-                    size: 10_000,
-                    kind: ResourceKind::Script,
-                },
-                ResourceSpec {
-                    host: "doubleclick.net".into(),
-                    path: "/bid".into(),
-                    size: 2_000,
-                    kind: ResourceKind::Ad,
-                },
-                ResourceSpec {
-                    host: "cdn.a.com".into(),
-                    path: "/logo.png".into(),
-                    size: 4_000,
-                    kind: ResourceKind::Image,
-                },
+                resource("https://cdn.a.com/app.js", 10_000, ResourceKind::Script),
+                resource("https://doubleclick.net/bid", 2_000, ResourceKind::Ad),
+                resource("https://cdn.a.com/logo.png", 4_000, ResourceKind::Image),
             ],
             dom_content_loaded_ms: 900,
         }
@@ -223,23 +195,12 @@ mod tests {
         assert!(!SiteCategory::Popular.is_sensitive());
     }
 
+    /// The world's memory bound rests on this layout: a resource is its
+    /// URL plus 8 bytes, and a site keeps one URL.
     #[test]
-    fn urls_render() {
-        let r = &page().resources[1];
-        assert_eq!(r.url_string(), "https://doubleclick.net/bid");
-        let site = SiteSpec {
-            rank: 3,
-            domain: "example.org".into(),
-            host: "www.example.org".into(),
-            landing_path: "/".into(),
-            category: SiteCategory::Popular,
-            page: page(),
-            apex_redirect: false,
-            tail: false,
-        };
-        assert_eq!(site.url_string(), "https://www.example.org/");
-        let redirecting = SiteSpec { apex_redirect: true, ..site };
-        assert_eq!(redirecting.url_string(), "https://example.org/");
-        assert_eq!(redirecting.landing_url_string(), "https://www.example.org/");
+    #[cfg(target_pointer_width = "64")]
+    fn world_urls_are_compact() {
+        assert_eq!(std::mem::size_of::<Url>(), 48);
+        assert!(std::mem::size_of::<ResourceSpec>() <= 56);
     }
 }

@@ -6,6 +6,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use panoptes_http::netaddr::{Cidr, IpAddr};
+use panoptes_http::Atom;
 use panoptes_simnet::{Network, RouteTable};
 
 use crate::generator::{generate, GeneratorConfig};
@@ -22,7 +23,9 @@ const SITE_HOSTING: &[&str] = &["US", "DE", "NL", "IE", "GR"];
 pub struct World {
     /// The crawl population in rank order (popular then sensitive).
     pub sites: Vec<SiteSpec>,
-    host_ips: BTreeMap<String, IpAddr>,
+    /// Every host's address, keyed by the host atom the route table
+    /// shares (a site's landing host is the one in its `SiteSpec`).
+    host_ips: BTreeMap<Atom, IpAddr>,
     /// Prebuilt host/endpoint routing, shared by every network this
     /// world is installed on.
     routes: Arc<RouteTable>,
@@ -52,23 +55,29 @@ impl World {
 
         // Vendor endpoints pin their country (that is the §3.4 finding).
         for ep in all_endpoints() {
-            host_ips.insert(ep.host.to_string(), allocator.allocate(ep.country)); // clone-ok: build-time
+            host_ips.insert(Atom::intern(ep.host), allocator.allocate(ep.country));
         }
         // Ad networks / trackers / shared CDNs are US-hosted.
         for host in AD_NETWORKS.iter().chain(TRACKERS).chain(CDNS) {
-            host_ips.entry(host.to_string()).or_insert_with(|| allocator.allocate("US"));
+            host_ips.entry(Atom::intern(host)).or_insert_with(|| allocator.allocate("US"));
         }
-        // Site hosts hash across the generic hosting countries.
+        // Site hosts hash across the generic hosting countries. A host is
+        // interned once, on first sight; the landing host is the site's
+        // own atom.
         for site in &sites {
             let country = SITE_HOSTING[(fnv1a(&site.domain) % SITE_HOSTING.len() as u64) as usize];
             for host in site_hosts(site) {
-                host_ips.entry(host).or_insert_with(|| allocator.allocate(country));
+                if !host_ips.contains_key(host) {
+                    let atom =
+                        if site.host == host { site.host.clone() } else { Atom::intern(host) };
+                    host_ips.insert(atom, allocator.allocate(country));
+                }
             }
         }
 
         let mut routes = RouteTable::new();
         for (host, ip) in &host_ips {
-            routes.add_host(host, *ip);
+            routes.add_host(host.clone(), *ip);
             routes.add_endpoint(*ip, origin.clone());
         }
 
@@ -109,15 +118,13 @@ impl World {
 }
 
 /// Every hostname a site's page load can touch that belongs to the site
-/// itself.
-fn site_hosts(site: &SiteSpec) -> Vec<String> {
-    let mut hosts = vec![site.host.clone()];
-    if site.apex_redirect {
-        hosts.push(site.domain.clone());
-    }
+/// itself, sorted.
+fn site_hosts(site: &SiteSpec) -> Vec<&str> {
+    let mut hosts = vec![site.host.as_str(), site.url.host()];
     for r in &site.page.resources {
-        if r.host.ends_with(&site.domain) {
-            hosts.push(r.host.clone());
+        let host = r.url.host();
+        if host.ends_with(&site.domain) {
+            hosts.push(host);
         }
     }
     hosts.sort_unstable();
@@ -246,8 +253,9 @@ mod tests {
         let world = small_world();
         for site in &world.sites {
             for r in &site.page.resources {
-                if r.host.ends_with(&site.domain) {
-                    assert!(world.ip_of(&r.host).is_some(), "{} unallocated", r.host);
+                let host = r.url.host();
+                if host.ends_with(&site.domain) {
+                    assert!(world.ip_of(host).is_some(), "{host} unallocated");
                 }
             }
         }

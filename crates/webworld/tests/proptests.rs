@@ -4,19 +4,22 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
+use panoptes_http::url::Url;
 use panoptes_web::generator::GeneratorConfig;
 use panoptes_web::World;
 
-/// Deterministic fingerprint of a built world: every site's URL plus its
-/// subresource URLs in rank order, and the full host→IP table.
+/// Every URL of a built world: each site's entry URL, then its
+/// subresource URLs, in rank order.
+fn urls(world: &World) -> impl Iterator<Item = &Url> {
+    world.sites.iter().flat_map(|site| {
+        std::iter::once(&site.url).chain(site.page.resources.iter().map(|r| &r.url))
+    })
+}
+
+/// Deterministic fingerprint of a built world: every URL's text, and the
+/// full host→IP table.
 fn fingerprint(world: &World) -> (Vec<String>, Vec<(String, String)>) {
-    let mut urls = Vec::new();
-    for site in &world.sites {
-        urls.push(site.url_string());
-        for r in &site.page.resources {
-            urls.push(r.url_string());
-        }
-    }
+    let urls = urls(world).map(|u| u.as_str().to_owned()).collect();
     let hosts = world.hosts().map(|(h, ip)| (h.to_string(), ip.to_string())).collect();
     (urls, hosts)
 }
@@ -30,6 +33,18 @@ proptest! {
     fn build_is_deterministic(seed in 0u64..1000, popular in 1u32..12, sensitive in 0u32..8, tail in 0u32..6) {
         let config = GeneratorConfig { seed, popular, sensitive, tail };
         prop_assert_eq!(fingerprint(&World::build(&config)), fingerprint(&World::build(&config)));
+    }
+
+    /// The generator writes each URL's canonical text without parsing
+    /// it, so every world URL must be a fixed point of `Url::parse`: the
+    /// tracker paths' `%3A%2F` escapes included, parsing its text gives
+    /// back the same URL.
+    #[test]
+    fn world_urls_are_canonical(seed in 0u64..1000, popular in 1u32..12, sensitive in 0u32..8, tail in 0u32..6) {
+        let world = World::build(&GeneratorConfig { seed, popular, sensitive, tail });
+        for url in urls(&world) {
+            prop_assert_eq!(&Url::parse(url.as_str()).unwrap(), url);
+        }
     }
 
     /// The plan cache is transparent: the warm shared world is

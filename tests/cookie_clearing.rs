@@ -101,7 +101,7 @@ fn yandex_identifier_survives_cookie_wipe_cookies_do_not() {
     let doc = store
         .engine_flows()
         .into_iter()
-        .find(|f| f.host == site.host && f.url.ends_with(&site.landing_path))
+        .find(|f| f.host == site.host && f.url.ends_with(site.url.path()))
         .expect("document flow");
     assert!(
         doc.header("cookie").is_none(),

@@ -118,7 +118,7 @@ fn visit_ground_truth_covers_all_sites() {
     let r = run_crawl(&w, &p, &w.sites, &CampaignConfig::default());
     assert_eq!(r.visits.len(), w.sites.len());
     for (visit, site) in r.visits.iter().zip(&w.sites) {
-        assert_eq!(visit.url, site.url_string());
+        assert_eq!(visit.url, site.url.as_str());
         assert_eq!(visit.domain, site.domain);
     }
 }

@@ -25,8 +25,8 @@ fn generator_marks_every_ninth_popular_site() {
         .collect();
     assert_eq!(redirecting, vec![9, 18]);
     for site in world.sites.iter().filter(|s| s.apex_redirect) {
-        assert!(!site.url_string().contains("www."));
-        assert!(site.landing_url_string().contains("www."));
+        assert!(!site.url.as_str().contains("www."));
+        assert!(site.host.contains("www."));
         assert!(world.ip_of(&site.domain).is_some(), "apex host allocated");
     }
 }

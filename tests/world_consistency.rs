@@ -60,10 +60,10 @@ fn every_site_resource_host_is_allocated() {
         assert!(world.ip_of(&site.host).is_some(), "{} landing host", site.domain);
         for r in &site.page.resources {
             assert!(
-                world.ip_of(&r.host).is_some(),
+                world.ip_of(r.url.host()).is_some(),
                 "{} references unallocated {}",
                 site.domain,
-                r.host
+                r.url.host()
             );
         }
     }

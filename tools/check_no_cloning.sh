@@ -107,6 +107,30 @@ fi
 
 echo "ok: no captured flow's URL is parsed again in crates/*/src"
 
+# A URL is never formatted only to be parsed: the world builds each of
+# its URLs once, from canonical parts (`Url::https_at`, one allocation
+# of exact size), and a page load clones it. `Url::parse(&format!(..))`
+# pays a formatted intermediate and a full parse per URL: per request it
+# is the cost the capture path no longer pays, and at world build it
+# triples `World::build`. Binaries, test modules (below the first
+# `#[cfg(test)]`) and comment lines are exempt. No opt-out marker.
+
+format_parse_offenders=$(find crates -path '*/src/*' -name '*.rs' | grep -v '/src/bin/' | sort \
+    | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
+done | grep -E 'Url::parse\(&format!\(' | grep -vE ':[0-9]+: *//' || true)
+
+if [ -n "$format_parse_offenders" ]; then
+    echo "error: library code formats a URL only to parse it:" >&2
+    echo "$format_parse_offenders" >&2
+    echo >&2
+    echo "Build it from its canonical parts with Url::https_at (or" >&2
+    echo "Url::https(..).with_path(..)), or clone the world's Url." >&2
+    exit 1
+fi
+
+echo "ok: no URL is formatted only to be parsed in crates/*/src"
+
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
 # iteration — every extra `store.snapshot()` walk outside the engine is
