@@ -14,7 +14,8 @@
 //! every worker's events; the exporting thread drains its own ring
 //! explicitly. [`export_jsonl`] must therefore run after the worker
 //! threads have joined — which the fleet guarantees by scoping its
-//! pool.
+//! pool. A thread that outlives its work (a parked connection handler)
+//! hands its ring over the same way with [`flush_thread`].
 //!
 //! # Dual timestamps
 //!
@@ -129,14 +130,15 @@ fn next_span_id() -> u64 {
     NEXT.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Rings of exited threads, drained in thread-exit order.
+/// Rings of exited (or [`flush_thread`]ed) threads, in flush order.
 fn flushed() -> &'static Mutex<Vec<TraceEvent>> {
     static FLUSHED: OnceLock<Mutex<Vec<TraceEvent>>> = OnceLock::new();
     FLUSHED.get_or_init(|| Mutex::new(Vec::new()))
 }
 
 /// One thread's ring. Only the owning thread writes; the drop impl
-/// moves the surviving events to the global flush list on thread exit.
+/// moves the surviving events to the global flush list on thread exit,
+/// as [`flush_thread`] does on demand.
 struct ThreadRing {
     thread: u64,
     events: Vec<TraceEvent>,
@@ -191,15 +193,20 @@ impl ThreadRing {
         events.rotate_left(head);
         events
     }
-}
 
-impl Drop for ThreadRing {
-    fn drop(&mut self) {
+    /// Moves the surviving events to the global flush list.
+    fn flush(&mut self) {
         if !self.events.is_empty() {
             if let Ok(mut flushed) = flushed().lock() {
                 flushed.append(&mut self.drain_in_order());
             }
         }
+    }
+}
+
+impl Drop for ThreadRing {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -316,10 +323,23 @@ pub fn span_with(name: &'static str, sim_us: Option<u64>, detail: impl FnOnce() 
     Span { open: Some(OpenSpan { name, id, end_sim_us: None }) }
 }
 
+/// Moves the calling thread's ring to the flush list, as thread exit
+/// does, so [`drain`] on another thread sees its events while this
+/// thread lives on (a parked connection handler). One relaxed load and
+/// a branch when the layer is disabled.
+#[inline]
+pub fn flush_thread() {
+    if !crate::trace_enabled() {
+        return;
+    }
+    with_ring(ThreadRing::flush);
+}
+
 /// Removes and returns every recorded event: the exited threads' rings
 /// (flush order) followed by the calling thread's own ring, then sorted
 /// by wall time (ties by thread then seq). Call after worker threads
-/// have joined; live foreign threads' rings are not visible.
+/// have joined; a live foreign thread's ring is visible only up to its
+/// last [`flush_thread`].
 pub fn drain() -> Vec<TraceEvent> {
     let mut events = {
         let mut flushed = flushed().lock().expect("trace flush list poisoned");
@@ -567,6 +587,30 @@ mod tests {
         assert!(end.wall_ns >= start.wall_ns);
         assert!(events.iter().any(|e| e.name == "test.worker"));
         assert!(drain().is_empty(), "drain consumes");
+    }
+
+    #[test]
+    fn flush_thread_hands_a_live_threads_ring_to_drain() {
+        let _guard = serial();
+        crate::enable(crate::TRACE);
+        drop(drain());
+        let (flushed_tx, flushed_rx) = std::sync::mpsc::channel();
+        let (exit_tx, exit_rx) = std::sync::mpsc::channel::<()>();
+        let worker = std::thread::spawn(move || {
+            point("test.parked", None, None);
+            flush_thread();
+            let _ = flushed_tx.send(());
+            let _ = exit_rx.recv();
+        });
+        flushed_rx.recv().expect("worker flushed");
+        let events = drain();
+        let _ = exit_tx.send(());
+        worker.join().expect("worker");
+        crate::disable(crate::TRACE);
+        assert!(
+            events.iter().any(|e| e.name == "test.parked"),
+            "a live thread's flushed events are drainable"
+        );
     }
 
     #[test]

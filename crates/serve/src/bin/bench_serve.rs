@@ -302,8 +302,9 @@ fn traced_probe(load: &Load, workers: usize, trace_path: &str) -> TraceProbe {
     handle.shutdown();
     panoptes_obs::disable(panoptes_obs::TRACE);
 
-    // Handler threads flush their rings on exit and pool workers on
-    // engine drop, both trailing the clients slightly — poll-drain.
+    // Handlers flush their rings after each connection (or on exit at
+    // shutdown) and pool workers on engine drop, all trailing the
+    // clients slightly — poll-drain.
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut events = Vec::new();
     loop {

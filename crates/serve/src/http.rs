@@ -3,11 +3,12 @@
 //! (the workspace is air-gapped — no hyper, no tokio).
 //!
 //! Supported surface: `GET` requests with a query string, response
-//! streaming via `Transfer-Encoding: chunked` (one chunk per event, so
-//! clients observe events as they happen), and `Connection: close`
-//! framing. Request handling never `unwrap()`s on IO — a torn or
-//! malformed request yields an error response or a dropped connection,
-//! not a worker panic.
+//! streaming via `Transfer-Encoding: chunked` (one chunk per event;
+//! events are buffered and flushed in one write each time the study
+//! runner is about to wait, not eagerly per event), and
+//! `Connection: close` framing. Request handling never `unwrap()`s on
+//! IO — a torn or malformed request yields an error response or a
+//! dropped connection, not a worker panic.
 
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
@@ -103,7 +104,8 @@ fn percent_decode(s: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Writes a complete (non-streamed) response and flushes.
+/// Writes a complete (non-streamed) response, head and body in one
+/// write.
 pub fn respond(
     stream: &mut TcpStream,
     status: u16,
@@ -111,52 +113,68 @@ pub fn respond(
     content_type: &str,
     body: &str,
 ) -> io::Result<()> {
-    let head = format!(
+    let mut response = Vec::with_capacity(128 + body.len());
+    write!(
+        response,
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    )?;
+    response.extend_from_slice(body.as_bytes());
+    stream.write_all(&response)?;
     stream.flush()
 }
 
-/// A chunked-transfer streaming response: one chunk per event, flushed
-/// eagerly so the client sees events as they are produced.
-pub struct ChunkedWriter<'a> {
-    stream: &'a mut TcpStream,
-    finished: bool,
+/// A chunked-transfer streaming response: one chunk per event. The
+/// response head and every event are framed into one buffer, and
+/// nothing reaches `W` until [`ChunkedWriter::flush`] or
+/// [`ChunkedWriter::finish`]: the study runner flushes right before it
+/// waits, and a replayed document, which never waits, leaves in a
+/// single write.
+pub struct ChunkedWriter<W: Write> {
+    out: W,
+    buf: Vec<u8>,
 }
 
-impl<'a> ChunkedWriter<'a> {
-    /// Writes the response head and returns the chunk writer.
-    pub fn start(
-        stream: &'a mut TcpStream,
-        content_type: &str,
-    ) -> io::Result<ChunkedWriter<'a>> {
-        let head = format!(
+impl<W: Write> ChunkedWriter<W> {
+    /// Frames the response head; it leaves with the first flush.
+    pub fn start(out: W, content_type: &str) -> ChunkedWriter<W> {
+        let mut buf = Vec::with_capacity(16 << 10);
+        // Writing into a `Vec` cannot fail.
+        let _ = write!(
+            buf,
             "HTTP/1.1 200 OK\r\nContent-Type: {content_type}\r\nTransfer-Encoding: chunked\r\nCache-Control: no-store\r\nConnection: close\r\n\r\n"
         );
-        stream.write_all(head.as_bytes())?;
-        stream.flush()?;
-        Ok(ChunkedWriter { stream, finished: false })
+        ChunkedWriter { out, buf }
     }
 
-    /// Sends one chunk (an event) and flushes. An `Err` here is the
-    /// client-disconnect signal the study runner reacts to.
-    pub fn write_chunk(&mut self, data: &str) -> io::Result<()> {
-        if data.is_empty() {
-            return Ok(()); // an empty chunk would terminate the stream
+    /// Frames one chunk (an event) holding `parts` back to back.
+    pub fn chunk(&mut self, parts: &[&str]) {
+        let len: usize = parts.iter().map(|part| part.len()).sum();
+        if len == 0 {
+            return; // an empty chunk would terminate the stream
         }
-        let framed = format!("{:x}\r\n{data}\r\n", data.len());
-        self.stream.write_all(framed.as_bytes())?;
-        self.stream.flush()
+        let _ = write!(self.buf, "{len:x}\r\n"); // into a `Vec`: cannot fail
+        for part in parts {
+            self.buf.extend_from_slice(part.as_bytes());
+        }
+        self.buf.extend_from_slice(b"\r\n");
     }
 
-    /// Sends the terminating zero-length chunk.
+    /// Sends everything framed so far in one write. An `Err` here is
+    /// the client-disconnect signal the study runner reacts to.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if !self.buf.is_empty() {
+            self.out.write_all(&self.buf)?;
+            self.buf.clear();
+        }
+        self.out.flush()
+    }
+
+    /// Sends what is framed together with the terminating zero-length
+    /// chunk, in one write.
     pub fn finish(mut self) -> io::Result<()> {
-        self.finished = true;
-        self.stream.write_all(b"0\r\n\r\n")?;
-        self.stream.flush()
+        self.buf.extend_from_slice(b"0\r\n\r\n");
+        self.flush()
     }
 }
 
@@ -205,6 +223,62 @@ mod tests {
         let mut reader = std::io::BufReader::new(&wire[..]);
         let body = read_chunked(&mut reader).expect("well-formed chunks");
         assert_eq!(body, b"hello, world");
+    }
+
+    /// Counts `write` calls and keeps the bytes.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_finished_stream_leaves_in_one_write_with_the_old_framing() {
+        let events: Vec<String> =
+            (0..18).map(|i| format!("{{\"event\":\"section\",\"n\":{i}}}")).collect();
+        let mut out = CountingWriter::default();
+        let mut writer = ChunkedWriter::start(&mut out, "application/x-ndjson");
+        for line in &events {
+            writer.chunk(&[line, "\n"]);
+        }
+        writer.chunk(&[]);
+        writer.finish().expect("counting writer never fails");
+
+        let mut want = "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                        Transfer-Encoding: chunked\r\nCache-Control: no-store\r\n\
+                        Connection: close\r\n\r\n"
+            .to_string();
+        for line in &events {
+            let data = format!("{line}\n");
+            want.push_str(&format!("{:x}\r\n{data}\r\n", data.len()));
+        }
+        want.push_str("0\r\n\r\n");
+        assert_eq!(out.writes, 1, "head, 18 events and the finish in one write");
+        assert_eq!(String::from_utf8(out.bytes).expect("utf-8"), want);
+    }
+
+    #[test]
+    fn flush_sends_what_is_framed_and_nothing_when_empty() {
+        let mut out = CountingWriter::default();
+        let mut writer = ChunkedWriter::start(&mut out, "text/event-stream");
+        writer.chunk(&["data: ", "{}", "\n\n"]);
+        writer.flush().expect("flush");
+        writer.flush().expect("empty flush");
+        writer.finish().expect("finish");
+        assert_eq!(out.writes, 2, "one write per non-empty flush");
+        assert!(out.bytes.ends_with(b"a\r\ndata: {}\n\n\r\n0\r\n\r\n"));
     }
 
     #[test]

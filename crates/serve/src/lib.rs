@@ -31,7 +31,9 @@
 //! Everything is hand-rolled on `std::net` blocking sockets — the
 //! workspace is air-gapped (compat shims only), and the study units
 //! are CPU-bound simulation work, so an async reactor would buy
-//! nothing a thread per connection doesn't already provide.
+//! nothing a warm handler thread per connection doesn't already
+//! provide: the accept loop hands each connection to a parked handler
+//! and spawns one only when none is parked.
 //!
 //! Operating the server is its own concern, served by three newer
 //! modules: request-scoped tracing and per-request latency attribution

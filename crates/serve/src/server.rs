@@ -16,12 +16,23 @@
 //! concurrently and at most `max_waiting` sit in the admission queue;
 //! beyond that the server answers `503 Busy` immediately instead of
 //! buffering unbounded work.
+//!
+//! Connections go to warm handler threads: the accept loop hands each
+//! one to a parked handler and spawns a thread only when none is
+//! parked; after its connection a handler parks again unless
+//! `max_active` already are. Busy handlers are not capped: a burst
+//! still gets one thread per connection beyond the parked ones.
+//!
+//! A study's events are framed into one buffer and flushed in one write
+//! each time the study runner is about to wait (see
+//! [`crate::study`]), not eagerly per event; a cached replay, which
+//! never waits, is one write. Every other response is one write too.
 
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -78,7 +89,7 @@ impl Default for ServerConfig {
     }
 }
 
-/// A running server: accept loop + handler threads. Dropping the
+/// A running server: accept loop + warm handler threads. Dropping the
 /// handle leaves the server running (detached); call
 /// [`ServerHandle::shutdown`] to stop accepting.
 pub struct ServerHandle {
@@ -97,7 +108,8 @@ impl ServerHandle {
     }
 
     /// Stops accepting new connections and joins the accept loop.
-    /// In-flight studies run to completion on their handler threads.
+    /// In-flight studies run to completion on their handler threads;
+    /// parked handlers, and each busy one once it is done, exit.
     pub fn shutdown(mut self) {
         self.stop.store(true, Ordering::SeqCst);
         // Unblock the accept loop with a no-op connection.
@@ -167,7 +179,14 @@ pub fn spawn(port: u16, config: ServerConfig) -> io::Result<ServerHandle> {
     let admission = Arc::new(Admission::new(config.max_active, config.max_waiting));
     let stop = Arc::new(AtomicBool::new(false));
 
-    let accept_engine = Arc::clone(&engine);
+    let (handoff, parked) = mpsc::channel();
+    let handlers = Arc::new(Handlers {
+        engine: Arc::clone(&engine),
+        admission,
+        parked: AtomicUsize::new(0),
+        max_parked: config.max_active.max(1),
+        handoff: Mutex::new(parked),
+    });
     let accept_stop = Arc::clone(&stop);
     let accept_thread = std::thread::spawn(move || {
         for stream in listener.incoming() {
@@ -175,10 +194,15 @@ pub fn spawn(port: u16, config: ServerConfig) -> io::Result<ServerHandle> {
                 break;
             }
             let Ok(stream) = stream else { continue };
-            let engine = Arc::clone(&accept_engine);
-            let admission = Arc::clone(&admission);
-            std::thread::spawn(move || handle_connection(stream, &engine, &admission));
+            if handlers.claim() {
+                // The receiver lives in `handlers`, so this cannot fail.
+                let _ = handoff.send(stream);
+            } else {
+                let handlers = Arc::clone(&handlers);
+                std::thread::spawn(move || handlers.serve(stream));
+            }
         }
+        // Dropping `handoff` here wakes every parked handler to exit.
     });
 
     Ok(ServerHandle {
@@ -188,6 +212,67 @@ pub fn spawn(port: u16, config: ServerConfig) -> io::Result<ServerHandle> {
         accept_thread: Some(accept_thread),
         watchdog,
     })
+}
+
+/// The connection handlers' shared state, and the hand-off through which
+/// the accept loop gives a connection to a parked handler instead of
+/// spawning a thread for it.
+struct Handlers {
+    engine: Arc<StudyEngine>,
+    admission: Arc<Admission>,
+    /// Handlers parked on `handoff`, each committed to receive exactly
+    /// one more connection. Both sides move it by compare-and-swap, so
+    /// it never counts a handler that will not receive: a claim never
+    /// takes it below zero and a park never lifts it above the cap. It
+    /// publishes no data (the connection travels through `handoff`),
+    /// so its operations are `Relaxed`.
+    parked: AtomicUsize,
+    /// At most this many handlers park (the server's `max_active`).
+    max_parked: usize,
+    /// Connections for parked handlers; closed when the accept loop
+    /// ends.
+    handoff: Mutex<mpsc::Receiver<TcpStream>>,
+}
+
+impl Handlers {
+    /// Claims a parked handler for the next connection.
+    fn claim(&self) -> bool {
+        self.parked
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_sub(1))
+            .is_ok()
+    }
+
+    /// Commits the calling handler to park, unless `max_parked` are
+    /// parked already.
+    fn park(&self) -> bool {
+        self.parked
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+                (n < self.max_parked).then_some(n + 1)
+            })
+            .is_ok()
+    }
+
+    /// Serves `stream` and then each connection handed over while
+    /// parked, until the cap leaves no room to park or the accept loop
+    /// ends.
+    fn serve(&self, mut stream: TcpStream) {
+        loop {
+            handle_connection(stream, &self.engine, &self.admission);
+            // A parked handler lives on, so its trace ring would
+            // otherwise reach the flush list only at shutdown.
+            panoptes_obs::trace::flush_thread();
+            if !self.park() {
+                return;
+            }
+            // Only `recv` runs under this lock, and it changes nothing a
+            // panic could leave half-done, so a poisoned guard is sound.
+            let next = self.handoff.lock().unwrap_or_else(PoisonError::into_inner).recv();
+            let Ok(next) = next else {
+                return;
+            };
+            stream = next;
+        }
+    }
 }
 
 fn handle_connection(stream: TcpStream, engine: &StudyEngine, admission: &Arc<Admission>) {
@@ -293,28 +378,20 @@ fn handle_study(
     } else {
         "application/x-ndjson"
     };
-    let Ok(writer) = ChunkedWriter::start(&mut stream, content_type) else {
-        return;
-    };
     let mut sink = HttpSink {
-        writer: Some(writer),
+        writer: Some(ChunkedWriter::start(stream, content_type)),
         sse,
     };
     match engine.run_streaming(&params, &mut sink, req) {
-        Ok(_) => {
-            if let Some(writer) = sink.writer.take() {
-                let _ = writer.finish();
-            }
-        }
+        // The runner finished the stream.
+        Ok(_) => {}
         Err(StudyError::Disconnected(_)) => {
             panoptes_obs::count!("serve.requests.disconnected", Runtime);
             // Lane already cancelled by the runner; nothing to send.
         }
         Err(StudyError::Fleet(msg)) => {
             let _ = sink.event(&ev_error(&msg));
-            if let Some(writer) = sink.writer.take() {
-                let _ = writer.finish();
-            }
+            let _ = sink.finish();
         }
     }
 }
@@ -358,25 +435,34 @@ fn parse_u64(s: &str) -> Option<u64> {
 }
 
 /// The event sink over the chunked HTTP response: one chunk per event,
-/// JSONL (`{...}\n`) or SSE (`data: {...}\n\n`).
-struct HttpSink<'a> {
-    writer: Option<ChunkedWriter<'a>>,
+/// JSONL (`{...}\n`) or SSE (`data: {...}\n\n`), framed into the
+/// writer's buffer and sent on flush.
+struct HttpSink {
+    writer: Option<ChunkedWriter<TcpStream>>,
     sse: bool,
 }
 
-impl EventSink for HttpSink<'_> {
+fn stream_finished() -> io::Error {
+    io::Error::new(io::ErrorKind::NotConnected, "stream finished")
+}
+
+impl EventSink for HttpSink {
     fn event(&mut self, line: &str) -> io::Result<()> {
-        let Some(writer) = self.writer.as_mut() else {
-            return Err(io::Error::new(
-                io::ErrorKind::NotConnected,
-                "stream finished",
-            ));
-        };
+        let writer = self.writer.as_mut().ok_or_else(stream_finished)?;
         if self.sse {
-            writer.write_chunk(&format!("data: {line}\n\n"))
+            writer.chunk(&["data: ", line, "\n\n"]);
         } else {
-            writer.write_chunk(&format!("{line}\n"))
+            writer.chunk(&[line, "\n"]);
         }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.writer.as_mut().ok_or_else(stream_finished)?.flush()
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.writer.take().ok_or_else(stream_finished)?.finish()
     }
 }
 
@@ -457,6 +543,23 @@ mod tests {
             path: "/study".to_string(),
             query: query.iter().map(|(k, v)| (k.to_string(), v.to_string())).collect(),
         }
+    }
+
+    #[test]
+    fn handlers_park_up_to_the_cap_and_claim_only_what_is_parked() {
+        let (_handoff, parked) = mpsc::channel();
+        let handlers = Handlers {
+            engine: Arc::new(StudyEngine::new(1, None)),
+            admission: Arc::new(Admission::new(2, 0)),
+            parked: AtomicUsize::new(0),
+            max_parked: 2,
+            handoff: Mutex::new(parked),
+        };
+        assert!(!handlers.claim(), "nothing is parked yet");
+        assert!(handlers.park() && handlers.park());
+        assert!(!handlers.park(), "no more than `max_active` park");
+        assert!(handlers.claim() && handlers.claim());
+        assert!(!handlers.claim(), "a claim never takes the count below zero");
     }
 
     #[test]

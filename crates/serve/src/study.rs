@@ -17,9 +17,16 @@
 //! payload bytes reproduces `repro`'s stdout exactly (enforced by
 //! `tests/serve_determinism.rs`).
 //!
+//! Write schedule: events are handed to the sink as they are due, and
+//! the sink is flushed each time the runner is about to wait — after
+//! the header (before the first unit arrives) and after each received
+//! unit's events (before its credit goes back) — then finished after
+//! `done`. The HTTP sink sends each flush in one write, so a cached
+//! replay, which never waits, leaves in a single write.
+//!
 //! Backpressure: the lane is opened with a small credit allowance and
 //! a credit is granted back only after a received unit's due events
-//! have been written to the client socket. A client that stops reading
+//! have been flushed to the client socket. A client that stops reading
 //! therefore stalls its own lane's dispatch — bounded buffered results
 //! — while other studies keep the workers busy (the pool is
 //! work-conserving).
@@ -132,11 +139,27 @@ impl StudyParams {
 }
 
 /// Where study events go: the server's chunked HTTP stream, or a
-/// buffer in tests. An `Err` from [`EventSink::event`] means the
-/// consumer is gone; the runner cancels the study's lane.
+/// buffer in tests. An `Err` from any method means the consumer is
+/// gone; the runner cancels the study's lane.
+///
+/// A sink may hold events back until [`EventSink::flush`], which the
+/// runner calls each time it is about to wait (for a unit, or before it
+/// returns a unit's credit), and [`EventSink::finish`], which ends the
+/// stream after `done`. A sink that delivers each event as it arrives
+/// needs neither.
 pub trait EventSink {
-    /// Delivers one event line (without trailing newline).
+    /// Delivers (or queues) one event line (without trailing newline).
     fn event(&mut self, line: &str) -> io::Result<()>;
+
+    /// Delivers every queued event.
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
+
+    /// Delivers every queued event and ends the stream.
+    fn finish(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 impl EventSink for Vec<String> {
@@ -191,8 +214,12 @@ pub struct Phases {
     pub capture_us: u64,
     /// Rendering document sections.
     pub render_us: u64,
-    /// Writing events to the client socket — includes backpressure
-    /// stalls when the client reads slowly.
+    /// Handing events to the sink and flushing them to the client
+    /// socket — includes backpressure stalls when the client reads
+    /// slowly. The HTTP sink only frames an event into its buffer; the
+    /// socket time falls in the flushes, one before each wait. The
+    /// stream's last write (`finish`) follows the `timing` trailer, so
+    /// a replay, whose only write that is, reads ~0 here.
     pub write_us: u64,
 }
 
@@ -208,10 +235,11 @@ impl Phases {
     }
 }
 
-/// Wraps the caller's sink to observe every write: accumulates socket
+/// Wraps the caller's sink to observe every call: accumulates sink
 /// time (the `write_us` phase, backpressure included), pins
-/// time-to-first-event, and bumps the flight recorder's progress clock
-/// so a slowly-draining study is not mistaken for a wedged one.
+/// time-to-first-event when the first event is handed over, and bumps
+/// the flight recorder's progress clock on every successful call so a
+/// slowly-draining study is not mistaken for a wedged one.
 struct TimedSink<'a> {
     inner: &'a mut dyn EventSink,
     recorder: &'a FlightRecorder,
@@ -221,18 +249,33 @@ struct TimedSink<'a> {
     first_event_us: Option<u64>,
 }
 
-impl EventSink for TimedSink<'_> {
-    fn event(&mut self, line: &str) -> io::Result<()> {
+impl TimedSink<'_> {
+    fn timed_call(&mut self, call: impl FnOnce(&mut dyn EventSink) -> io::Result<()>) -> io::Result<()> {
         let write_start = Instant::now();
-        let result = self.inner.event(line);
+        let result = call(&mut *self.inner);
         self.write_us += write_start.elapsed().as_micros() as u64;
-        if self.first_event_us.is_none() {
-            self.first_event_us = Some(self.started.elapsed().as_micros() as u64);
-        }
         if result.is_ok() {
             self.recorder.touch(self.request);
         }
         result
+    }
+}
+
+impl EventSink for TimedSink<'_> {
+    fn event(&mut self, line: &str) -> io::Result<()> {
+        let result = self.timed_call(|sink| sink.event(line));
+        if self.first_event_us.is_none() {
+            self.first_event_us = Some(self.started.elapsed().as_micros() as u64);
+        }
+        result
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.timed_call(|sink| sink.flush())
+    }
+
+    fn finish(&mut self) -> io::Result<()> {
+        self.timed_call(|sink| sink.finish())
     }
 }
 
@@ -245,23 +288,15 @@ fn timed<T>(slot: &mut u64, f: impl FnOnce() -> T) -> T {
 }
 
 /// A finished study document: the exact bytes `repro` would print,
-/// split into streamable units.
+/// kept as the events that stream it.
 pub struct StudyDoc {
     /// The header block (`render::header_md`).
     pub header: String,
-    /// `(section name, section bytes)` in document order.
-    pub sections: Vec<(String, String)>,
-}
-
-impl StudyDoc {
-    /// The full document — byte-identical to offline `repro` stdout.
-    pub fn bytes(&self) -> String {
-        let mut out = self.header.clone();
-        for (_, text) in &self.sections {
-            out.push_str(text);
-        }
-        out
-    }
+    /// Each section's `section` event line, in document order, escaped
+    /// once while the study was built.
+    pub sections: Vec<String>,
+    /// The document's length: the header's bytes plus every section's.
+    pub bytes: usize,
 }
 
 /// Why a study stopped before completing.
@@ -370,8 +405,9 @@ impl StudyEngine {
     /// done) is byte-identical regardless of tracing; the one
     /// *non-deterministic* addition is the `timing` trailer emitted
     /// just before `done`, attributing the request's latency to phases
-    /// ([`Phases`]). Callers without a front-end server pass
-    /// [`RequestInfo::local()`].
+    /// ([`Phases`]). The sink is finished after `done`, before the
+    /// study is reported finished to the flight recorder. Callers
+    /// without a front-end server pass [`RequestInfo::local()`].
     pub fn run_streaming(
         &self,
         params: &StudyParams,
@@ -393,20 +429,26 @@ impl StudyEngine {
             write_us: 0,
             first_event_us: None,
         };
-        let result = self.run_streaming_inner(params, &mut timed_sink, req, &mut phases);
-        let (write_us, first_event_us) = (timed_sink.write_us, timed_sink.first_event_us);
-        panoptes_obs::gauge_add!("serve.studies.inflight", -1);
-        match result {
-            Ok(outcome) => {
-                phases.write_us = write_us;
+        let result = self
+            .run_streaming_inner(params, &mut timed_sink, req, &mut phases)
+            .and_then(|outcome| {
+                phases.write_us = timed_sink.write_us;
                 let total_us = req.started.elapsed().as_micros() as u64;
-                let ttfe_us = first_event_us.unwrap_or(total_us);
+                let ttfe_us = timed_sink.first_event_us.unwrap_or(total_us);
                 let trailer = ev_timing(req.id, outcome.cached, total_us, ttfe_us, &phases);
-                sink.event(&trailer).map_err(StudyError::Disconnected)?;
-                sink.event(&ev_done(&outcome))
-                    .map_err(StudyError::Disconnected)?;
+                timed_sink.event(&trailer).map_err(StudyError::Disconnected)?;
+                timed_sink.event(&ev_done(&outcome)).map_err(StudyError::Disconnected)?;
+                // Finished before `study_finished`: a client that stops
+                // reading stalls here, where the watchdog still sees
+                // the study as active.
+                timed_sink.finish().map_err(StudyError::Disconnected)?;
                 panoptes_obs::trace::point_with("serve.timing", None, || trailer.clone());
                 record_phase_histograms(total_us, ttfe_us, &phases);
+                Ok((outcome, total_us))
+            });
+        panoptes_obs::gauge_add!("serve.studies.inflight", -1);
+        match result {
+            Ok((outcome, total_us)) => {
                 self.recorder.study_finished(
                     req.id,
                     "study.done",
@@ -439,7 +481,7 @@ impl StudyEngine {
             let doc = self.build_streaming(params, sink, req, phases)?;
             return Ok(StudyOutcome {
                 cached: false,
-                bytes: doc.bytes().len(),
+                bytes: doc.bytes,
                 sections: doc.sections.len(),
             });
         };
@@ -463,7 +505,7 @@ impl StudyEngine {
         let doc = resolved.value;
         let outcome = StudyOutcome {
             cached: !built_here,
-            bytes: doc.bytes().len(),
+            bytes: doc.bytes,
             sections: doc.sections.len(),
         };
         if !built_here {
@@ -476,11 +518,13 @@ impl StudyEngine {
         Ok(outcome)
     }
 
-    /// Streams an already-built document (cache-hit replay).
+    /// Streams an already-built document (cache-hit replay). Nothing
+    /// here waits, so nothing is flushed: the whole replay leaves with
+    /// the stream's finish.
     fn emit_doc(&self, doc: &StudyDoc, sink: &mut dyn EventSink) -> io::Result<()> {
         sink.event(&ev_header("cached", &doc.header))?;
-        for (name, text) in &doc.sections {
-            sink.event(&ev_section(name, text))?;
+        for line in &doc.sections {
+            sink.event(line)?;
         }
         Ok(())
     }
@@ -557,7 +601,10 @@ impl StudyEngine {
         let lane = self.next_lane.fetch_add(1, Ordering::Relaxed);
         let tag = format!("study-{lane}");
         let header = timed(&mut phases.render_us, || render::header_md(&scale));
+        // Flushed at once: the header is the live study's first event,
+        // and everything after it waits on units.
         sink.event(&ev_header(&tag, &header))
+            .and_then(|()| sink.flush())
             .map_err(StudyError::Disconnected)?;
 
         // Units in submission order: the offline study's plan.
@@ -605,7 +652,8 @@ impl StudyEngine {
         }
         drop(tx);
 
-        let mut sections: Vec<(String, String)> = Vec::new();
+        let mut sections: Vec<String> = Vec::new();
+        let mut bytes = header.len();
         for received in 0..total {
             let Ok((index, analysis)) = timed(&mut phases.capture_us, || rx.recv()) else {
                 // A unit panicked (its sender died without sending) —
@@ -621,22 +669,26 @@ impl StudyEngine {
                 assembly.accept(index, analysis).iter().flat_map(Analysed::sections).collect()
             });
             for (name, text) in rendered {
-                sink.event(&ev_section(name, &text))
-                    .map_err(StudyError::Disconnected)?;
-                sections.push((name.to_string(), text));
+                let line = ev_section(name, &text);
+                sink.event(&line).map_err(StudyError::Disconnected)?;
+                bytes += text.len();
+                sections.push(line);
             }
             // Results held for a not-yet-complete phase: the stream's
             // buffer occupancy.
             panoptes_obs::gauge_set!("serve.stream.buffered_units", assembly.buffered() as i64);
 
-            // The client drained everything due so far: release one
-            // more unit into the pool (backpressure valve).
+            // Everything due so far leaves before the next wait, and the
+            // credit comes back only once the client has taken it: a
+            // client that stops reading blocks this flush, so its lane
+            // dispatches no further units (backpressure valve).
+            sink.flush().map_err(StudyError::Disconnected)?;
             self.pool.grant(lane, 1);
         }
 
         lane_guard.completed = true;
         drop(lane_guard);
-        Ok(StudyDoc { header, sections })
+        Ok(StudyDoc { header, sections, bytes })
     }
 }
 
@@ -703,6 +755,11 @@ fn ev_progress(tag: &str, done: usize, total: usize) -> String {
 /// the phase sum overshoot by a few µs). Units are analysed where they
 /// are captured, inside `capture_us`; `analysis_us` stays in the
 /// trailer, always 0, because trailer parsers require every key.
+/// `ttfe_us` is stamped when the first event (the header) is handed to
+/// the sink: a live study flushes it at once, while a replay's header
+/// leaves with the rest in the one write after this trailer.
+/// `write_us` times the sink calls before the trailer, flushes
+/// included, so it reads ~0 on a replay.
 fn ev_timing(request: u64, cached: bool, total_us: u64, ttfe_us: u64, phases: &Phases) -> String {
     let other_us = total_us.saturating_sub(phases.sum());
     format!(
@@ -748,4 +805,68 @@ pub fn ev_error(message: &str) -> String {
         "{{\"event\":\"error\",\"message\":{}}}",
         json::quoted(message)
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Records each call the runner makes on its sink: an event by its
+    /// `event` name, then `flush` and `finish`. A finish must come
+    /// while the flight recorder still lists the study as active.
+    struct CallLog(Vec<String>, Arc<FlightRecorder>);
+
+    impl EventSink for CallLog {
+        fn event(&mut self, line: &str) -> io::Result<()> {
+            self.0.push(json::field(line, "event").unwrap_or_default());
+            Ok(())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.0.push("flush".to_string());
+            Ok(())
+        }
+
+        fn finish(&mut self) -> io::Result<()> {
+            let dump = self.1.dump_to_string("probe", "");
+            assert!(dump.contains("\"active\":1,"), "finished after study_finished: {dump}");
+            self.0.push("finish".to_string());
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_build_flushes_before_each_wait_and_a_replay_only_finishes() {
+        let engine = StudyEngine::new(2, Some(16 << 20));
+        let params =
+            StudyParams { popular: 2, sensitive: 1, population: 2, ..StudyParams::default() };
+
+        let mut build = CallLog(Vec::new(), Arc::clone(engine.recorder()));
+        let built = engine.run_streaming(&params, &mut build, RequestInfo::local()).expect("build");
+        assert!(!built.cached);
+        let calls = &build.0;
+        assert_eq!(calls[..2], ["header", "flush"], "the header leaves before any unit is awaited");
+        let (body, tail) = calls[2..].split_at(calls.len() - 5);
+        assert_eq!(tail, ["timing", "done", "finish"]);
+        let units: Vec<&[String]> = body.split_inclusive(|call| call == "flush").collect();
+        assert_eq!(units.len(), params.study().unit_count(&Phase::ALL), "one flush per unit");
+        for unit in &units {
+            let (first, rest) = unit.split_first().expect("non-empty");
+            assert_eq!(first, "progress", "{unit:?}");
+            assert_eq!(rest.last().map(String::as_str), Some("flush"), "{unit:?}");
+            assert!(rest[..rest.len() - 1].iter().all(|call| call == "section"), "{unit:?}");
+        }
+        let sections = calls.iter().filter(|call| *call == "section").count();
+        assert_eq!(sections, built.sections);
+
+        let mut replay = CallLog(Vec::new(), Arc::clone(engine.recorder()));
+        let replayed =
+            engine.run_streaming(&params, &mut replay, RequestInfo::local()).expect("replay");
+        assert!(replayed.cached);
+        assert_eq!(replayed.bytes, built.bytes);
+        let mut want = vec!["header"];
+        want.extend(std::iter::repeat_n("section", sections));
+        want.extend(["timing", "done", "finish"]);
+        assert_eq!(replay.0, want, "a replay never flushes before its one finish");
+    }
 }

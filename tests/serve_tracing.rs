@@ -30,9 +30,10 @@ fn query(p: &StudyParams) -> String {
 }
 
 /// Accumulates drained trace events until `done` is satisfied or the
-/// deadline passes. Needed because handler threads flush their rings
-/// on thread exit and pool workers on engine drop, both of which trail
-/// the client seeing `done` by a few scheduler ticks.
+/// deadline passes. Needed because a handler flushes its ring after its
+/// connection ends (or, once tracing is off, when it exits at shutdown)
+/// and pool workers flush theirs on engine drop, all of which trail the
+/// client seeing `done` by a few scheduler ticks.
 fn drain_until(done: impl Fn(&[TraceEvent]) -> bool) -> Vec<TraceEvent> {
     let deadline = Instant::now() + Duration::from_secs(30);
     let mut events = Vec::new();
