@@ -19,7 +19,6 @@
 //! to a golden document.
 
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
 
 use panoptes::campaign::{run_crawl_folding, CampaignResult};
 use panoptes::config::CampaignConfig;
@@ -29,6 +28,7 @@ use panoptes_blocklist::HostsList;
 use panoptes_browsers::BrowserProfile;
 use panoptes_device::DeviceProperties;
 use panoptes_geo::GeoDb;
+use panoptes_http::hash::FastSet;
 use panoptes_http::url::{host_of, registrable_suffix};
 use panoptes_mitm::{Flow, FlowClass};
 use panoptes_simnet::clock::SimDuration;
@@ -71,13 +71,13 @@ pub struct QuotedRequest {
 #[derive(Debug, Default, PartialEq)]
 pub struct CrawlContext {
     /// URLs the harness navigated to.
-    pub visited_urls: HashSet<String>,
+    pub visited_urls: FastSet<String>,
     /// Hostnames of the visited URLs.
-    pub visited_hosts: HashSet<String>,
+    pub visited_hosts: FastSet<String>,
     /// Registrable domains of the visited sites.
-    pub visited_domains: HashSet<String>,
+    pub visited_domains: FastSet<String>,
     /// URLs of the visits flagged sensitive in the ground truth.
-    pub sensitive_urls: HashSet<String>,
+    pub sensitive_urls: FastSet<String>,
     /// Total visits in the campaign.
     pub total_visits: usize,
 }
@@ -231,7 +231,7 @@ impl CrawlPartials {
                     body: flow.request_body.clone(),
                 });
             }
-            let mut seen_in_flow: HashMap<(&str, &str), ()> = HashMap::new();
+            let mut seen_in_flow = FastSet::default();
             for obs in flow_observations() {
                 self.pii.scan_observation(pii, &flow.host, obs);
                 self.identifiers

@@ -7,9 +7,10 @@
 //! each one is a tracking handle that survives cookie clearing, IP
 //! changes and VPNs.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use panoptes_blocklist::HostsList;
+use panoptes_http::hash::FastSet;
 
 use crate::engine::IDENTIFIER_MIN_FLOWS;
 use crate::scan::looks_like_identifier;
@@ -50,13 +51,13 @@ impl IdentifierPartial {
         &mut self,
         destination: &str,
         obs: &'a crate::scan::Observation<'_>,
-        seen_in_flow: &mut HashMap<(&'a str, &'a str), ()>,
+        seen_in_flow: &mut FastSet<(&'a str, &'a str)>,
     ) {
         if !looks_like_identifier(&obs.value) {
             return;
         }
         // Count each (key,value) once per flow.
-        if seen_in_flow.insert((&obs.key, &obs.value), ()).is_none() {
+        if seen_in_flow.insert((&obs.key, &obs.value)) {
             *self
                 .counts
                 .entry((destination.to_string(), obs.key.to_string(), obs.value.to_string()))
@@ -154,7 +155,7 @@ mod tests {
         let flows = [vec![obs(recurring), obs(one_off)], vec![obs(recurring), obs(recurring)]];
         let mut partial = IdentifierPartial::default();
         for flow in &flows {
-            let mut seen_in_flow = HashMap::new();
+            let mut seen_in_flow = FastSet::default();
             for o in flow {
                 partial.scan_observation("t.example.com", o, &mut seen_in_flow);
             }

@@ -8,10 +8,10 @@
 //! the browsing history of the users, the requests are being received by
 //! servers located in Russia, China, and Canada, respectively."
 
-use std::collections::BTreeMap;
-
 use panoptes_geo::{Country, GeoDb};
+use panoptes_http::hash::FastMap;
 use panoptes_http::netaddr::IpAddr;
+use panoptes_http::Atom;
 use panoptes_mitm::Flow;
 
 use crate::history::{HistoryLeak, LeakGranularity};
@@ -35,14 +35,14 @@ pub struct TransferRow {
 /// the history leaks.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TransferPartial {
-    dest_ip: BTreeMap<String, IpAddr>,
+    dest_ip: FastMap<Atom, IpAddr>,
 }
 
 impl TransferPartial {
     /// Folds one captured flow into the accumulator.
     pub fn observe(&mut self, flow: &Flow) {
         if !self.dest_ip.contains_key(flow.host.as_str()) {
-            self.dest_ip.insert(flow.host.to_string(), flow.dst_ip);
+            self.dest_ip.insert(flow.host.clone(), flow.dst_ip);
         }
     }
 
@@ -60,7 +60,7 @@ impl TransferPartial {
                 continue;
             }
             if let Some(country) =
-                self.dest_ip.get(&leak.destination).and_then(|ip| geo.country_of(*ip))
+                self.dest_ip.get(leak.destination.as_str()).and_then(|ip| geo.country_of(*ip))
             {
                 if !destinations.iter().any(|(h, _)| h == &leak.destination) {
                     destinations.push((leak.destination.clone(), country));

@@ -12,14 +12,13 @@
 //! fire rather than vacuously matching on empty accumulators, and a
 //! batch handed over out of capture order shows.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 
 use panoptes_analysis::engine::{CrawlContext, CrawlPartials};
 use panoptes_analysis::idle::IdlePartial;
 use panoptes_analysis::pii::PiiMatcher;
 use panoptes_device::DeviceProperties;
+use panoptes_http::hash::FastSet;
 use panoptes_http::method::Method;
 use panoptes_http::netaddr::IpAddr;
 use panoptes_http::request::HttpVersion;
@@ -64,7 +63,7 @@ const VALUES: [&str; 9] = [
 const KEYS: [&str; 6] = ["u", "page", "tz", "screenWidth", "deviceId", "country"];
 
 fn context() -> CrawlContext {
-    let set = |items: &[&str]| items.iter().map(|s| s.to_string()).collect::<HashSet<_>>();
+    let set = |items: &[&str]| items.iter().map(|s| s.to_string()).collect::<FastSet<_>>();
     CrawlContext {
         visited_urls: set(&VISIT_URLS),
         visited_hosts: set(&VISIT_HOSTS),

@@ -221,7 +221,7 @@ impl Study {
         let mut result = Ok(());
         fleet::execute_each(&labels, options, analyse, |i, outcome| match (outcome, &result) {
             (Ok(unit), Ok(())) => assembly.accept(i, unit).into_iter().for_each(&mut on_phase),
-            (Err(e), Ok(())) => result = Err(format!("unit {} failed: {}", e.unit, e.message)),
+            (Err(failure), Ok(())) => result = Err(failure.to_string()),
             _ => {}
         });
         result

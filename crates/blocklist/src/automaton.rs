@@ -9,44 +9,18 @@
 //!   prefilter: the union of every pattern's rarest byte is intersected
 //!   with the URL's byte set in four word ops, and the DFA only runs
 //!   when a pattern *could* be present.
-//! * [`AnchorSet`] — `||domain^` rules interned as [`Atom`]s in a hash
-//!   set probed once per host label suffix, under an FNV hasher (the
-//!   keys are short, attacker-free hostnames; SipHash costs more than
-//!   the probe) and a 64-bit length mask that skips suffixes no anchor
-//!   length can match.
+//! * [`AnchorSet`] — `||domain^` rules interned as [`Atom`]s in a
+//!   [`FastSet`] probed once per host label suffix (SipHash would cost
+//!   more than the probe), behind a 64-bit length mask that skips
+//!   suffixes no anchor length can match.
 //!
 //! Both are pure functions of the parsed rule set; compilation happens
 //! once in `FilterList::parse` and matching takes `&self`.
 
-use std::collections::HashSet;
 use std::collections::VecDeque;
-use std::hash::{BuildHasherDefault, Hasher};
 
+use panoptes_http::hash::FastSet;
 use panoptes_http::Atom;
-
-/// FNV-1a, as a [`Hasher`]. Deterministic across processes (unlike the
-/// default SipHash with its random keys) and several times cheaper on
-/// the short hostname keys the anchor set stores.
-#[derive(Default)]
-pub struct Fnv1a(u64);
-
-/// `BuildHasher` for [`Fnv1a`]-keyed sets.
-pub type FnvBuild = BuildHasherDefault<Fnv1a>;
-
-impl Hasher for Fnv1a {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut hash = if self.0 == 0 { 0xcbf2_9ce4_8422_2325 } else { self.0 };
-        for &b in bytes {
-            hash ^= b as u64;
-            hash = hash.wrapping_mul(0x1000_0000_01b3);
-        }
-        self.0 = hash;
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
 
 /// 256-bit presence bitmap of the bytes occurring in a string.
 #[derive(Debug, Clone)]
@@ -286,7 +260,7 @@ impl SubstringAutomaton {
 /// that is nearly all of them.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct AnchorSet {
-    set: HashSet<Atom, FnvBuild>,
+    set: FastSet<Atom>,
     len_mask: u64,
 }
 

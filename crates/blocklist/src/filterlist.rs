@@ -15,7 +15,7 @@
 //!
 //! [`FilterList::should_block`] runs the **compiled** engine (PR 7):
 //! all substring rules in one dense Aho–Corasick DFA behind a rare-byte
-//! prefilter, domain anchors as interned [`Atom`]s in an FNV set with a
+//! prefilter, domain anchors as interned [`Atom`]s in a `FastSet` with a
 //! length-mask gate — see [`crate::automaton`]. The hot path allocates
 //! nothing: bytes are lowercased as they feed the DFA.
 //!

@@ -7,12 +7,12 @@
 //! therefore classify it `Engine` — in contrast to the native calls in
 //! [`crate::browser`], which never touch the tap.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use panoptes_blocklist::filterlist::easylist_excerpt;
 use panoptes_blocklist::FilterList;
 use panoptes_device::DeviceProperties;
+use panoptes_http::hash::FastSet;
 use panoptes_http::headers::vocab;
 use panoptes_http::request::HttpVersion;
 use panoptes_http::url::Url;
@@ -81,10 +81,10 @@ pub struct EngineSession {
     resolver: ResolverKind,
     filter: Option<Arc<FilterList>>,
     attempts_h3: bool,
-    dns_cache: HashSet<String>,
+    dns_cache: FastSet<String>,
     /// Hosts whose HTTP/3 attempt is settled, by host text (copied once
     /// per host per session).
-    h3_blocked: HashSet<String>,
+    h3_blocked: FastSet<String>,
     /// Cookie jar used in incognito (discarded when the session ends).
     pub incognito_jar: CookieJar,
     user_agent: Atom,
@@ -127,8 +127,8 @@ impl EngineSession {
             resolver,
             filter,
             attempts_h3,
-            dns_cache: HashSet::new(),
-            h3_blocked: HashSet::new(),
+            dns_cache: FastSet::default(),
+            h3_blocked: FastSet::default(),
             incognito_jar: CookieJar::new(),
             user_agent: Atom::from(UserAgent::for_browser(browser, version).render()),
         }

@@ -10,6 +10,7 @@ use rand::{Rng, SeedableRng};
 
 use panoptes_device::AppDataStore;
 use panoptes_http::codec::hex_encode;
+use panoptes_http::hash::fnv1a;
 
 /// Mints a 64-hex-char install identifier (the `operaId` shape of
 /// Listing 1).
@@ -39,15 +40,6 @@ pub fn persistent_id(data: &mut AppDataStore, key: &str, seed: u64) -> String {
         let mut rng = StdRng::seed_from_u64(seed ^ fnv1a(key));
         mint_hex_id(&mut rng)
     })
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -122,6 +122,14 @@ pub struct FleetFailure {
     pub message: String,
 }
 
+/// `unit <label> failed: <message>`: how `repro` and the study server
+/// both report a failed unit.
+impl fmt::Display for FleetFailure {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "unit {} failed: {}", self.unit, self.message)
+    }
+}
+
 /// The fleet's error: which units failed, plus every completed result
 /// (in submission order, `None` at the failed slots) so a caller can
 /// salvage the rest of the study.
@@ -162,7 +170,7 @@ impl<T> fmt::Debug for FleetError<T> {
 impl<T> std::error::Error for FleetError<T> {}
 
 /// Extracts the human-readable message from a caught panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {

@@ -34,10 +34,9 @@ use std::ops::Index;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use std::collections::HashMap;
-
 use parking_lot::Mutex;
 
+use panoptes_http::hash::FastMap;
 use panoptes_http::json;
 use panoptes_http::Atom;
 
@@ -136,7 +135,7 @@ pub struct FlowSnapshot {
     native: Vec<u32>,
     pinned: Vec<u32>,
     blocked: Vec<u32>,
-    by_package: HashMap<Atom, Vec<u32>>,
+    by_package: FastMap<Atom, Vec<u32>>,
 }
 
 impl Default for FlowSnapshot {
@@ -164,7 +163,7 @@ impl FlowSnapshot {
             native: Vec::new(),
             pinned: Vec::new(),
             blocked: Vec::new(),
-            by_package: HashMap::new(),
+            by_package: FastMap::default(),
         };
         for (i, flow) in snap.slab.iter().enumerate() {
             let i = i as u32;

@@ -34,17 +34,18 @@
 //! parsing, building or cloning one interns nothing, and the DNS log
 //! names a host by its route's atom. At quick scale the 15 pinned
 //! crawls make 83 interns in all (0.004 per captured flow, each crawl's
-//! set-up) and 16.53 heap allocations per captured flow, and
-//! `tests/capture_budget.rs` pins ceilings of 0.00405 and 17.11. The
+//! set-up) and 13.67 heap allocations per captured flow, and
+//! `tests/capture_budget.rs` pins ceilings of 0.00405 and 14.15. The
 //! deterministic `atom.intern.calls` counter (under METRICS) counts
 //! every intern.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
 use std::sync::{Arc, Mutex, OnceLock};
+
+use crate::hash::{fnv1a, FastSet};
 
 /// Number of intern-table shards (power of two; the shard index is the
 /// low bits of the content hash).
@@ -57,10 +58,10 @@ fn shard_of(s: &str) -> usize {
 /// The intern table, seeded with every static atom of this crate (the
 /// empty atom and the header vocabulary) so that interning one of those
 /// strings returns the static atom.
-fn table() -> &'static [Mutex<HashSet<Atom>>; SHARDS] {
-    static TABLE: OnceLock<[Mutex<HashSet<Atom>>; SHARDS]> = OnceLock::new();
+fn table() -> &'static [Mutex<FastSet<Atom>>; SHARDS] {
+    static TABLE: OnceLock<[Mutex<FastSet<Atom>>; SHARDS]> = OnceLock::new();
     TABLE.get_or_init(|| {
-        let mut shards: [Mutex<HashSet<Atom>>; SHARDS] = Default::default();
+        let mut shards: [Mutex<FastSet<Atom>>; SHARDS] = Default::default();
         for atom in std::iter::once(&EMPTY).chain(crate::headers::vocab().atoms()) {
             let shard = shards[shard_of(atom)].get_mut().expect("fresh intern shard");
             shard.insert(atom.clone());
@@ -89,16 +90,6 @@ fn shard_stats() -> &'static [(
             )
         })
     })
-}
-
-/// FNV-1a — the deterministic hash the workspace standardises on.
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 /// The empty atom, [`Atom::default`].

@@ -6,7 +6,7 @@
 //! identifiers outside the cookie jar. The jar models the part the user
 //! *can* clear.
 
-use std::collections::HashMap;
+use crate::hash::FastMap;
 
 /// A single cookie.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,10 +36,10 @@ impl Cookie {
         let mut persistent = false;
         for attr in parts {
             let (k, v) = attr.split_once('=').unwrap_or((attr, ""));
-            match k.to_ascii_lowercase().as_str() {
-                "domain" => domain = v.trim_start_matches('.').to_ascii_lowercase(),
-                "max-age" | "expires" => persistent = true,
-                _ => {}
+            if k.eq_ignore_ascii_case("domain") {
+                domain = v.trim_start_matches('.').to_ascii_lowercase();
+            } else if k.eq_ignore_ascii_case("max-age") || k.eq_ignore_ascii_case("expires") {
+                persistent = true;
             }
         }
         Some(Cookie {
@@ -68,7 +68,7 @@ pub struct CookieJar {
     slots: Vec<Option<Cookie>>,
     /// Cookie domain → live slot numbers (each bucket stays sorted
     /// because slots are assigned in increasing order).
-    by_domain: HashMap<String, Vec<u32>>,
+    by_domain: FastMap<String, Vec<u32>>,
     live: usize,
 }
 
@@ -79,6 +79,8 @@ impl CookieJar {
     }
 
     /// Stores a cookie, replacing any same-name cookie for the same domain.
+    /// The domain's bucket is probed by `&str`; the domain is copied only
+    /// when it opens a new bucket.
     pub fn store(&mut self, cookie: Cookie) {
         // Keep tombstones from accumulating past the live population:
         // compaction preserves insertion order, so headers are unchanged.
@@ -86,18 +88,22 @@ impl CookieJar {
             let kept: Vec<Cookie> = self.slots.drain(..).flatten().collect();
             self.rebuild(kept);
         }
-        let slots = &self.slots;
-        let bucket = self.by_domain.entry(cookie.domain.clone()).or_default();
-        if let Some(pos) = bucket
-            .iter()
-            .position(|&i| slots[i as usize].as_ref().is_some_and(|c| c.name == cookie.name))
-        {
-            let idx = bucket.remove(pos);
-            self.slots[idx as usize] = None;
-            self.live -= 1;
-        }
         let idx = self.slots.len() as u32;
-        self.by_domain.entry(cookie.domain.clone()).or_default().push(idx);
+        match self.by_domain.get_mut(cookie.domain.as_str()) {
+            Some(bucket) => {
+                let slots = &mut self.slots;
+                if let Some(pos) = bucket.iter().position(|&i| {
+                    slots[i as usize].as_ref().is_some_and(|c| c.name == cookie.name)
+                }) {
+                    slots[bucket.remove(pos) as usize] = None;
+                    self.live -= 1;
+                }
+                bucket.push(idx);
+            }
+            None => {
+                self.by_domain.insert(cookie.domain.clone(), vec![idx]);
+            }
+        }
         self.slots.push(Some(cookie));
         self.live += 1;
     }
@@ -226,6 +232,16 @@ mod tests {
         .unwrap();
         assert_eq!(c.domain, "tracker.net");
         assert!(c.persistent);
+    }
+
+    #[test]
+    fn attribute_names_match_in_any_case_but_not_with_stray_spaces() {
+        let c = Cookie::parse_set_cookie("a=1; DOMAIN=.X.example; EXPIRES=never", "e.com").unwrap();
+        assert_eq!(c.domain, "x.example");
+        assert!(c.persistent);
+        let c = Cookie::parse_set_cookie("a=1; Domain =x.example; Max-Age =5", "e.com").unwrap();
+        assert_eq!(c.domain, "e.com");
+        assert!(!c.persistent);
     }
 
     #[test]

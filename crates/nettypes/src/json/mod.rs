@@ -16,7 +16,7 @@ mod parse;
 mod write;
 
 pub use parse::{parse, JsonError};
-pub use write::{to_string, to_string_pretty};
+pub use write::{to_string, to_string_pretty, write_string};
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -84,7 +84,9 @@ fn write_number(n: f64, out: &mut String) {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string literal, escaped as
+/// [`to_string`] escapes every string it writes.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -17,6 +17,8 @@
 //!   wire-size estimation (needed for the paper's Figure 4 volume analysis),
 //! * [`cookie`] — cookie parsing and a per-origin jar,
 //! * [`h1`] — HTTP/1.1 wire rendering and parsing,
+//! * [`hash`] — the workspace's hash functions: the fixed hasher of
+//!   program-keyed maps ([`hash::FastMap`]) and FNV-1a,
 //! * [`codec`] — Base64 (standard and URL-safe), percent and hex codecs,
 //! * [`json`] — a small, strict JSON parser and writer used for flow-store
 //!   persistence and for decoding ad-SDK request bodies,
@@ -46,6 +48,7 @@ pub mod atom;
 pub mod codec;
 pub mod cookie;
 pub mod h1;
+pub mod hash;
 pub mod headers;
 pub mod json;
 pub mod method;

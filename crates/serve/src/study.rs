@@ -37,14 +37,23 @@
 //! single-flight builder of a cached document, abandons the cache slot
 //! so a later request rebuilds cleanly. No slot, thread, or cache key
 //! leaks.
+//!
+//! Failure: a unit job that panics is caught on its worker, which sends
+//! the unit's [`FleetFailure`] in place of its analysis. The runner
+//! ends the study at the first failure it receives with
+//! `unit <label> failed: <message>`, the error `repro` gives, and drops
+//! its lane as on a disconnect. A job that died without sending would
+//! hold its credit for good, so a lane whose credits all went to
+//! panicking units would never dispatch again.
 
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Instant;
 
 use panoptes::config::CampaignConfig;
-use panoptes::fleet::{FleetOptions, WorkPool};
+use panoptes::fleet::{panic_message, FleetFailure, FleetOptions, FleetUnit, WorkPool};
 use panoptes_analysis::engine::AnalysisResources;
 use panoptes_bench::experiments::Scale;
 use panoptes_bench::render;
@@ -331,6 +340,17 @@ pub struct StudyOutcome {
     pub sections: usize,
 }
 
+/// The job that runs one planned unit on a pool worker:
+/// [`analyse_unit`]'s signature.
+type UnitJob = fn(
+    &World,
+    &CampaignConfig,
+    &AnalysisResources,
+    &FleetUnit,
+    bool,
+    &FleetOptions,
+) -> UnitAnalysis;
+
 /// The shared study engine: one per server process. Owns the worker
 /// pool every study's units interleave on, and (optionally) the
 /// shared-artifact cache. `cache: None` is the honest A/B baseline —
@@ -350,6 +370,8 @@ pub struct StudyEngine {
     credits: usize,
     /// Per-unit `[study-N]` narration through the obs progress sink.
     narrate: bool,
+    /// Runs each unit: [`analyse_unit`], the job `repro` runs.
+    unit_job: UnitJob,
 }
 
 impl StudyEngine {
@@ -363,7 +385,19 @@ impl StudyEngine {
             next_lane: AtomicU64::new(1),
             credits: 4,
             narrate: false,
+            unit_job: analyse_unit,
         }
+    }
+
+    /// An engine whose units run `unit_job` in place of
+    /// [`analyse_unit`], so a test can make chosen units fail.
+    #[cfg(test)]
+    fn with_unit_job(
+        workers: usize,
+        cache_budget_bytes: Option<u64>,
+        unit_job: UnitJob,
+    ) -> StudyEngine {
+        StudyEngine { unit_job, ..StudyEngine::new(workers, cache_budget_bytes) }
     }
 
     /// The shared cache, when enabled.
@@ -618,7 +652,7 @@ impl StudyEngine {
             lane,
             completed: false,
         };
-        let (tx, rx) = mpsc::channel::<(usize, UnitAnalysis)>();
+        let (tx, rx) = mpsc::channel::<Result<(usize, UnitAnalysis), FleetFailure>>();
         // The pool workers are long-lived threads with no thread-local
         // context of their own: the request's trace context is captured
         // here (it is `Copy`) and re-entered inside each job, so unit
@@ -629,6 +663,7 @@ impl StudyEngine {
             progress: self.narrate,
             tag: Some(tag.clone()),
         };
+        let job = self.unit_job;
         for (index, unit) in plan.into_iter().flat_map(|(_, units)| units).enumerate() {
             let (world, res) = (Arc::clone(&arts.world), Arc::clone(&arts.res));
             let (config, options, tx) = (arts.config.clone(), options.clone(), tx.clone());
@@ -639,11 +674,21 @@ impl StudyEngine {
                     let _span = panoptes_obs::trace::span_with("serve.unit", None, || {
                         options.decorate(&unit.label())
                     });
-                    let analysis = analyse_unit(&world, &config, &res, &unit, false, &options);
-                    // A dropped receiver means the client disconnected
-                    // and the lane is being torn down; the result is
-                    // simply discarded.
-                    let _ = tx.send((index, analysis));
+                    // A panic is caught here and reported, so every job
+                    // sends exactly once (see the module doc).
+                    let outcome = catch_unwind(AssertUnwindSafe(|| {
+                        job(&world, &config, &res, &unit, false, &options)
+                    }))
+                    .map(|analysis| (index, analysis))
+                    .map_err(|payload| FleetFailure {
+                        unit: unit.label(),
+                        index,
+                        message: panic_message(payload.as_ref()),
+                    });
+                    // A dropped receiver means the study ended (client
+                    // gone or another unit failed) and the lane is being
+                    // torn down; the outcome is simply discarded.
+                    let _ = tx.send(outcome);
                 }),
             );
             if !accepted {
@@ -655,12 +700,15 @@ impl StudyEngine {
         let mut sections: Vec<String> = Vec::new();
         let mut bytes = header.len();
         for received in 0..total {
-            let Ok((index, analysis)) = timed(&mut phases.capture_us, || rx.recv()) else {
-                // A unit panicked (its sender died without sending) —
-                // the lane guard cancels what's left.
-                return Err(StudyError::Fleet(
-                    "a campaign unit failed; study aborted".to_string(),
-                ));
+            // On a failure the lane guard cancels what is left.
+            let (index, analysis) = match timed(&mut phases.capture_us, || rx.recv()) {
+                Ok(Ok(unit)) => unit,
+                Ok(Err(failure)) => return Err(StudyError::Fleet(failure.to_string())),
+                Err(_) => {
+                    return Err(StudyError::Fleet(
+                        "the pool dropped a study unit unrun".to_string(),
+                    ))
+                }
             };
             self.recorder.study_progress(req.id, received + 1, total);
             sink.event(&ev_progress(&tag, received + 1, total))
@@ -810,6 +858,7 @@ pub fn ev_error(message: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     /// Records each call the runner makes on its sink: an event by its
     /// `event` name, then `flush` and `finish`. A finish must come
@@ -868,5 +917,82 @@ mod tests {
         want.extend(std::iter::repeat_n("section", sections));
         want.extend(["timing", "done", "finish"]);
         assert_eq!(replay.0, want, "a replay never flushes before its one finish");
+    }
+
+    /// The study the failure test runs: population 6 plans 16 units.
+    fn six_browsers() -> StudyParams {
+        StudyParams { popular: 2, sensitive: 1, population: 6, ..StudyParams::default() }
+    }
+
+    /// The labels of the first `n` units of `params`' plan.
+    fn first_labels(params: &StudyParams, n: usize) -> Vec<String> {
+        let profiles = population(params.seed, params.population);
+        let plan = params.study().plan(&Phase::ALL, &profiles, &params.scale().config());
+        plan.into_iter().flat_map(|(_, units)| units).take(n).map(|u| u.label()).collect()
+    }
+
+    /// [`analyse_unit`], except that the first `N` units of
+    /// [`six_browsers`]' plan panic.
+    fn first_units_panic<const N: usize>(
+        world: &World,
+        config: &CampaignConfig,
+        res: &AnalysisResources,
+        unit: &FleetUnit,
+        keep: bool,
+        options: &FleetOptions,
+    ) -> UnitAnalysis {
+        if first_labels(&six_browsers(), N).contains(&unit.label()) {
+            panic!("injected failure");
+        }
+        analyse_unit(world, config, res, unit, keep, options)
+    }
+
+    #[test]
+    fn a_panicking_unit_ends_its_study_with_an_error_naming_it() {
+        let params = six_browsers();
+        assert_eq!(params.study().unit_count(&Phase::ALL), 16);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        // One panicking unit, then five: more than the lane's 4 credits.
+        let jobs: [(usize, UnitJob); 2] =
+            [(1, first_units_panic::<1>), (5, first_units_panic::<5>)];
+        let runs: Vec<_> = jobs
+            .into_iter()
+            .map(|(panicking, job)| {
+                let engine = Arc::new(StudyEngine::with_unit_job(2, Some(16 << 20), job));
+                let (tx, rx) = mpsc::channel();
+                let runner = Arc::clone(&engine);
+                let thread = std::thread::spawn(move || {
+                    let result =
+                        runner.run_streaming(&params, &mut Vec::new(), RequestInfo::local());
+                    let _ = tx.send(result.map(|_| ()).map_err(|e| e.to_string()));
+                });
+                (panicking, engine, rx, thread)
+            })
+            .collect();
+        // Every study must end before any is checked: a study that hangs
+        // fails the test at the deadline, and its thread is left behind.
+        let ended: Vec<_> = runs
+            .into_iter()
+            .map(|(panicking, engine, rx, thread)| {
+                let timeout = deadline.saturating_duration_since(Instant::now());
+                let Ok(result) = rx.recv_timeout(timeout) else {
+                    panic!("with {panicking} panicking units the study did not end within 10 s");
+                };
+                thread.join().expect("the study thread returns");
+                (panicking, engine, result)
+            })
+            .collect();
+        for (panicking, engine, result) in ended {
+            let message = result.expect_err("a study with a panicking unit fails");
+            let named = first_labels(&params, panicking)
+                .iter()
+                .any(|label| message.contains(&format!("unit {label} failed: injected failure")));
+            assert!(named, "with {panicking} panicking units: {message}");
+            // The lane is reaped once its in-flight units drain.
+            while engine.lanes() > 0 {
+                assert!(Instant::now() < deadline, "{panicking}: lane still open at the deadline");
+                std::thread::sleep(Duration::from_millis(10));
+            }
+        }
     }
 }

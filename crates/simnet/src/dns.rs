@@ -13,12 +13,12 @@
 //!   endpoint, so they surface in the MITM capture as *native* browser
 //!   traffic to a third party.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 
+use panoptes_http::hash::FastMap;
 use panoptes_http::headers::vocab;
 use panoptes_http::netaddr::IpAddr;
 use panoptes_http::url::Url;
@@ -28,7 +28,7 @@ use panoptes_http::{Atom, Request};
 /// Internet. Populated by `panoptes-web` when the world is built.
 #[derive(Debug, Clone, Default)]
 pub struct DnsZone {
-    records: HashMap<String, IpAddr>,
+    records: FastMap<String, IpAddr>,
 }
 
 impl DnsZone {

@@ -15,12 +15,12 @@
 //!    for bytes and virtual latency.
 
 use std::borrow::Cow;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::{Mutex, RwLock};
 
+use panoptes_http::hash::{fnv1a, FastMap};
 use panoptes_http::netaddr::IpAddr;
 use panoptes_http::request::HttpVersion;
 use panoptes_http::url::Scheme;
@@ -159,16 +159,6 @@ impl LatencyModel {
     }
 }
 
-/// FNV-1a hash (deterministic across runs, unlike `DefaultHasher`).
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 /// An injected fault for a destination host — failure-injection support
 /// for robustness testing. Real crawls constantly meet dead hosts and
 /// erroring servers; the pipeline must degrade gracefully (record what it
@@ -218,9 +208,9 @@ struct ProxyRegistration {
 /// against it are plain immutable-map probes, no lock anywhere.
 #[derive(Clone, Default)]
 pub struct RouteTable {
-    hosts: HashMap<Atom, IpAddr>,
-    endpoints: HashMap<IpAddr, Arc<dyn HttpHandler>>,
-    compiled: OnceLock<HashMap<Atom, Route>>,
+    hosts: FastMap<Atom, IpAddr>,
+    endpoints: FastMap<IpAddr, Arc<dyn HttpHandler>>,
+    compiled: OnceLock<FastMap<Atom, Route>>,
 }
 
 impl RouteTable {
@@ -250,7 +240,7 @@ impl RouteTable {
 
     /// The compiled host → route map, built on first use and shared by
     /// every network the (immutable, `Arc`-held) table is installed on.
-    fn compiled(&self) -> &HashMap<Atom, Route> {
+    fn compiled(&self) -> &FastMap<Atom, Route> {
         self.compiled.get_or_init(|| {
             self.hosts
                 .iter()
@@ -323,15 +313,15 @@ impl AtomicNetStats {
 pub struct Network {
     zone: RwLock<DnsZone>,
     filter: RwLock<FilterTable>,
-    endpoints: RwLock<HashMap<IpAddr, Arc<dyn HttpHandler>>>,
+    endpoints: RwLock<FastMap<IpAddr, Arc<dyn HttpHandler>>>,
     /// The world plan, installed once — lock-free lookups forever after.
     base: OnceLock<Arc<RouteTable>>,
     /// A re-installed plan (tests replace tables); forces the slow path.
     base_overlay: RwLock<Option<Arc<RouteTable>>>,
     /// True as soon as any dynamic registration overlays the base plan.
     dynamic: AtomicBool,
-    route_cache: RwLock<HashMap<Atom, Route>>,
-    proxies: RwLock<HashMap<u16, Arc<ProxyRegistration>>>,
+    route_cache: RwLock<FastMap<Atom, Route>>,
+    proxies: RwLock<FastMap<u16, Arc<ProxyRegistration>>>,
     /// The first registered proxy — the campaign's MITM — resolved
     /// without touching the registry lock.
     primary_proxy: OnceLock<(u16, Arc<ProxyRegistration>)>,
@@ -346,8 +336,8 @@ pub struct Network {
     /// True once any fault was injected; gates the per-request fault
     /// probe so fault-free runs never touch the fault maps.
     has_faults: AtomicBool,
-    faults: RwLock<HashMap<String, FaultMode>>,
-    fault_counters: Mutex<HashMap<String, u32>>,
+    faults: RwLock<FastMap<String, FaultMode>>,
+    fault_counters: Mutex<FastMap<String, u32>>,
 }
 
 impl Network {
@@ -357,12 +347,12 @@ impl Network {
         Network {
             zone: RwLock::new(DnsZone::new()),
             filter: RwLock::new(FilterTable::new()),
-            endpoints: RwLock::new(HashMap::new()),
+            endpoints: RwLock::default(),
             base: OnceLock::new(),
             base_overlay: RwLock::new(None),
             dynamic: AtomicBool::new(false),
-            route_cache: RwLock::new(HashMap::new()),
-            proxies: RwLock::new(HashMap::new()),
+            route_cache: RwLock::default(),
+            proxies: RwLock::default(),
             primary_proxy: OnceLock::new(),
             primary_proxy_stale: AtomicBool::new(false),
             origin_ca,
@@ -371,8 +361,8 @@ impl Network {
             stats: AtomicNetStats::default(),
             dns_log: DnsLog::new(),
             has_faults: AtomicBool::new(false),
-            faults: RwLock::new(HashMap::new()),
-            fault_counters: Mutex::new(HashMap::new()),
+            faults: RwLock::default(),
+            fault_counters: Mutex::default(),
         }
     }
 

@@ -7,9 +7,9 @@
 //! bounds (footnote 3). This module models exactly those mechanics — no
 //! actual cryptography is involved, only the trust decisions.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
+use panoptes_http::hash::FastMap;
 use panoptes_http::Atom;
 use parking_lot::Mutex;
 
@@ -187,7 +187,7 @@ pub struct CertificateAuthority {
     /// Per-subject certificate cache, shared across clones of the
     /// authority. A repeat handshake for a host clones the cached
     /// certificate — a subject reference-count bump, no allocation.
-    issued: Arc<Mutex<HashMap<Atom, Certificate>>>,
+    issued: Arc<Mutex<FastMap<Atom, Certificate>>>,
 }
 
 impl CertificateAuthority {

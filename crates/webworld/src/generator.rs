@@ -11,6 +11,7 @@
 
 use std::fmt::{self, Write as _};
 
+use panoptes_http::hash::fnv1a;
 use panoptes_http::url::Url;
 use panoptes_http::Atom;
 use rand::rngs::StdRng;
@@ -133,15 +134,6 @@ impl UrlWriter {
 
 fn site_rng(seed: u64, domain: &str) -> StdRng {
     StdRng::seed_from_u64(seed ^ fnv1a(domain))
-}
-
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
 }
 
 fn popular_site(seed: u64, rank: u32, writer: &mut UrlWriter) -> SiteSpec {

@@ -3,10 +3,12 @@
 //! behaviour selected by hostname class — site content, CDN assets, ad
 //! exchanges, vendor endpoints, DoH resolvers.
 
-use std::collections::HashMap;
+use std::fmt::Write as _;
 
+use panoptes_http::hash::FastMap;
 use panoptes_http::headers::vocab;
-use panoptes_http::json::{self, Value};
+use panoptes_http::json;
+use panoptes_http::netaddr::IpAddr;
 use panoptes_http::url::Url;
 use panoptes_http::{Atom, Request, Response, StatusCode};
 use panoptes_simnet::net::{FlowContext, HttpHandler, NetError, Network};
@@ -28,15 +30,15 @@ use crate::vendors::{endpoint, Purpose};
 /// reference-count bump, and the header `Vec` is copied.
 #[derive(Debug, Default)]
 pub struct Directory {
-    resources: HashMap<String, HashMap<String, PreparedResource>>,
-    redirects: HashMap<String, HashMap<String, Atom>>,
+    resources: FastMap<String, FastMap<String, PreparedResource>>,
+    redirects: FastMap<String, FastMap<String, Atom>>,
     resource_count: usize,
     /// Deep-tail landing hosts → document size. Tail sites are served
     /// formulaically — their static resources carry the byte size in the
     /// path (`/s/{size}/...`) — so a 100k-site world stores one `u32`
     /// per tail site here, keyed by the site's host atom, instead of ~10
     /// pre-rendered templates each.
-    tail_documents: HashMap<Atom, u32>,
+    tail_documents: FastMap<Atom, u32>,
 }
 
 /// One indexed resource: its declared size and the response template
@@ -143,18 +145,7 @@ impl OriginServer {
                 // Resolve for real against the zone so the client can
                 // proceed — and the exchange is a genuine HTTPS flow.
                 let name = req.url.query_param("name").unwrap_or_default();
-                let answer = net
-                    .resolve_silent(&name)
-                    .map(|ip| ip.to_string())
-                    .unwrap_or_else(|| "0.0.0.0".to_string());
-                let body = json::to_string(&Value::object(vec![
-                    ("Status", Value::Number(0.0)),
-                    ("Question", Value::object(vec![("name", Value::str(name))])),
-                    ("Answer", Value::Array(vec![Value::object(vec![
-                        ("type", Value::Number(1.0)),
-                        ("data", Value::str(answer)),
-                    ])])),
-                ]));
+                let body = doh_answer(&name, net.resolve_silent(&name));
                 Response::ok(body).with_header(v.content_type.clone(), v.dns_json.clone())
             }
             Purpose::History | Purpose::Telemetry => {
@@ -219,6 +210,27 @@ impl HttpHandler for OriginServer {
     }
 }
 
+/// The JSON body of a DoH answer for `name`, resolved to `ip`
+/// (`0.0.0.0` when the name does not resolve), written into one
+/// `String`: the bytes [`json::to_string`] writes for the object
+/// `{"Status":0,"Question":{"name":…},"Answer":[{"type":1,"data":…}]}`.
+fn doh_answer(name: &str, ip: Option<IpAddr>) -> String {
+    const HEAD: &str = r#"{"Status":0,"Question":{"name":"#;
+    const ANSWER: &str = r#"},"Answer":[{"type":1,"data":""#;
+    const TAIL: &str = r#""}]}"#;
+    // The fixed parts, the quoted name and the longest IPv4 address.
+    let mut body = String::with_capacity(HEAD.len() + ANSWER.len() + TAIL.len() + name.len() + 17);
+    body.push_str(HEAD);
+    json::write_string(name, &mut body);
+    body.push_str(ANSWER);
+    match ip {
+        Some(ip) => write!(body, "{ip}").expect("writing to a String cannot fail"),
+        None => body.push_str("0.0.0.0"),
+    }
+    body.push_str(TAIL);
+    body
+}
+
 /// Renders the response template for a content path: sized filler body,
 /// `content-type` by extension, first-party session cookie on document
 /// loads. Exactly what the handler used to assemble per request.
@@ -268,6 +280,51 @@ mod tests {
         let r = &site.page.resources[0];
         assert_eq!(dir.size_of(r.url.host(), r.url.path()), Some(r.size));
         assert_eq!(dir.size_of("nowhere.example", "/"), None);
+    }
+
+    /// The object the DoH answer was serialised from before its body was
+    /// written directly: the reference its bytes must equal.
+    fn doh_tree(name: &str, answer: &str) -> String {
+        use panoptes_http::json::Value;
+        json::to_string(&Value::object(vec![
+            ("Status", Value::Number(0.0)),
+            ("Question", Value::object(vec![("name", Value::str(name))])),
+            (
+                "Answer",
+                Value::Array(vec![Value::object(vec![
+                    ("type", Value::Number(1.0)),
+                    ("data", Value::str(answer)),
+                ])]),
+            ),
+        ]))
+    }
+
+    #[test]
+    fn doh_answers_are_the_bytes_of_the_json_tree() {
+        use crate::World;
+        use panoptes_simnet::dns::DohProvider;
+        use panoptes_simnet::tls::{CaId, CertificateAuthority};
+        let world =
+            World::build(&GeneratorConfig { popular: 3, sensitive: 2, ..Default::default() });
+        let net = Network::new(
+            CertificateAuthority::new(CaId::public_web_pki()),
+            IpAddr::new(192, 168, 1, 50),
+        );
+        world.install(&net);
+        let server = OriginServer::new(Directory::default());
+        let routed = world.sites[0].host.as_str();
+        let ip = world.ip_of(routed).expect("a site's host is routed").to_string();
+        let names = [
+            (routed, ip.as_str()),
+            ("nowhere.example", "0.0.0.0"),
+            ("q\"uote\\back.example", "0.0.0.0"),
+        ];
+        for (name, answer) in names {
+            let req = DohProvider::Google.query_request(name);
+            assert_eq!(req.url.query_param("name").as_deref(), Some(name));
+            let resp = server.vendor_response(Purpose::Doh, &net, &req);
+            assert_eq!(&resp.body[..], doh_tree(name, answer).as_bytes(), "{name}");
+        }
     }
 
     #[test]

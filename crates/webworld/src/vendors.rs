@@ -5,6 +5,10 @@
 //! §3.4 geolocation analysis recovers the paper's result (Yandex → RU,
 //! QQ → CN, UC International → CA) from the wire, not from a table.
 
+use std::sync::OnceLock;
+
+use panoptes_http::hash::FastMap;
+
 /// What an endpoint is for (report flavour + analysis grouping).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Purpose {
@@ -223,9 +227,11 @@ pub fn all_endpoints() -> impl Iterator<Item = &'static VendorEndpoint> {
     ENDPOINTS.iter().chain(AUX_ENDPOINTS.iter())
 }
 
-/// Looks up an endpoint by hostname.
+/// Looks up an endpoint by hostname: one probe of a map built on first
+/// use. The origin server asks for every request it serves.
 pub fn endpoint(host: &str) -> Option<&'static VendorEndpoint> {
-    all_endpoints().find(|e| e.host == host)
+    static BY_HOST: OnceLock<FastMap<&'static str, &'static VendorEndpoint>> = OnceLock::new();
+    BY_HOST.get_or_init(|| all_endpoints().map(|e| (e.host, e)).collect()).get(host).copied()
 }
 
 #[cfg(test)]
@@ -239,6 +245,21 @@ mod tests {
         let before = hosts.len();
         hosts.dedup();
         assert_eq!(hosts.len(), before);
+    }
+
+    #[test]
+    fn endpoint_agrees_with_a_linear_scan() {
+        use crate::generator::GeneratorConfig;
+        let scan = |host: &str| all_endpoints().find(|e| e.host == host);
+        for e in all_endpoints() {
+            assert_eq!(endpoint(e.host), Some(e), "{}", e.host);
+        }
+        let world = crate::World::build(&GeneratorConfig::default());
+        for (host, _) in world.hosts() {
+            assert_eq!(endpoint(host), scan(host), "{host}");
+        }
+        assert!(world.host_count() > all_endpoints().count());
+        assert_eq!(endpoint("nowhere.example"), None);
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! address from its country's block, and install hosts + servers on a
 //! [`Network`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
+use panoptes_http::hash::{fnv1a, FastMap};
 use panoptes_http::netaddr::{Cidr, IpAddr};
 use panoptes_http::Atom;
 use panoptes_simnet::{Network, RouteTable};
@@ -36,11 +37,11 @@ pub struct World {
 /// session and fleet worker of a study. Generation is deterministic in
 /// the config, so sharing is transparent; the handful of configurations
 /// a process ever uses makes this a bounded cache, not a leak.
-type PlanCache = Mutex<HashMap<(u64, u32, u32, u32), Arc<World>>>;
+type PlanCache = Mutex<FastMap<(u64, u32, u32, u32), Arc<World>>>;
 
 fn plan_cache() -> &'static PlanCache {
     static CACHE: OnceLock<PlanCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+    CACHE.get_or_init(Mutex::default)
 }
 
 impl World {
@@ -132,29 +133,20 @@ fn site_hosts(site: &SiteSpec) -> Vec<&str> {
     hosts
 }
 
-fn fnv1a(s: &str) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
-    }
-    hash
-}
-
 /// Allocates sequential host addresses within each country's plan block.
 struct Allocator {
-    counters: HashMap<&'static str, u32>,
-    blocks: HashMap<&'static str, Cidr>,
+    counters: FastMap<&'static str, u32>,
+    blocks: FastMap<&'static str, Cidr>,
 }
 
 impl Allocator {
     fn new() -> Allocator {
-        let mut blocks = HashMap::new();
+        let mut blocks = FastMap::default();
         for (block, country) in panoptes_geo::db::ADDRESS_PLAN {
             // First plan block per country wins (one hosting range each).
             blocks.entry(*country).or_insert_with(|| Cidr::parse(block).expect("plan"));
         }
-        Allocator { counters: HashMap::new(), blocks }
+        Allocator { counters: FastMap::default(), blocks }
     }
 
     fn allocate(&mut self, country: &'static str) -> IpAddr {

@@ -131,6 +131,35 @@ fi
 
 echo "ok: no URL is formatted only to be parsed in crates/*/src"
 
+# One hash policy on the request and fold paths. A map keyed by values
+# the program generates (hosts, paths, domains, URLs, cookie domains)
+# takes `panoptes_http::hash::{FastMap, FastSet}`, one multiply per key
+# word, never std's keyed SipHash; and the deterministic string hash is
+# `panoptes_http::hash::fnv1a`, never a private copy of FNV-1a, whose
+# values seed every study. Maps keyed by outside input (serve's query
+# parameters, the parsed filter and hosts lists) live in other crates
+# and keep std's `RandomState`. `hash.rs` itself, binaries, test
+# modules (below the first `#[cfg(test)]`) and comment lines are
+# exempt. No opt-out marker.
+
+hash_dirs="crates/nettypes/src crates/simnet/src crates/webworld/src crates/browsers/src crates/mitm/src crates/analysis/src"
+hash_offenders=$(find $hash_dirs -name '*.rs' | grep -v '/src/bin/' \
+    | grep -v '^crates/nettypes/src/hash\.rs$' | sort \
+    | while read -r f; do
+    awk '/#\[cfg\(test\)\]/{exit} {print FILENAME":"FNR": "$0}' "$f"
+done | grep -E '\bHash(Map|Set)\b|0xcbf2_?9ce4_?8422_?2325' | grep -vE ':[0-9]+: *//' || true)
+
+if [ -n "$hash_offenders" ]; then
+    echo "error: std-hashed map or private FNV-1a on the request path:" >&2
+    echo "$hash_offenders" >&2
+    echo >&2
+    echo "Key program-generated values with panoptes_http::hash::FastMap" >&2
+    echo "or FastSet, and hash with panoptes_http::hash::fnv1a." >&2
+    exit 1
+fi
+
+echo "ok: one hash policy in $hash_dirs"
+
 # Third gate: the fused study engine. Detectors must feed on the fused
 # pass (`engine::CrawlPartials`) instead of opening their own snapshot
 # iteration — every extra `store.snapshot()` walk outside the engine is
