@@ -199,10 +199,10 @@ fn ablation_pinning(c: &mut Criterion) {
 
     let pinned_run = run_crawl(&world, &samsung, &world.sites, &config);
     let open_run = run_crawl(&world, &unpinned, &world.sites, &config);
-    let opaque = pinned_run.store.by_class(FlowClass::PinnedOpaque).len();
+    let opaque = pinned_run.store.snapshot().by_class(FlowClass::PinnedOpaque).len();
     assert!(opaque > 0, "pinned flows must appear as opaque");
     assert!(
-        open_run.store.native_flows().len() > pinned_run.store.native_flows().len(),
+        open_run.store.snapshot().native().len() > pinned_run.store.snapshot().native().len(),
         "unpinning reveals more native flows"
     );
 

@@ -5,9 +5,11 @@
 //!
 //! * the full study report (flows/sec through `study_report`);
 //! * `FilterList::should_block` over a 1.5k-rule list — reference
-//!   linear scan vs indexed engine, interleaved rep-by-rep
+//!   linear scan vs the compiled engine, interleaved rep-by-rep
 //!   (matches/sec; the list is immutable shared state, so
-//!   interleaving, not isolation, is the right protocol).
+//!   interleaving, not isolation, is the right protocol). The two
+//!   must agree on every URL, and the compiled engine must be at least
+//!   `MIN_FILTERLIST_SPEEDUP`× faster than the linear scan.
 //!
 //! All sections follow the `ab` protocol: warmup iterations are
 //! excluded from every statistic, and the JSON records the protocol
@@ -27,6 +29,13 @@ static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 
 const WARMUPS: usize = 1;
 const REPS: usize = 5;
+
+/// Floor on the compiled filterlist engine's best-rep speedup over the
+/// linear scan on the 2k-URL workload. Fourteen runs on a 2-CPU x86-64
+/// VM measured 249–277×; the floor sits at under half of that, so host
+/// noise does not trip it, while a compiled path that fell back to
+/// scanning rule by rule would.
+const MIN_FILTERLIST_SPEEDUP: f64 = 100.0;
 
 /// `"best": .., "mean": .., "p90": .."` for one sample set.
 fn spread_json(stats: &ArmStats) -> String {
@@ -62,15 +71,16 @@ fn main() {
     eprintln!("filterlist: 1.5k rules, interleaved arms…");
     let list = perf::synthetic_filterlist(1200, 300);
     let urls = perf::filterlist_workload(2000);
-    let (mut linear_hits, mut indexed_hits) = (0usize, 0usize);
+    let (mut linear_hits, mut compiled_hits) = (0usize, 0usize);
     let filter = ab::interleaved(
         protocol,
         "linear",
         || linear_hits = urls.iter().filter(|(h, u)| list.should_block_linear(h, u)).count(),
-        "indexed",
-        || indexed_hits = urls.iter().filter(|(h, u)| list.should_block(h, u)).count(),
+        "compiled",
+        || compiled_hits = urls.iter().filter(|(h, u)| list.should_block(h, u)).count(),
     );
-    assert_eq!(linear_hits, indexed_hits, "filterlist engines diverged");
+    assert_eq!(linear_hits, compiled_hits, "filterlist engines diverged");
+    let filter_speedup = filter.speedup_best();
 
     let json = format!(
         concat!(
@@ -91,8 +101,8 @@ fn main() {
             "    \"hits\": {hits},\n",
             "    \"linear\": {{ {linear_spread} }},\n",
             "    \"linear_matches_per_sec\": {linear_rate:.0},\n",
-            "    \"indexed\": {{ {indexed_spread} }},\n",
-            "    \"indexed_matches_per_sec\": {indexed_rate:.0},\n",
+            "    \"compiled\": {{ {compiled_spread} }},\n",
+            "    \"compiled_matches_per_sec\": {compiled_rate:.0},\n",
             "    \"speedup\": {filter_speedup:.2}\n",
             "  }},\n",
             "{mem}\n",
@@ -107,16 +117,22 @@ fn main() {
         report_len = report_len,
         rules = list.len(),
         url_count = urls.len(),
-        hits = indexed_hits,
+        hits = compiled_hits,
         linear_spread = spread_json(&filter.a),
         linear_rate = urls.len() as f64 / filter.a.best(),
-        indexed_spread = spread_json(&filter.b),
-        indexed_rate = urls.len() as f64 / filter.b.best(),
-        filter_speedup = filter.speedup_best(),
+        compiled_spread = spread_json(&filter.b),
+        compiled_rate = urls.len() as f64 / filter.b.best(),
+        filter_speedup = filter_speedup,
         mem = mem::report_json(),
     );
 
     std::fs::write(&out_path, &json).expect("write benchmark record");
     print!("{json}");
     eprintln!("wrote {out_path}");
+
+    assert!(
+        filter_speedup >= MIN_FILTERLIST_SPEEDUP,
+        "compiled filterlist speedup {filter_speedup:.1}× below the required \
+         {MIN_FILTERLIST_SPEEDUP:.0}× over linear"
+    );
 }

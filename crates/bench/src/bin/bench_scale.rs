@@ -2,22 +2,20 @@
 //!
 //! This is the Tranco-100k raw-speed record: a cold 100k-site world
 //! build plus a single-browser crawl over all 100k sites, measured
-//! against a fixed peak-memory budget, and the compiled filterlist
-//! automaton raced against the PR-2 indexed engine over a 100k-URL
-//! workload (the automaton must clear 5× indexed).
+//! against a fixed peak-memory budget. (The filterlist engines are
+//! raced in `bench_analysis`.)
 //!
 //! Usage: `bench_scale [--validate] [--sites N] [output.json]`
 //!
 //! * default: `--sites 100000`, writes `BENCH_scale.json`;
-//! * `--validate`: CI mode — a 5k-site world and a 20k-URL filterlist
-//!   workload, same schema and same budget assertions, small enough for
-//!   every pipeline run.
+//! * `--validate`: CI mode — a 5k-site world, same schema and same
+//!   budget assertion, small enough for every pipeline run.
 
 use std::time::Instant;
 
 use panoptes::fleet::{self, FleetOptions};
 use panoptes_bench::experiments::Scale;
-use panoptes_bench::{mem, perf};
+use panoptes_bench::mem;
 use panoptes_browsers::registry::population;
 use panoptes_web::generator::GeneratorConfig;
 use panoptes_web::World;
@@ -31,9 +29,6 @@ static ALLOC: mem::CountingAlloc = mem::CountingAlloc;
 /// roughly 2.5× the measured ~570 MiB footprint, so regressions trip
 /// the gate long before the bench machine feels it.
 const PEAK_RSS_BUDGET_MIB: u64 = 1536;
-
-/// Required automaton-vs-indexed speedup at full scale.
-const REQUIRED_SPEEDUP: f64 = 5.0;
 
 fn main() {
     let mut sites: u32 = 100_000;
@@ -55,7 +50,6 @@ fn main() {
     if validate {
         sites = sites.min(5_000);
     }
-    let urls = if validate { 20_000 } else { 100_000 };
 
     let scale = Scale::paper().with_sites(sites);
     let total_sites = scale.popular + scale.sensitive + scale.tail;
@@ -87,29 +81,6 @@ fn main() {
     let flows = results[0].store.len() as u64;
     assert!(flows >= total_sites as u64, "crawl captured fewer flows than sites");
 
-    // Filterlist: automaton (should_block) vs the PR-2 indexed engine
-    // over the deterministic mixed hit/miss workload.
-    eprintln!("filterlist: {urls} URLs…");
-    let list = perf::synthetic_filterlist(1200, 300);
-    let workload = perf::filterlist_workload(urls);
-    let time_best = |f: &mut dyn FnMut() -> usize| -> (f64, usize) {
-        let mut best = f64::INFINITY;
-        let mut sink = 0usize;
-        for _ in 0..5 {
-            let start = Instant::now();
-            sink = f();
-            best = best.min(start.elapsed().as_secs_f64());
-        }
-        (best, sink)
-    };
-    let (indexed_secs, indexed_hits) = time_best(&mut || {
-        workload.iter().filter(|(h, u)| list.should_block_indexed(h, u)).count()
-    });
-    let (auto_secs, auto_hits) =
-        time_best(&mut || workload.iter().filter(|(h, u)| list.should_block(h, u)).count());
-    assert_eq!(indexed_hits, auto_hits, "filterlist engines diverged");
-    let speedup = indexed_secs / auto_secs;
-
     let peak_rss_kib = mem::peak_rss_kib().unwrap_or(0);
     let within_budget = peak_rss_kib <= PEAK_RSS_BUDGET_MIB * 1024;
 
@@ -135,16 +106,6 @@ fn main() {
             "    \"flows_per_sec\": {flow_rate:.0},\n",
             "    \"sites_per_sec\": {site_rate:.0}\n",
             "  }},\n",
-            "  \"filterlist\": {{\n",
-            "    \"rules\": {rules},\n",
-            "    \"urls\": {urls},\n",
-            "    \"hits\": {hits},\n",
-            "    \"indexed_secs\": {indexed_secs:.6},\n",
-            "    \"indexed_matches_per_sec\": {indexed_rate:.0},\n",
-            "    \"automaton_secs\": {auto_secs:.6},\n",
-            "    \"automaton_matches_per_sec\": {auto_rate:.0},\n",
-            "    \"speedup_vs_indexed\": {speedup:.2}\n",
-            "  }},\n",
             "{mem}\n",
             "}}\n",
         ),
@@ -160,14 +121,6 @@ fn main() {
         flows = flows,
         flow_rate = flows as f64 / crawl_secs,
         site_rate = total_sites as f64 / crawl_secs,
-        rules = list.len(),
-        urls = workload.len(),
-        hits = auto_hits,
-        indexed_secs = indexed_secs,
-        indexed_rate = workload.len() as f64 / indexed_secs,
-        auto_secs = auto_secs,
-        auto_rate = workload.len() as f64 / auto_secs,
-        speedup = speedup,
         mem = mem::report_json(),
     );
 
@@ -178,12 +131,5 @@ fn main() {
     assert!(
         within_budget,
         "peak RSS {peak_rss_kib} KiB exceeds the {PEAK_RSS_BUDGET_MIB} MiB budget"
-    );
-    // The ≥5× bar is the full-scale acceptance number; the validate run
-    // still requires a clear win so CI catches automaton regressions.
-    let bar = if validate { 2.0 } else { REQUIRED_SPEEDUP };
-    assert!(
-        speedup >= bar,
-        "automaton speedup {speedup:.2}× below the required {bar:.0}× over indexed"
     );
 }

@@ -11,8 +11,6 @@
 #![warn(missing_docs)]
 
 pub mod ab;
-pub mod capture;
-pub mod capture_baseline;
 pub mod experiments;
 pub mod mem;
 pub mod perf;

@@ -1,8 +1,7 @@
-//! Deterministic workloads for the perf benchmarks and the
-//! `bench_analysis` trajectory recorder: a synthetic ≥1k-rule
-//! filterlist and a mixed hit/miss URL workload. Everything is
-//! arithmetic — no RNG — so every run, machine and CI job measures the
-//! exact same work.
+//! Deterministic workloads for the `bench_analysis` filterlist race: a
+//! synthetic ≥1k-rule filterlist and a mixed hit/miss URL workload.
+//! Everything is arithmetic — no RNG — so every run, machine and CI job
+//! measures the exact same work.
 
 use panoptes_blocklist::FilterList;
 
@@ -76,9 +75,9 @@ mod tests {
         let urls = filterlist_workload(500);
         let mut hits = 0usize;
         for (h, u) in &urls {
-            let indexed = list.should_block(h, u);
-            assert_eq!(indexed, list.should_block_linear(h, u), "{h} {u}");
-            hits += indexed as usize;
+            let compiled = list.should_block(h, u);
+            assert_eq!(compiled, list.should_block_linear(h, u), "{h} {u}");
+            hits += compiled as usize;
         }
         // The workload exercises both outcomes.
         assert!(hits > 0 && hits < urls.len(), "hits={hits}");

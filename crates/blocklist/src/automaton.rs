@@ -1,6 +1,6 @@
 //! The compiled filterlist matching engine.
 //!
-//! Two structures replace the per-rule probing of the indexed engine:
+//! Two structures replace per-rule probing:
 //!
 //! * [`SubstringAutomaton`] — all substring rules compiled into one
 //!   dense Aho–Corasick DFA walked byte-by-byte over the URL (case
@@ -24,20 +24,16 @@ use panoptes_http::Atom;
 
 /// 256-bit presence bitmap of the bytes occurring in a string.
 #[derive(Debug, Clone)]
-pub(crate) struct ByteSet(pub(crate) [u64; 4]);
+struct ByteSet([u64; 4]);
 
 impl ByteSet {
     /// The byte set of `text`, case-sensitive.
-    pub(crate) fn of(text: &str) -> ByteSet {
+    fn of(text: &str) -> ByteSet {
         let mut set = [0u64; 4];
         for &b in text.as_bytes() {
             set[(b >> 6) as usize] |= 1 << (b & 63);
         }
         ByteSet(set)
-    }
-
-    pub(crate) fn contains(&self, b: u8) -> bool {
-        self.0[(b >> 6) as usize] & (1 << (b & 63)) != 0
     }
 
     fn insert(&mut self, b: u8) {
@@ -62,7 +58,7 @@ impl ByteSet {
 /// the genuinely rare letters (`j k q x z`) on top. Any choice is
 /// *sound* — a pattern match requires its chosen byte to be present —
 /// so the table only tunes how often the DFA can be skipped.
-pub(crate) fn rarity(b: u8) -> u8 {
+fn rarity(b: u8) -> u8 {
     match b {
         b'/' | b'.' | b':' | b'e' | b'a' | b't' | b'o' | b'i' | b'n' | b's' | b'r' | b'c' => 0,
         b'0'..=b'9' | b'=' | b'&' | b'?' | b'%' | b'-' | b'_' => 1,
@@ -74,33 +70,10 @@ pub(crate) fn rarity(b: u8) -> u8 {
 }
 
 /// The rarest byte of a (non-empty, already lowercased) pattern.
-pub(crate) fn bucket_byte(pattern: &str) -> u8 {
+fn bucket_byte(pattern: &str) -> u8 {
     pattern
         .bytes()
         .max_by_key(|&b| rarity(b))
-        .expect("zero-length substring patterns are rejected at parse")
-}
-
-/// The rarity table the PR-2 indexed engine shipped with, frozen. The
-/// indexed engine is kept as a *measured baseline*, so its bucket
-/// choices must not drift when the compiled engine's prefilter is
-/// retuned — otherwise the bench compares the automaton against a
-/// moving target instead of against PR 2.
-pub(crate) fn rarity_pr2(b: u8) -> u8 {
-    match b {
-        b'/' | b'.' | b':' | b'e' | b'a' | b't' | b'o' | b'i' | b'n' | b's' | b'r' | b'c' => 0,
-        b'a'..=b'z' => 1,
-        b'0'..=b'9' => 2,
-        b'-' | b'_' | b'=' | b'&' | b'?' | b'%' => 3,
-        _ => 4,
-    }
-}
-
-/// [`bucket_byte`] under the frozen PR-2 table.
-pub(crate) fn bucket_byte_pr2(pattern: &str) -> u8 {
-    pattern
-        .bytes()
-        .max_by_key(|&b| rarity_pr2(b))
         .expect("zero-length substring patterns are rejected at parse")
 }
 

@@ -13,29 +13,23 @@
 //!
 //! # Matching engines
 //!
-//! [`FilterList::should_block`] runs the **compiled** engine (PR 7):
-//! all substring rules in one dense Aho–Corasick DFA behind a rare-byte
+//! [`FilterList::should_block`] runs the **compiled** engine: all
+//! substring rules in one dense Aho–Corasick DFA behind a rare-byte
 //! prefilter, domain anchors as interned [`Atom`]s in a `FastSet` with a
 //! length-mask gate — see [`crate::automaton`]. The hot path allocates
 //! nothing: bytes are lowercased as they feed the DFA.
 //!
-//! Two older engines stay on as measured references:
-//!
-//! * [`FilterList::should_block_indexed`] — the PR-2 indexed engine
-//!   (anchor hash-walk, rare-byte substring buckets, 256-bit URL
-//!   bitmap), the baseline `bench_scale` reports speedup against;
-//! * [`FilterList::should_block_linear`] — the original rule-by-rule
-//!   scan, the reference the proptest equivalence suite pins both
-//!   faster engines to.
-//!
-//! All three decide identically on every (rules, host, url).
+//! [`FilterList::should_block_linear`] is the original rule-by-rule
+//! scan, the reference the proptest equivalence suite pins the compiled
+//! engine to and `bench_analysis` times it against. The two decide
+//! identically on every (rules, host, url).
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 use panoptes_http::Atom;
 
-use crate::automaton::{bucket_byte_pr2, AnchorSet, ByteSet, SubstringAutomaton};
+use crate::automaton::{AnchorSet, SubstringAutomaton};
 
 /// One parsed rule.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -52,64 +46,6 @@ enum Pattern {
 struct Rule {
     pattern: Pattern,
     exception: bool,
-}
-
-/// Indexed form of one rule set (blocks or exceptions) — the PR-2
-/// engine, kept as the measured baseline.
-#[derive(Debug, Clone, Default)]
-struct PatternIndex {
-    /// Domain-anchor rules, looked up by host label suffix (shared
-    /// interned `Atom`s; probes borrow `&str`).
-    anchors: HashSet<Atom>,
-    /// Substring rules keyed by their rarest byte; `BTreeMap` keeps the
-    /// build deterministic.
-    substrings: BTreeMap<u8, Vec<String>>,
-}
-
-impl PatternIndex {
-    fn insert(&mut self, pattern: &Pattern) {
-        match pattern {
-            Pattern::DomainAnchor(d) => {
-                self.anchors.insert(d.clone());
-            }
-            Pattern::Substring(s) => {
-                // Frozen PR-2 bucket choice: this engine is the pinned
-                // baseline the compiled automaton is measured against.
-                self.substrings.entry(bucket_byte_pr2(s)).or_default().push(s.clone());
-            }
-        }
-    }
-
-    /// Indexed equivalent of "any pattern matches (host, url)". Both
-    /// inputs must already be lowercased; `seen` is the URL's byte set.
-    fn matches(&self, host_lower: &str, url_lower: &str, seen: &ByteSet) -> bool {
-        if !self.anchors.is_empty() {
-            // `||d^` hits when d is the whole host or a suffix preceded
-            // by a dot — i.e. exactly the suffixes starting at position
-            // 0 or right after each '.'.
-            if self.anchors.contains(host_lower) {
-                return true;
-            }
-            for (i, b) in host_lower.bytes().enumerate() {
-                if b == b'.' && self.anchors.contains(&host_lower[i + 1..]) {
-                    return true;
-                }
-            }
-        }
-        for (&byte, bucket) in &self.substrings {
-            if !seen.contains(byte) {
-                // The byte-set prefilter proved this bucket can't match
-                // without scanning it.
-                panoptes_obs::count!("blocklist.index.bitmap_rejects", Deterministic);
-                continue;
-            }
-            panoptes_obs::count!("blocklist.index.bucket_scans", Deterministic);
-            if bucket.iter().any(|s| url_lower.contains(s.as_str())) {
-                return true;
-            }
-        }
-        false
-    }
 }
 
 /// One rule set compiled for the hot path: interned anchors behind a
@@ -148,8 +84,6 @@ impl CompiledRules {
 pub struct FilterList {
     blocks: Vec<Pattern>,
     exceptions: Vec<Pattern>,
-    block_index: PatternIndex,
-    exception_index: PatternIndex,
     compiled_blocks: CompiledRules,
     compiled_exceptions: CompiledRules,
 }
@@ -176,10 +110,8 @@ impl FilterList {
                     continue;
                 }
                 if rule.exception {
-                    list.exception_index.insert(&rule.pattern);
                     list.exceptions.push(rule.pattern);
                 } else {
-                    list.block_index.insert(&rule.pattern);
                     list.blocks.push(rule.pattern);
                 }
             }
@@ -212,23 +144,7 @@ impl FilterList {
         !self.compiled_exceptions.matches(&host_lower, url_text)
     }
 
-    /// The PR-2 indexed engine (anchor hash-walk + rare-byte substring
-    /// buckets + URL byte bitmap), kept as the measured baseline the
-    /// compiled engine is benchmarked against.
-    pub fn should_block_indexed(&self, host: &str, url_text: &str) -> bool {
-        if self.blocks.is_empty() {
-            return false;
-        }
-        let host_lower = host.to_ascii_lowercase(); // alloc-ok: frozen PR-2 baseline
-        let url_lower = url_text.to_ascii_lowercase(); // alloc-ok: frozen PR-2 baseline
-        let seen = ByteSet::of(&url_lower);
-        if !self.block_index.matches(&host_lower, &url_lower, &seen) {
-            return false;
-        }
-        !self.exception_index.matches(&host_lower, &url_lower, &seen)
-    }
-
-    /// The original rule-by-rule scan, kept as the reference the indexed
+    /// The original rule-by-rule scan, kept as the reference the compiled
     /// engine is proven equivalent to (and benchmarked against).
     pub fn should_block_linear(&self, host: &str, url_text: &str) -> bool {
         let blocked = self.blocks.iter().any(|p| pattern_matches(p, host, url_text));
@@ -380,7 +296,7 @@ mod tests {
     }
 
     #[test]
-    fn indexed_and_linear_agree_on_the_excerpt() {
+    fn compiled_and_linear_agree_on_the_excerpt() {
         let list = easylist_excerpt();
         let cases = [
             ("doubleclick.net", "https://doubleclick.net/pixel"),
@@ -393,9 +309,11 @@ mod tests {
             ("a.b.c.rubiconproject.com", "https://a.b.c.rubiconproject.com/"),
         ];
         for (host, url) in cases {
-            let reference = list.should_block_linear(host, url);
-            assert_eq!(list.should_block(host, url), reference, "compiled: {host} {url}");
-            assert_eq!(list.should_block_indexed(host, url), reference, "indexed: {host} {url}");
+            assert_eq!(
+                list.should_block(host, url),
+                list.should_block_linear(host, url),
+                "{host} {url}"
+            );
         }
     }
 

@@ -79,12 +79,12 @@ fn arb_rule_line() -> impl Strategy<Value = String> {
 }
 
 proptest! {
-    /// The tentpole equivalence: the indexed engine and the reference
+    /// The engine equivalence: the compiled engine and the reference
     /// linear scan agree on every (rules, host, url) — including probes
     /// built from the list's own domains so block/exception paths are
     /// actually exercised, not just misses.
     #[test]
-    fn indexed_engine_matches_linear_scan(
+    fn compiled_engine_matches_linear_scan(
         lines in proptest::collection::vec(arb_rule_line(), 0..40),
         sub in "[a-z]{1,6}",
         host in "[a-z]{1,8}\\.(com|net|org)",
@@ -114,16 +114,10 @@ proptest! {
         }
 
         for (h, u) in &probes {
-            let reference = list.should_block_linear(h, u);
             prop_assert_eq!(
                 list.should_block(h, u),
-                reference,
+                list.should_block_linear(h, u),
                 "compiled engine diverged on host={} url={} rules={:?}", h, u, lines
-            );
-            prop_assert_eq!(
-                list.should_block_indexed(h, u),
-                reference,
-                "indexed engine diverged on host={} url={} rules={:?}", h, u, lines
             );
         }
     }
@@ -132,9 +126,9 @@ proptest! {
     /// mixed case, separators, percent-escapes, repeated fragments and
     /// non-ASCII — the compiled DFA (which lowercases on the fly and
     /// walks raw bytes) must still decide exactly like the reference
-    /// scan, and so must the PR-2 indexed engine.
+    /// scan.
     #[test]
-    fn engines_agree_on_hostile_urls(
+    fn compiled_engine_matches_linear_scan_on_hostile_urls(
         lines in proptest::collection::vec(arb_rule_line(), 0..40),
         host in "[a-zA-Z0-9.-]{1,24}",
         url in "[ -~éß°\u{2603}]{0,60}",
@@ -144,16 +138,10 @@ proptest! {
         // Repeat a fragment so partial-match resets inside the DFA are
         // exercised (aaab-style prefixes that almost match).
         let url = format!("https://{host}/{url}{stutter}{stutter}{url}");
-        let reference = list.should_block_linear(&host, &url);
         prop_assert_eq!(
             list.should_block(&host, &url),
-            reference,
+            list.should_block_linear(&host, &url),
             "compiled engine diverged on host={} url={} rules={:?}", host, url, lines
-        );
-        prop_assert_eq!(
-            list.should_block_indexed(&host, &url),
-            reference,
-            "indexed engine diverged on host={} url={} rules={:?}", host, url, lines
         );
     }
 

@@ -93,10 +93,10 @@ fn cookies_persist_across_visits_in_normal_mode() {
         let mut e = env!(rig, "com.android.chrome");
         chrome.visit(&mut e, &site);
     }
-    let doc = rig
-        .store
-        .engine_flows()
-        .into_iter()
+    let snap = rig.store.snapshot();
+    let doc = snap
+        .engine()
+        .iter()
         .find(|f| f.host == site.host && f.url.ends_with(site.url.path()))
         .expect("document flow");
     assert!(doc.header("cookie").is_some(), "persistent jar replays cookies");
@@ -176,7 +176,7 @@ fn engine_requests_carry_realistic_headers() {
         let mut e = env!(rig, "com.opera.browser");
         opera.visit(&mut e, &site);
     }
-    for f in rig.store.engine_flows() {
+    for f in rig.store.snapshot().engine() {
         assert!(f.header("user-agent").unwrap().contains("Opera"), "{}", f.host);
         assert!(f.header("accept").is_some());
         assert!(f.header("accept-language").is_some());

@@ -11,7 +11,7 @@ use panoptes_browsers::registry::all_profiles;
 use panoptes_browsers::{BrowserProfile, PiiField};
 use panoptes_device::Device;
 use panoptes_instrument::tap::TaintInjector;
-use panoptes_mitm::{FlowClass, FlowStore, TaintAddon, TransparentProxy, TAINT_HEADER};
+use panoptes_mitm::{FlowStore, TaintAddon, TransparentProxy, TAINT_HEADER};
 use panoptes_simnet::clock::SimClock;
 use panoptes_simnet::dns::ResolverKind;
 use panoptes_simnet::tls::{CaId, CertificateAuthority};
@@ -74,7 +74,7 @@ fn native_flows_come_only_from_the_declared_catalogue() {
     for profile in all_profiles() {
         let (store, _) = crawl(&profile, 3);
         let expected = expected_hosts(&profile);
-        for flow in store.native_flows() {
+        for flow in store.snapshot().native() {
             assert!(
                 expected.contains(flow.host.as_str()),
                 "{}: undeclared native destination {}",
@@ -93,7 +93,8 @@ fn per_visit_reporters_fire_on_every_visit() {
         }
         let sites = 4;
         let (store, _) = crawl(&profile, sites);
-        let native = store.native_flows();
+        let snap = store.snapshot();
+        let native = snap.native();
         for call in profile.per_visit {
             let hits = native.iter().filter(|f| f.host == call.host).count();
             let expected_min = (sites + 2) * call.count as usize; // popular + sensitive visits
@@ -113,7 +114,8 @@ fn pii_values_only_in_declaring_browsers() {
     let rooted_value = "rooted=true";
     for profile in all_profiles() {
         let (store, _) = crawl(&profile, 2);
-        let native = store.native_flows();
+        let snap = store.snapshot();
+        let native = snap.native();
         let carries_local_ip = native.iter().any(|f| f.url.contains(local_ip) || f.request_body.contains(local_ip));
         let carries_rooted =
             native.iter().any(|f| f.url.contains(rooted_value) || f.request_body.contains("\"rooted\":true"));
@@ -140,7 +142,7 @@ fn engine_flows_never_target_vendor_history_endpoints() {
         ["sba.yandex.net", "api.browser.yandex.ru", "wup.browser.qq.com", "api.bing.com"];
     for profile in all_profiles() {
         let (store, _) = crawl(&profile, 2);
-        for flow in store.by_class(FlowClass::Engine) {
+        for flow in store.snapshot().engine() {
             assert!(
                 !history_hosts.contains(&flow.host.as_str()),
                 "{}: engine flow to history endpoint {}",

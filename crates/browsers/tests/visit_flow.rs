@@ -73,17 +73,17 @@ fn chrome_visit_splits_engine_and_native() {
     };
 
     assert!(outcome.engine.sent as usize >= site.page.request_count() - 2);
-    let engine = rig.store.engine_flows();
-    let native = rig.store.native_flows();
+    let snap = rig.store.snapshot();
+    let (engine, native) = (snap.engine(), snap.native());
     assert!(!engine.is_empty(), "engine flows captured");
     assert!(!native.is_empty(), "native flows captured (startup + safebrowsing)");
     // Engine flows lost their taint before hitting upstream and are
     // recorded without it.
-    for f in &engine {
+    for f in engine {
         assert!(f.header(TAINT_HEADER).is_none());
     }
     // Chrome's native flows leak nothing about the visit.
-    for f in &native {
+    for f in native {
         assert!(!f.url.contains(site.domain.as_str()), "chrome native leaked: {}", f.url);
     }
 }
@@ -97,7 +97,8 @@ fn yandex_leaks_full_url_and_persistent_id() {
         let mut e = env(&mut rig, "com.yandex.browser");
         yandex.visit(&mut e, &site);
     }
-    let native = rig.store.native_flows();
+    let snap = rig.store.snapshot();
+    let native = snap.native();
     let sba: Vec<_> = native.iter().filter(|f| f.host == "sba.yandex.net").collect();
     assert_eq!(sba.len(), 1);
     let url = panoptes_http::Url::parse(&sba[0].url).unwrap();
@@ -124,7 +125,8 @@ fn yandex_id_is_stable_across_visits_and_reset_clears_it() {
     }
     let ids: Vec<String> = rig
         .store
-        .native_flows()
+        .snapshot()
+        .native()
         .iter()
         .filter(|f| f.host == "api.browser.yandex.ru")
         .map(|f| {
@@ -155,12 +157,8 @@ fn uc_exfiltrates_via_tainted_js_injection() {
     }
     // The collector flow exists, carries the URL + city + ISP — but is
     // classified ENGINE because the injected JS runs in the page.
-    let collectors: Vec<_> = rig
-        .store
-        .all()
-        .into_iter()
-        .filter(|f| f.host == "collect.ucweb.com")
-        .collect();
+    let snap = rig.store.snapshot();
+    let collectors: Vec<_> = snap.iter().filter(|f| f.host == "collect.ucweb.com").collect();
     assert_eq!(collectors.len(), 1);
     assert_eq!(collectors[0].class, FlowClass::Engine);
     let url = panoptes_http::Url::parse(&collectors[0].url).unwrap();
@@ -168,7 +166,7 @@ fn uc_exfiltrates_via_tainted_js_injection() {
     assert_eq!(url.query_param("city").as_deref(), Some("Heraklion"));
     assert_eq!(url.query_param("isp").as_deref(), Some("FORTHnet"));
     // Its *native* traffic carries no URL.
-    for f in rig.store.native_flows() {
+    for f in snap.native() {
         assert!(!f.url.contains(site.domain.as_str()));
     }
 }
@@ -182,12 +180,8 @@ fn edge_keeps_reporting_domains_in_incognito() {
         let mut e = env(&mut rig, "com.microsoft.emmx");
         edge.visit(&mut e, &site);
     }
-    let bing: Vec<_> = rig
-        .store
-        .native_flows()
-        .into_iter()
-        .filter(|f| f.host == "api.bing.com")
-        .collect();
+    let snap = rig.store.snapshot();
+    let bing: Vec<_> = snap.native().iter().filter(|f| f.host == "api.bing.com").collect();
     assert_eq!(bing.len(), 1, "Edge reports the visited domain even in incognito");
     assert!(bing[0].url.contains(&site.domain));
 }
@@ -211,15 +205,12 @@ fn coccoc_blocks_ads_in_engine_but_phones_home() {
     assert!(outcome.engine.adblocked > 0, "easylist blocked engine-side ads");
     // Engine flows contain no ad-network hosts.
     let list = panoptes_blocklist::data::steven_black_excerpt();
-    for f in rig.store.engine_flows() {
+    let snap = rig.store.snapshot();
+    for f in snap.engine() {
         assert!(!list.contains(&f.host), "{} slipped through the blocker", f.host);
     }
     // ... while native telemetry still flows to the vendor.
-    assert!(rig
-        .store
-        .native_flows()
-        .iter()
-        .any(|f| f.host == "log.coccoc.com"));
+    assert!(snap.native().iter().any(|f| f.host == "log.coccoc.com"));
 }
 
 #[test]
@@ -243,7 +234,8 @@ fn samsung_pinned_update_flow_is_opaque() {
         let mut e = env(&mut rig, "com.sec.android.app.sbrowser");
         samsung.startup(&mut e);
     }
-    let pinned = rig.store.by_class(FlowClass::PinnedOpaque);
+    let snap = rig.store.snapshot();
+    let pinned = snap.by_class(FlowClass::PinnedOpaque);
     assert_eq!(pinned.len(), 1);
     assert_eq!(pinned[0].host, "su.samsungdm.com");
     assert_eq!(pinned[0].status, 0);
@@ -260,8 +252,9 @@ fn doh_browsers_query_over_https_stub_browsers_do_not() {
     }
     let doh_flows = rig
         .store
-        .native_flows()
-        .into_iter()
+        .snapshot()
+        .native()
+        .iter()
         .filter(|f| f.host == "cloudflare-dns.com")
         .count();
     assert!(doh_flows > 0, "Edge resolves over DoH — visible as native HTTPS");
@@ -273,12 +266,7 @@ fn doh_browsers_query_over_https_stub_browsers_do_not() {
         let mut e = env(&mut rig2, "com.android.chrome");
         chrome.visit(&mut e, &site2);
     }
-    let doh_flows2 = rig2
-        .store
-        .all()
-        .into_iter()
-        .filter(|f| f.host.contains("dns"))
-        .count();
+    let doh_flows2 = rig2.store.snapshot().iter().filter(|f| f.host.contains("dns")).count();
     assert_eq!(doh_flows2, 0, "Chrome uses the local stub");
     assert!(!rig2.net.dns_log().is_empty(), "stub queries logged");
 }
@@ -292,7 +280,8 @@ fn idle_run_produces_time_stamped_chatter() {
         opera.idle(&mut e, SimDuration::from_secs(600))
     };
     assert!(sent > 50, "Opera's news feed makes it chatty, got {sent}");
-    let natives = rig.store.native_flows();
+    let snap = rig.store.snapshot();
+    let natives = snap.native();
     let news = natives.iter().filter(|f| f.host == "news.opera-api.com").count();
     assert!(news >= 40, "linear feed refreshes, got {news}");
     // Timestamps span the 10 minutes.

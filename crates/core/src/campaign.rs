@@ -336,7 +336,8 @@ mod tests {
         // The Bing domain reports persist in incognito (§3.2).
         let bing = result
             .store
-            .native_flows()
+            .snapshot()
+            .native()
             .iter()
             .filter(|f| f.host == "api.bing.com")
             .count();

@@ -20,14 +20,12 @@
 //! 6. store engine and native flows in their databases.
 //!
 //! [`idle`] implements the §3.5 idle experiment on the same rig;
-//! [`archive`] persists a campaign (capture + ground truth) losslessly
-//! for offline re-analysis; [`fleet`] runs many campaign units across a
-//! bounded worker pool with byte-identical, order-preserved output.
+//! [`fleet`] runs many campaign units across a bounded worker pool with
+//! byte-identical, order-preserved output.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod archive;
 pub mod campaign;
 pub mod config;
 pub mod fleet;

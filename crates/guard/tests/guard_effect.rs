@@ -75,7 +75,7 @@ fn measure_then_enforce_eliminates_yandex_leaks() {
     assert_eq!(analysis.sensitive.sensitive_urls_leaked, 0, "{:?}", analysis.sensitive);
     assert!(guard.stats().blocked as usize >= w.sites.len(), "one sba block per visit at least");
     // Blocked flows are visible in the capture as such.
-    assert!(!guarded.store.by_class(FlowClass::Blocked).is_empty());
+    assert!(!guarded.store.snapshot().by_class(FlowClass::Blocked).is_empty());
 }
 
 #[test]
@@ -96,8 +96,9 @@ fn redaction_alone_stops_qq_without_blocking() {
     // The vendor endpoint still received (sanitized) requests.
     let wup = guarded
         .store
-        .native_flows()
-        .into_iter()
+        .snapshot()
+        .native()
+        .iter()
         .filter(|f| f.host == "wup.browser.qq.com")
         .count();
     assert_eq!(wup, w.sites.len());
@@ -116,7 +117,8 @@ fn hosts_list_blocking_cleans_kiwi_ad_traffic() {
     // Utility traffic is untouched.
     assert!(guarded
         .store
-        .native_flows()
+        .snapshot()
+        .native()
         .iter()
         .any(|f| f.host == "update.kiwibrowser.com"));
 }
@@ -148,8 +150,8 @@ fn guard_does_not_break_the_web() {
     let unguarded = run_crawl(&w, &chrome, &w.sites, &CampaignConfig::default());
     let (guarded, _) = crawl_guarded(&w, &chrome, GuardPolicy::strict(&[], &pii_values()));
     assert_eq!(
-        unguarded.store.engine_flows().len(),
-        guarded.store.engine_flows().len(),
+        unguarded.store.snapshot().engine().len(),
+        guarded.store.snapshot().engine().len(),
         "page loads changed under guard"
     );
     // DoH browsers keep resolving.
@@ -157,7 +159,8 @@ fn guard_does_not_break_the_web() {
     let (guarded_edge, _) = crawl_guarded(&w, &edge, GuardPolicy::strict(&[], &[]));
     assert!(guarded_edge
         .store
-        .native_flows()
+        .snapshot()
+        .native()
         .iter()
         .any(|f| f.host == "cloudflare-dns.com"));
 }

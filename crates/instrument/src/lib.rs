@@ -11,8 +11,6 @@
 //! * [`frida`] — a Frida-like dynamic-hooking engine for browsers that do
 //!   not speak CDP: hook the WebView's load/request functions, or an
 //!   internal API (the UC International case),
-//! * [`rpc`] — CDP JSON-RPC wire framing (command/event frames exactly
-//!   as a real DevTools transcript shows them),
 //! * [`tap`] — the [`tap::RequestTap`] contract both mechanisms
 //!   implement: a callback the web engine invokes on every
 //!   website-initiated request, which is where the taint is injected.
@@ -23,7 +21,6 @@
 pub mod appium;
 pub mod cdp;
 pub mod frida;
-pub mod rpc;
 pub mod tap;
 
 pub use appium::AppiumDriver;

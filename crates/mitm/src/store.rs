@@ -22,12 +22,6 @@
 //! A capture analysed as it is recorded is never sealed:
 //! [`FlowStore::drain`] hands the flows recorded so far to the caller in
 //! capture order and leaves the store empty.
-//!
-//! The pre-snapshot cloning accessors ([`FlowStore::all`],
-//! [`FlowStore::native_flows`], …) remain as thin compatibility shims
-//! for tests and external tooling; production analysis code must use
-//! the snapshot (CI greps for regressions — see
-//! `tools/check_no_cloning.sh`).
 
 use std::fmt;
 use std::ops::Index;
@@ -328,34 +322,6 @@ impl FlowStore {
         snap
     }
 
-    /// Cloning snapshot of every captured flow in capture order.
-    ///
-    /// Compatibility shim: deep-copies every flow. Analysis code must
-    /// use [`Self::snapshot`] instead.
-    pub fn all(&self) -> Vec<Flow> {
-        self.state.lock().iter().cloned().collect()
-    }
-
-    /// The engine-traffic database (cloning shim; see [`Self::snapshot`]).
-    pub fn engine_flows(&self) -> Vec<Flow> {
-        self.by_class(FlowClass::Engine)
-    }
-
-    /// The native-traffic database (cloning shim; see [`Self::snapshot`]).
-    pub fn native_flows(&self) -> Vec<Flow> {
-        self.by_class(FlowClass::Native)
-    }
-
-    /// Flows of one classification (cloning shim; see [`Self::snapshot`]).
-    pub fn by_class(&self, class: FlowClass) -> Vec<Flow> {
-        self.state.lock().iter().filter(|f| f.class == class).cloned().collect()
-    }
-
-    /// Flows sent by one app package (cloning shim; see [`Self::snapshot`]).
-    pub fn by_package(&self, package: &str) -> Vec<Flow> {
-        self.state.lock().iter().filter(|f| f.package == package).cloned().collect()
-    }
-
     /// Total number of captured flows.
     pub fn len(&self) -> usize {
         self.state.lock().len()
@@ -462,14 +428,15 @@ mod tests {
         store.push(flow(3, FlowClass::Native, "b"));
         store.push(flow(4, FlowClass::PinnedOpaque, "b"));
         assert_eq!(store.len(), 4);
-        assert_eq!(store.engine_flows().len(), 1);
-        assert_eq!(store.native_flows().len(), 2);
-        assert_eq!(store.by_class(FlowClass::PinnedOpaque).len(), 1);
-        assert_eq!(store.by_package("b").len(), 2);
+        let snap = store.snapshot();
+        assert_eq!(snap.engine().len(), 1);
+        assert_eq!(snap.native().len(), 2);
+        assert_eq!(snap.by_class(FlowClass::PinnedOpaque).len(), 1);
+        assert_eq!(snap.by_package("b").len(), 2);
     }
 
     #[test]
-    fn snapshot_views_match_cloning_shims() {
+    fn snapshot_views_select_from_capture_order() {
         let store = FlowStore::new();
         store.push(flow(1, FlowClass::Engine, "a"));
         store.push(flow(2, FlowClass::Native, "a"));
@@ -478,22 +445,21 @@ mod tests {
         let snap = store.snapshot();
         assert_eq!(snap.len(), store.len());
         assert!(!snap.is_empty());
-        let all: Vec<Flow> = snap.iter().cloned().collect();
-        assert_eq!(all, store.all());
+        assert_eq!(snap.iter().map(|f| f.id).collect::<Vec<_>>(), vec![1, 2, 3, 4]);
         for class in [
             FlowClass::Engine,
             FlowClass::Native,
             FlowClass::PinnedOpaque,
             FlowClass::Blocked,
         ] {
-            let view: Vec<Flow> = snap.by_class(class).iter().cloned().collect();
-            assert_eq!(view, store.by_class(class), "{class:?}");
+            let selected = snap.iter().filter(|f| f.class == class);
+            assert!(snap.by_class(class).iter().eq(selected), "{class:?}");
         }
         assert_eq!(snap.engine().len(), 1);
         assert_eq!(snap.native().len(), 2);
         for pkg in ["a", "b"] {
-            let view: Vec<Flow> = snap.by_package(pkg).iter().cloned().collect();
-            assert_eq!(view, store.by_package(pkg), "{pkg}");
+            let selected = snap.iter().filter(|f| f.package == pkg);
+            assert!(snap.by_package(pkg).iter().eq(selected), "{pkg}");
         }
         assert!(snap.by_package("unknown").is_empty());
         let mut pkgs: Vec<&str> = snap.packages().collect();
@@ -589,7 +555,7 @@ mod tests {
         let text = store.export_jsonl();
         assert_eq!(text.lines().count(), 5);
         let restored = FlowStore::import_jsonl(&text).unwrap();
-        assert_eq!(restored.all(), store.all());
+        assert!(restored.snapshot().iter().eq(store.snapshot().iter()));
     }
 
     #[test]
@@ -612,7 +578,7 @@ mod tests {
         let text = store.export_jsonl();
         assert_eq!(text.lines().count(), 2, "sealed prefix and open tail both export");
         assert_eq!(store.len(), 2);
-        assert_eq!(store.all().len(), 2);
+        assert_eq!(store.snapshot().len(), 2);
     }
 
     #[test]

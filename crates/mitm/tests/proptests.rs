@@ -103,7 +103,7 @@ proptest! {
         }
         let text = store.export_jsonl();
         let restored = FlowStore::import_jsonl(&text).expect("roundtrip");
-        prop_assert_eq!(restored.all(), flows);
+        prop_assert!(restored.snapshot().iter().eq(flows.iter()));
     }
 
     #[test]
@@ -124,10 +124,11 @@ proptest! {
         for f in &flows {
             store.push(f.clone());
         }
-        let partitioned = store.engine_flows().len()
-            + store.native_flows().len()
-            + store.by_class(FlowClass::PinnedOpaque).len()
-            + store.by_class(FlowClass::Blocked).len();
+        let snap = store.snapshot();
+        let partitioned = snap.engine().len()
+            + snap.native().len()
+            + snap.by_class(FlowClass::PinnedOpaque).len()
+            + snap.by_class(FlowClass::Blocked).len();
         prop_assert_eq!(partitioned, store.len());
     }
 }

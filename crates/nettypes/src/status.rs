@@ -13,8 +13,6 @@ impl StatusCode {
     pub const MOVED_PERMANENTLY: StatusCode = StatusCode(301);
     /// 302 Found
     pub const FOUND: StatusCode = StatusCode(302);
-    /// 304 Not Modified
-    pub const NOT_MODIFIED: StatusCode = StatusCode(304);
     /// 400 Bad Request
     pub const BAD_REQUEST: StatusCode = StatusCode(400);
     /// 403 Forbidden

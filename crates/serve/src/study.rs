@@ -470,13 +470,17 @@ impl StudyEngine {
                 let total_us = req.started.elapsed().as_micros() as u64;
                 let ttfe_us = timed_sink.first_event_us.unwrap_or(total_us);
                 let trailer = ev_timing(req.id, outcome.cached, total_us, ttfe_us, &phases);
+                // Traced before the trailer leaves: a client that has
+                // read the whole stream may already have switched
+                // tracing on or off, and a point recorded after
+                // `finish` would follow that switch, not this request.
+                panoptes_obs::trace::point_with("serve.timing", None, || trailer.clone());
                 timed_sink.event(&trailer).map_err(StudyError::Disconnected)?;
                 timed_sink.event(&ev_done(&outcome)).map_err(StudyError::Disconnected)?;
                 // Finished before `study_finished`: a client that stops
                 // reading stalls here, where the watchdog still sees
                 // the study as active.
                 timed_sink.finish().map_err(StudyError::Disconnected)?;
-                panoptes_obs::trace::point_with("serve.timing", None, || trailer.clone());
                 record_phase_histograms(total_us, ttfe_us, &phases);
                 Ok((outcome, total_us))
             });
@@ -924,16 +928,17 @@ mod tests {
         StudyParams { popular: 2, sensitive: 1, population: 6, ..StudyParams::default() }
     }
 
-    /// The labels of the first `n` units of `params`' plan.
-    fn first_labels(params: &StudyParams, n: usize) -> Vec<String> {
+    /// The labels of the units at plan indices `range` of `params`' plan.
+    fn plan_labels(params: &StudyParams, range: std::ops::Range<usize>) -> Vec<String> {
         let profiles = population(params.seed, params.population);
         let plan = params.study().plan(&Phase::ALL, &profiles, &params.scale().config());
-        plan.into_iter().flat_map(|(_, units)| units).take(n).map(|u| u.label()).collect()
+        let units = plan.into_iter().flat_map(|(_, units)| units);
+        units.skip(range.start).take(range.len()).map(|u| u.label()).collect()
     }
 
-    /// [`analyse_unit`], except that the first `N` units of
-    /// [`six_browsers`]' plan panic.
-    fn first_units_panic<const N: usize>(
+    /// [`analyse_unit`], except that the units at plan indices
+    /// `FROM..TO` of [`six_browsers`]' plan panic.
+    fn units_panic<const FROM: usize, const TO: usize>(
         world: &World,
         config: &CampaignConfig,
         res: &AnalysisResources,
@@ -941,7 +946,7 @@ mod tests {
         keep: bool,
         options: &FleetOptions,
     ) -> UnitAnalysis {
-        if first_labels(&six_browsers(), N).contains(&unit.label()) {
+        if plan_labels(&six_browsers(), FROM..TO).contains(&unit.label()) {
             panic!("injected failure");
         }
         analyse_unit(world, config, res, unit, keep, options)
@@ -951,10 +956,19 @@ mod tests {
     fn a_panicking_unit_ends_its_study_with_an_error_naming_it() {
         let params = six_browsers();
         assert_eq!(params.study().unit_count(&Phase::ALL), 16);
+        let labels: std::collections::BTreeSet<String> =
+            plan_labels(&params, 0..16).into_iter().collect();
+        assert_eq!(labels.len(), 16, "a label names one unit, so one index panics one unit");
         let deadline = Instant::now() + Duration::from_secs(10);
-        // One panicking unit, then five: more than the lane's 4 credits.
-        let jobs: [(usize, UnitJob); 2] =
-            [(1, first_units_panic::<1>), (5, first_units_panic::<5>)];
+        // The first unit; the first 4 (exactly the lane's 4 credits) and
+        // the first 5 (more than them); the last unit; a middle one.
+        let jobs: [(std::ops::Range<usize>, UnitJob); 5] = [
+            (0..1, units_panic::<0, 1>),
+            (0..4, units_panic::<0, 4>),
+            (0..5, units_panic::<0, 5>),
+            (15..16, units_panic::<15, 16>),
+            (7..8, units_panic::<7, 8>),
+        ];
         let runs: Vec<_> = jobs
             .into_iter()
             .map(|(panicking, job)| {
@@ -976,7 +990,7 @@ mod tests {
             .map(|(panicking, engine, rx, thread)| {
                 let timeout = deadline.saturating_duration_since(Instant::now());
                 let Ok(result) = rx.recv_timeout(timeout) else {
-                    panic!("with {panicking} panicking units the study did not end within 10 s");
+                    panic!("with units {panicking:?} panicking the study did not end within 10 s");
                 };
                 thread.join().expect("the study thread returns");
                 (panicking, engine, result)
@@ -984,13 +998,16 @@ mod tests {
             .collect();
         for (panicking, engine, result) in ended {
             let message = result.expect_err("a study with a panicking unit fails");
-            let named = first_labels(&params, panicking)
+            let named = plan_labels(&params, panicking.clone())
                 .iter()
                 .any(|label| message.contains(&format!("unit {label} failed: injected failure")));
-            assert!(named, "with {panicking} panicking units: {message}");
+            assert!(named, "with units {panicking:?} panicking: {message}");
             // The lane is reaped once its in-flight units drain.
             while engine.lanes() > 0 {
-                assert!(Instant::now() < deadline, "{panicking}: lane still open at the deadline");
+                assert!(
+                    Instant::now() < deadline,
+                    "{panicking:?}: lane still open at the deadline"
+                );
                 std::thread::sleep(Duration::from_millis(10));
             }
         }

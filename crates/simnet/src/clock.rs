@@ -30,11 +30,6 @@ impl SimDuration {
         SimDuration(ms * 1_000)
     }
 
-    /// From microseconds.
-    pub const fn from_micros(us: u64) -> SimDuration {
-        SimDuration(us)
-    }
-
     /// Whole seconds (truncating).
     pub fn as_secs(self) -> u64 {
         self.0 / 1_000_000

@@ -192,12 +192,6 @@ impl DnsLog {
 }
 
 impl DnsLogSnapshot {
-    /// Builds a snapshot from already-ordered entries (e.g. parsed from
-    /// an archive).
-    pub fn from_entries(entries: Vec<DnsLogEntry>) -> DnsLogSnapshot {
-        DnsLogSnapshot(Arc::new(entries))
-    }
-
     /// Entries in append order.
     pub fn iter(&self) -> std::slice::Iter<'_, DnsLogEntry> {
         self.0.iter()

@@ -16,7 +16,6 @@
 //! * [`thirdparty`] — the ad/analytics/CDN networks sites embed,
 //! * [`vendors`] — vendor endpoints browsers phone home to,
 //! * [`origin`] — the shared origin-server handler,
-//! * [`stats`] — population statistics over a generated world,
 //! * [`world`] — assembly: build everything and install it on a
 //!   [`panoptes_simnet::Network`].
 
@@ -26,7 +25,6 @@
 pub mod generator;
 pub mod origin;
 pub mod site;
-pub mod stats;
 pub mod thirdparty;
 pub mod vendors;
 pub mod world;

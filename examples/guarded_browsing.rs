@@ -58,7 +58,7 @@ fn main() {
         proxy.install_addon(Box::new(GuardAddon::new(policy)));
     });
     let enforced = analyze_crawl(&guarded, &res);
-    let blocked = guarded.store.by_class(FlowClass::Blocked).len();
+    let blocked = guarded.store.snapshot().by_class(FlowClass::Blocked).len();
     println!("  blocked native requests : {blocked}");
     println!(
         "  history leaks remaining : {}",
@@ -67,7 +67,7 @@ fn main() {
     println!("  pii fields remaining    : {}", enforced.pii.leaked.len());
     println!(
         "  page loads unaffected   : {} engine flows (vs {} unguarded)",
-        guarded.store.engine_flows().len(),
-        unguarded.store.engine_flows().len()
+        guarded.store.snapshot().engine().len(),
+        unguarded.store.snapshot().engine().len()
     );
 }

@@ -49,10 +49,10 @@ fn main() {
     }
 
     // 5. Show one raw phone-home flow, exactly as captured on the wire.
-    let flow = result
-        .store
-        .native_flows()
-        .into_iter()
+    let snap = result.store.snapshot();
+    let flow = snap
+        .native()
+        .iter()
         .find(|f| f.host == "sba.yandex.net")
         .expect("yandex phones home every visit");
     println!("\nexample phone-home flow:\n  GET {}", flow.url);

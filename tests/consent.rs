@@ -24,7 +24,7 @@ fn honoring_vendors_go_quiet_when_consent_is_declined() {
         let declined =
             run_crawl(&w, &p, &w.sites, &CampaignConfig::default().telemetry_declined());
         assert!(
-            declined.store.native_flows().len() < granted.store.native_flows().len(),
+            declined.store.snapshot().native().len() < granted.store.snapshot().native().len(),
             "{name}: declining must reduce native traffic"
         );
     }
@@ -40,8 +40,8 @@ fn tracking_browsers_ignore_the_declined_prompt() {
         let declined =
             run_crawl(&w, &p, &w.sites, &CampaignConfig::default().telemetry_declined());
         assert_eq!(
-            granted.store.native_flows().len(),
-            declined.store.native_flows().len(),
+            granted.store.snapshot().native().len(),
+            declined.store.snapshot().native().len(),
             "{name}: consent made no difference on the wire"
         );
     }
@@ -66,12 +66,8 @@ fn opera_records_the_refusal_and_sends_anyway() {
     let w = world();
     let p = profile_by_name("Opera").unwrap();
     let declined = run_crawl(&w, &p, &w.sites, &CampaignConfig::default().telemetry_declined());
-    let oleads: Vec<_> = declined
-        .store
-        .native_flows()
-        .into_iter()
-        .filter(|f| f.host == "s-odx.oleads.com")
-        .collect();
+    let snap = declined.store.snapshot();
+    let oleads: Vec<_> = snap.native().iter().filter(|f| f.host == "s-odx.oleads.com").collect();
     assert_eq!(oleads.len(), w.sites.len(), "the ad SDK fires on every visit regardless");
     assert!(oleads.iter().all(|f| f.request_body.contains("\"userConsent\":\"false\"")));
 }

@@ -42,14 +42,16 @@ fn yandex_identifier_survives_cookie_wipe_cookies_do_not() {
     let mut clock = SimClock::new();
     let site = world.sites[0].clone();
 
-    let uid_param = |flows: &[panoptes_suite::mitm::Flow]| -> String {
-        flows
+    let uid_param = |store: &FlowStore| -> String {
+        store
+            .snapshot()
+            .native()
             .iter()
             .filter(|f| f.host == "api.browser.yandex.ru")
             .map(|f| {
                 Url::parse(&f.url).unwrap().query_param("yandexuid").unwrap().to_string()
             })
-            .next_back()
+            .last()
             .expect("yandexuid flow")
     };
 
@@ -64,7 +66,7 @@ fn yandex_identifier_survives_cookie_wipe_cookies_do_not() {
         };
         browser.visit(&mut env, &site);
     }
-    let id_before = uid_param(&store.native_flows());
+    let id_before = uid_param(&store);
     let cookies_before = device
         .packages
         .app(&profile.package)
@@ -90,7 +92,7 @@ fn yandex_identifier_survives_cookie_wipe_cookies_do_not() {
         };
         browser.visit(&mut env, &site);
     }
-    let id_after = uid_param(&store.native_flows());
+    let id_after = uid_param(&store);
 
     // The paper's point, verified on the wire: cookies are gone, the
     // tracking identifier is not.
@@ -98,9 +100,10 @@ fn yandex_identifier_survives_cookie_wipe_cookies_do_not() {
 
     // Engine requests no longer carry the old cookies on the first
     // post-wipe document fetch.
-    let doc = store
-        .engine_flows()
-        .into_iter()
+    let snap = store.snapshot();
+    let doc = snap
+        .engine()
+        .iter()
         .find(|f| f.host == site.host && f.url.ends_with(site.url.path()))
         .expect("document flow");
     assert!(
@@ -138,11 +141,12 @@ fn factory_reset_is_the_only_way_to_rotate_the_identifier() {
         };
         browser.visit(&mut env, &site);
         store
-            .native_flows()
+            .snapshot()
+            .native()
             .iter()
             .filter(|f| f.host == "api.browser.yandex.ru")
             .map(|f| Url::parse(&f.url).unwrap().query_param("yandexuid").unwrap().to_string())
-            .next_back()
+            .last()
             .unwrap()
     };
 

@@ -38,14 +38,14 @@ fn flow_accounting_matches_store_for_every_browser() {
         );
         assert_eq!(
             r.engine_sent as usize,
-            r.store.engine_flows().len(),
+            r.store.snapshot().engine().len(),
             "{name}: engine counter drifted from the capture store \
              (adblocked={})",
             r.adblocked
         );
         assert_eq!(
             r.native_sent as usize,
-            r.store.native_flows().len(),
+            r.store.snapshot().native().len(),
             "{name}: native counter drifted from the capture store"
         );
     }
@@ -67,7 +67,7 @@ fn adblocking_browsers_suppress_rather_than_capture() {
             saw_adblocker = true;
             assert_eq!(
                 r.engine_sent as usize,
-                r.store.engine_flows().len(),
+                r.store.snapshot().engine().len(),
                 "{}: suppressed requests leaked into the store",
                 profile.name
             );

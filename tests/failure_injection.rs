@@ -71,12 +71,8 @@ fn dead_third_party_does_not_stop_the_crawl() {
     assert!(sent > 0, "crawl continued");
     // The proxy records the attempts with a 502 (it could not reach
     // upstream), so the dead host is still *visible* in the capture.
-    let dead_flows: Vec<_> = rig
-        .store
-        .all()
-        .into_iter()
-        .filter(|f| f.host == "doubleclick.net")
-        .collect();
+    let snap = rig.store.snapshot();
+    let dead_flows: Vec<_> = snap.iter().filter(|f| f.host == "doubleclick.net").collect();
     assert!(!dead_flows.is_empty());
     assert!(dead_flows.iter().all(|f| f.status == 502), "proxy surfaces upstream failure");
     // The engine saw responses (502s), not transport failures.
@@ -88,16 +84,13 @@ fn erroring_vendor_does_not_corrupt_the_split() {
     let mut rig = rig();
     rig.net.inject_fault("safebrowsing.googleapis.com", FaultMode::ServerError);
     run_visits(&mut rig, "Chrome");
-    let native_500: Vec<_> = rig
-        .store
-        .native_flows()
-        .into_iter()
-        .filter(|f| f.host == "safebrowsing.googleapis.com")
-        .collect();
+    let snap = rig.store.snapshot();
+    let native_500: Vec<_> =
+        snap.native().iter().filter(|f| f.host == "safebrowsing.googleapis.com").collect();
     assert!(!native_500.is_empty());
     assert!(native_500.iter().all(|f| f.status == 500));
     // Engine flows are unaffected.
-    assert!(rig.store.engine_flows().iter().all(|f| f.status != 500));
+    assert!(snap.engine().iter().all(|f| f.status != 500));
 }
 
 #[test]
@@ -105,12 +98,8 @@ fn flaky_host_fails_deterministically() {
     let mut rig = rig();
     rig.net.inject_fault("cdn.jsdelivr.example", FaultMode::FlakyEvery(2));
     let (_, _) = run_visits(&mut rig, "Chrome");
-    let flows: Vec<_> = rig
-        .store
-        .all()
-        .into_iter()
-        .filter(|f| f.host == "cdn.jsdelivr.example")
-        .collect();
+    let snap = rig.store.snapshot();
+    let flows: Vec<_> = snap.iter().filter(|f| f.host == "cdn.jsdelivr.example").collect();
     if flows.len() >= 2 {
         let failed = flows.iter().filter(|f| f.status == 502).count();
         let ok = flows.len() - failed;
@@ -129,23 +118,15 @@ fn clearing_a_fault_restores_service() {
     let mut rig = rig();
     rig.net.inject_fault("www.youtube.com", FaultMode::Unreachable);
     run_visits(&mut rig, "Brave");
-    let before: Vec<_> = rig
-        .store
-        .engine_flows()
-        .into_iter()
-        .filter(|f| f.host == "www.youtube.com")
-        .collect();
+    let snap = rig.store.snapshot();
+    let before: Vec<_> = snap.engine().iter().filter(|f| f.host == "www.youtube.com").collect();
     assert!(before.iter().all(|f| f.status == 502));
 
     rig.net.clear_fault("www.youtube.com");
     rig.store.clear();
     run_visits(&mut rig, "Brave");
-    let after: Vec<_> = rig
-        .store
-        .engine_flows()
-        .into_iter()
-        .filter(|f| f.host == "www.youtube.com")
-        .collect();
+    let snap = rig.store.snapshot();
+    let after: Vec<_> = snap.engine().iter().filter(|f| f.host == "www.youtube.com").collect();
     assert!(after.iter().any(|f| f.status == 200), "service restored");
 }
 

@@ -30,8 +30,9 @@ fn different_seed_changes_the_taint_token_not_the_split() {
     let b = run_crawl(&w, &p, &w.sites, &CampaignConfig { seed: 99, ..Default::default() });
     // Identifiers differ, but the engine/native *counts* are identical:
     // the split is structural, not token-dependent.
-    assert_eq!(a.store.engine_flows().len(), b.store.engine_flows().len());
-    assert_eq!(a.store.native_flows().len(), b.store.native_flows().len());
+    let (a, b) = (a.store.snapshot(), b.store.snapshot());
+    assert_eq!(a.engine().len(), b.engine().len());
+    assert_eq!(a.native().len(), b.native().len());
 }
 
 #[test]
@@ -40,17 +41,18 @@ fn engine_bookkeeping_matches_proxy_database_for_every_browser() {
     let config = CampaignConfig::default();
     for profile in all_profiles() {
         let r = run_crawl(&w, &profile, &w.sites, &config);
+        let snap = r.store.snapshot();
         assert_eq!(
             r.engine_sent,
-            r.store.engine_flows().len() as u64,
+            snap.engine().len() as u64,
             "{}: engine self-count vs proxy DB",
             profile.name
         );
         // The browser's own native counter may exceed the proxy count
         // only through pinned flows (the proxy saw them but could not
         // read them).
-        let native_db = r.store.native_flows().len() as u64;
-        let pinned = r.store.by_class(FlowClass::PinnedOpaque).len() as u64;
+        let native_db = snap.native().len() as u64;
+        let pinned = snap.by_class(FlowClass::PinnedOpaque).len() as u64;
         assert_eq!(
             r.native_sent,
             native_db + pinned - pinned, // == native_db; pinned requests never complete
@@ -66,7 +68,7 @@ fn no_taint_header_ever_reaches_a_recorded_flow() {
     let config = CampaignConfig::default();
     for profile in all_profiles() {
         let r = run_crawl(&w, &profile, &w.sites, &config);
-        for f in r.store.all() {
+        for f in r.store.snapshot().iter() {
             assert!(
                 f.request_headers.iter().all(|(n, _)| !n.eq_ignore_ascii_case(TAINT_HEADER)),
                 "{}: taint leaked into recorded flow to {}",
@@ -84,8 +86,9 @@ fn flow_database_roundtrips_through_jsonl() {
     let r = run_crawl(&w, &p, &w.sites, &CampaignConfig::default());
     let text = r.store.export_jsonl();
     let restored = FlowStore::import_jsonl(&text).expect("valid jsonl");
-    assert_eq!(restored.all(), r.store.all());
-    assert_eq!(restored.engine_flows().len(), r.store.engine_flows().len());
+    let (restored, original) = (restored.snapshot(), r.store.snapshot());
+    assert!(restored.iter().eq(original.iter()));
+    assert_eq!(restored.engine().len(), original.engine().len());
 }
 
 #[test]
@@ -93,10 +96,10 @@ fn flows_are_timestamped_monotonically() {
     let w = world();
     let p = profile_by_name("Edge").unwrap();
     let r = run_crawl(&w, &p, &w.sites, &CampaignConfig::default());
-    let flows = r.store.all();
-    for pair in flows.windows(2) {
-        assert!(pair[1].time_us >= pair[0].time_us, "clock ran backwards");
-        assert!(pair[1].id > pair[0].id);
+    let snap = r.store.snapshot();
+    for (prev, next) in snap.iter().zip(snap.iter().skip(1)) {
+        assert!(next.time_us >= prev.time_us, "clock ran backwards");
+        assert!(next.id > prev.id);
     }
 }
 
@@ -105,7 +108,7 @@ fn every_flow_attributes_to_the_browser_uid() {
     let w = world();
     let p = profile_by_name("Whale").unwrap();
     let r = run_crawl(&w, &p, &w.sites, &CampaignConfig::default());
-    for f in r.store.all() {
+    for f in r.store.snapshot().iter() {
         assert_eq!(f.uid, r.uid, "foreign traffic in the capture");
         assert_eq!(f.package, p.package);
     }

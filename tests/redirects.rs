@@ -38,7 +38,8 @@ fn engine_follows_the_hop_and_both_flows_are_captured() {
     let result = run_crawl(&world, &chrome, &world.sites, &CampaignConfig::default());
     let site = world.sites.iter().find(|s| s.apex_redirect).unwrap();
 
-    let engine = result.store.engine_flows();
+    let snap = result.store.snapshot();
+    let engine = snap.engine();
     let apex: Vec<_> = engine.iter().filter(|f| f.host == site.domain).collect();
     let www: Vec<_> = engine.iter().filter(|f| f.host == site.host).collect();
     assert_eq!(apex.len(), 1, "one 301 hop");

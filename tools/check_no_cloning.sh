@@ -1,21 +1,8 @@
 #!/usr/bin/env sh
-# Guards the zero-copy analysis path: the analysis/core/bench crates
-# must read a kept capture through `FlowStore::snapshot()` (one shared
-# flow slab), never through the deep-cloning shims that the mitm crate
-# keeps for tests and for the pre-refactor benchmark baseline.
-#
-# A line may opt out with a `clone-ok` comment when cloning is the
-# point (e.g. the benchmark's before/after comparison). Criterion
-# benches under `benches/` are exempt wholesale for the same reason.
-#
-# Exits non-zero, listing offenders, if any analysis pass reintroduces
-# `store.all()` / `native_flows()` / `engine_flows()` / `by_class(...)`
-# / `by_package(...)` on a store.
-#
-# It also guards the zero-allocation capture path: fields that hold
-# atoms (hosts, package names, certificate subjects, SNI) must be cloned
-# as atoms (no string copy), never re-materialised as owned `String`s
-# with `.to_string()` inside the capture crates. Cold paths (error
+# Guards the zero-allocation capture path: fields that hold atoms
+# (hosts, package names, certificate subjects, SNI) must be cloned as
+# atoms (no string copy), never re-materialised as owned `String`s with
+# `.to_string()` inside the capture crates. Cold paths (error
 # construction, one-time world build) opt out with `clone-ok`. And a
 # string literal in library code is a process constant, so it is a
 # static atom (a clone copies a pointer), never interned (a clone
@@ -24,23 +11,6 @@
 set -eu
 
 cd "$(dirname "$0")/.."
-
-pattern='store(())?\.((all|native_flows|engine_flows)\(\)|by_(class|package)\()'
-dirs="crates/analysis/src crates/core/src crates/bench/src"
-
-offenders=$(grep -rnE "$pattern" $dirs --include='*.rs' | grep -v 'clone-ok' || true)
-
-if [ -n "$offenders" ]; then
-    echo "error: cloning FlowStore accessors in analysis-path code:" >&2
-    echo "$offenders" >&2
-    echo >&2
-    echo "Use store.snapshot() and its borrowed views instead" >&2
-    echo "(FlowSnapshot::all/engine/native/by_class/by_package)," >&2
-    echo "or mark an intentional baseline with a 'clone-ok' comment." >&2
-    exit 1
-fi
-
-echo "ok: no cloning FlowStore accessors in $dirs"
 
 atom_pattern='\.(host|app_package|package|subject|sni)(\(\))?\.to_string\(\)'
 capture_dirs="crates/nettypes/src crates/simnet/src crates/mitm/src crates/browsers/src crates/webworld/src"
