@@ -23,7 +23,8 @@ fn most_browsers_front_load_opera_is_linear() {
     let mut opera_share = None;
     for profile in all_profiles() {
         let result = run_idle(&world, &profile, SimDuration::from_secs(600), &config);
-        let tl = analyze_idle(&result).timeline(SimDuration::from_secs(10));
+        let analysis = analyze_idle(&result);
+        let tl = analysis.timeline(SimDuration::from_secs(10));
         assert!(tl.total() > 0, "{} sent nothing while idle", profile.name);
         // Cumulative series is monotone by construction.
         for w in tl.cumulative.windows(2) {
@@ -31,6 +32,9 @@ fn most_browsers_front_load_opera_is_linear() {
         }
         let share = tl.first_minute_share();
         if profile.name == "Opera" {
+            // The News feed keeps Opera busy all window long.
+            assert!(tl.total() > 50, "Opera sent {} idle requests", tl.total());
+            assert!(!analysis.destination_shares().is_empty());
             opera_share = Some(share);
         } else if share > uniform * 1.5 {
             front_loaded += 1;

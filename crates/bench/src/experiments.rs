@@ -41,7 +41,7 @@ impl Scale {
         }
     }
 
-    /// A reduced workload for quick runs and benches.
+    /// A reduced workload for quick runs and tests.
     pub fn quick() -> Scale {
         Scale {
             popular: 30,

@@ -1,11 +1,12 @@
-//! Memory instrumentation for the bench binaries: a counting global
-//! allocator and a peak-RSS probe, so every `BENCH_*.json` tracks
-//! memory alongside wall time.
+//! Memory instrumentation: a counting global allocator and a peak-RSS
+//! probe. `serve` installs the allocator so its artifact cache charges
+//! each entry the bytes it retained ([`live_bytes`]); the repository
+//! benchmark (`studybench/`) and `tests/capture_budget.rs` install it
+//! to count allocations.
 //!
 //! The allocator is a thin shim over [`std::alloc::System`] that bumps
-//! two relaxed atomics per allocation; the overhead is a few
-//! nanoseconds and does not perturb the wall-time numbers at bench
-//! granularity. Each bench binary opts in at its crate root:
+//! a few relaxed atomics per allocation; the overhead is a few
+//! nanoseconds. A binary or test opts in at its crate root:
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -26,7 +27,7 @@ static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 static LIVE_BYTES: AtomicI64 = AtomicI64::new(0);
 
 /// A counting wrapper around the system allocator. Install as the
-/// `#[global_allocator]` of a bench binary to make
+/// `#[global_allocator]` of a binary or test to make
 /// [`allocations`]/[`allocated_bytes`] live.
 pub struct CountingAlloc;
 
@@ -84,17 +85,6 @@ pub fn peak_rss_kib() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
-/// The shared `"mem"` section of every bench JSON: peak RSS plus the
-/// counting allocator's totals at report time.
-pub fn report_json() -> String {
-    format!(
-        "  \"mem\": {{\n    \"peak_rss_kib\": {},\n    \"allocations\": {},\n    \"allocated_bytes\": {}\n  }}",
-        peak_rss_kib().unwrap_or(0),
-        allocations(),
-        allocated_bytes()
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,13 +93,5 @@ mod tests {
     fn peak_rss_is_reported_on_linux() {
         let rss = peak_rss_kib();
         assert!(rss.is_some_and(|kib| kib > 1000), "test process uses >1 MiB: {rss:?}");
-    }
-
-    #[test]
-    fn report_json_has_the_schema_fields() {
-        let json = report_json();
-        for field in ["peak_rss_kib", "allocations", "allocated_bytes"] {
-            assert!(json.contains(field), "missing {field} in {json}");
-        }
     }
 }

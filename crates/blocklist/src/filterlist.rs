@@ -21,8 +21,8 @@
 //!
 //! [`FilterList::should_block_linear`] is the original rule-by-rule
 //! scan, the reference the proptest equivalence suite pins the compiled
-//! engine to and `bench_analysis` times it against. The two decide
-//! identically on every (rules, host, url).
+//! engine to and `tests/filterlist_speed.rs` times it against. The two
+//! decide identically on every (rules, host, url).
 
 use std::borrow::Cow;
 use std::collections::HashSet;

@@ -26,8 +26,6 @@
 
 use std::collections::BTreeSet;
 
-use panoptes_http::json::Value;
-use panoptes_http::method::Method;
 use panoptes_instrument::tap::Instrumentation;
 use panoptes_simnet::dns::{DohProvider, ResolverKind};
 
@@ -401,166 +399,6 @@ impl BehaviorModel {
         }
         out
     }
-
-    // ---- JSON (archives) ------------------------------------------------
-
-    /// Serializes the model to a JSON value (campaign archives embed
-    /// this so population-sampled browsers round-trip without a registry
-    /// lookup).
-    pub fn to_json(&self) -> Value {
-        let calls = |list: &[NativeCall]| {
-            Value::Array(list.iter().map(call_to_json).collect())
-        };
-        Value::object(vec![
-            ("name", Value::str(&self.name)),
-            ("version", Value::str(&self.version)),
-            ("package", Value::str(&self.package)),
-            ("instrumentation", Value::str(instrumentation_slug(self.instrumentation))),
-            (
-                "incognito",
-                Value::Bool(self.incognito == IncognitoAxis::Offered),
-            ),
-            ("resolver", Value::str(resolver_slug(self.resolver))),
-            ("adblock", Value::Bool(self.adblock)),
-            ("attempts_h3", Value::Bool(self.attempts_h3)),
-            (
-                "pinned_domains",
-                Value::Array(self.pinned_domains.iter().map(Value::str).collect()),
-            ),
-            (
-                "pii",
-                Value::Array(self.pii.iter().map(|f| Value::str(f.slug())).collect()),
-            ),
-            (
-                "persistent_id",
-                match self.persistent_key() {
-                    Some(key) => Value::str(key),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "js_collector",
-                match &self.js_collector {
-                    Some(host) => Value::str(host),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "honors_consent",
-                Value::Bool(self.consent == ConsentAxis::Honored),
-            ),
-            ("startup", calls(&self.startup)),
-            ("per_visit", calls(&self.per_visit)),
-            ("idle_burst", calls(&self.idle.burst)),
-            (
-                "idle_periodic",
-                Value::Array(
-                    self.idle
-                        .periodic
-                        .iter()
-                        .map(|(interval, call)| {
-                            let mut obj = call_to_json(call);
-                            if let Value::Object(fields) = &mut obj {
-                                fields.push(("interval_secs".to_string(), Value::from(*interval)));
-                            }
-                            obj
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Inverse of [`BehaviorModel::to_json`].
-    pub fn from_json(doc: &Value) -> Result<BehaviorModel, String> {
-        let text = |field: &str| -> Result<String, String> {
-            doc.get(field)
-                .and_then(|v| v.as_str())
-                .map(str::to_string)
-                .ok_or_else(|| format!("model missing {field}"))
-        };
-        let flag = |field: &str| -> Result<bool, String> {
-            doc.get(field)
-                .and_then(|v| v.as_bool())
-                .ok_or_else(|| format!("model missing {field}"))
-        };
-        let calls = |field: &str| -> Result<Vec<NativeCall>, String> {
-            doc.get(field)
-                .and_then(|v| v.as_array())
-                .ok_or_else(|| format!("model missing {field}"))?
-                .iter()
-                .map(call_from_json)
-                .collect()
-        };
-
-        let instrumentation = instrumentation_from_slug(&text("instrumentation")?)
-            .ok_or("bad instrumentation")?;
-        let resolver = resolver_from_slug(&text("resolver")?).ok_or("bad resolver")?;
-        let pii = doc
-            .get("pii")
-            .and_then(|v| v.as_array())
-            .ok_or("model missing pii")?
-            .iter()
-            .map(|v| v.as_str().and_then(PiiField::from_slug).ok_or("bad pii field"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let pinned_domains = doc
-            .get("pinned_domains")
-            .and_then(|v| v.as_array())
-            .ok_or("model missing pinned_domains")?
-            .iter()
-            .map(|v| v.as_str().map(str::to_string).ok_or("bad pinned domain"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let identifier = match doc.get("persistent_id") {
-            Some(Value::Null) | None => IdentifierAxis::Ephemeral,
-            Some(v) => IdentifierAxis::Persistent {
-                key: v.as_str().ok_or("bad persistent_id")?.to_string(),
-            },
-        };
-        let js_collector = match doc.get("js_collector") {
-            Some(Value::Null) | None => None,
-            Some(v) => Some(v.as_str().ok_or("bad js_collector")?.to_string()),
-        };
-        let periodic = doc
-            .get("idle_periodic")
-            .and_then(|v| v.as_array())
-            .ok_or("model missing idle_periodic")?
-            .iter()
-            .map(|v| {
-                let interval = v
-                    .get("interval_secs")
-                    .and_then(|i| i.as_i64())
-                    .ok_or("bad idle interval")? as u64;
-                Ok::<_, String>((interval, call_from_json(v)?))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-
-        Ok(BehaviorModel {
-            name: text("name")?,
-            version: text("version")?,
-            package: text("package")?,
-            instrumentation,
-            incognito: if flag("incognito")? {
-                IncognitoAxis::Offered
-            } else {
-                IncognitoAxis::NotOffered
-            },
-            resolver,
-            adblock: flag("adblock")?,
-            attempts_h3: flag("attempts_h3")?,
-            pinned_domains,
-            pii,
-            identifier,
-            js_collector,
-            consent: if flag("honors_consent")? {
-                ConsentAxis::Honored
-            } else {
-                ConsentAxis::Ignored
-            },
-            startup: calls("startup")?,
-            per_visit: calls("per_visit")?,
-            idle: IdleProfile { burst: calls("idle_burst")?, periodic },
-        })
-    }
 }
 
 /// One catalogue line of the canonical fixture format.
@@ -603,83 +441,6 @@ fn render_call(call: &NativeCall, interval: Option<u64>) -> String {
     line
 }
 
-fn call_to_json(call: &NativeCall) -> Value {
-    let mut fields = vec![
-        ("host", Value::str(&call.host)),
-        ("path", Value::str(&call.path)),
-        ("method", Value::str(call.method.as_str())),
-    ];
-    let payload = match &call.payload {
-        Payload::None => Value::str("none"),
-        Payload::FullUrlBase64 { param } => {
-            Value::object(vec![("kind", Value::str("full-url-base64")), ("param", Value::str(param))])
-        }
-        Payload::HostnamePlusId { host_param, id_param } => Value::object(vec![
-            ("kind", Value::str("hostname-plus-id")),
-            ("host_param", Value::str(host_param)),
-            ("id_param", Value::str(id_param)),
-        ]),
-        Payload::FullUrlPlain { param } => {
-            Value::object(vec![("kind", Value::str("full-url-plain")), ("param", Value::str(param))])
-        }
-        Payload::DomainOnly { param } => {
-            Value::object(vec![("kind", Value::str("domain-only")), ("param", Value::str(param))])
-        }
-        Payload::AdSdkJson => Value::str("ad-sdk-json"),
-        Payload::Telemetry => Value::str("telemetry"),
-    };
-    fields.push(("payload", payload));
-    fields.push(("body_pad", Value::from(call.body_pad)));
-    fields.push(("count", Value::from(call.count)));
-    fields.push(("respects_incognito", Value::Bool(call.respects_incognito)));
-    Value::object(fields)
-}
-
-fn call_from_json(v: &Value) -> Result<NativeCall, String> {
-    let text = |field: &str| -> Result<&str, String> {
-        v.get(field).and_then(|x| x.as_str()).ok_or_else(|| format!("call missing {field}"))
-    };
-    let payload = match v.get("payload") {
-        Some(Value::String(s)) => match s.as_str() {
-            "none" => Payload::None,
-            "ad-sdk-json" => Payload::AdSdkJson,
-            "telemetry" => Payload::Telemetry,
-            other => return Err(format!("unknown payload {other}")),
-        },
-        Some(obj) => {
-            let kind = obj.get("kind").and_then(|k| k.as_str()).ok_or("payload missing kind")?;
-            let param = |field: &str| -> Result<&str, String> {
-                obj.get(field)
-                    .and_then(|x| x.as_str())
-                    .ok_or_else(|| format!("payload missing {field}"))
-            };
-            match kind {
-                "full-url-base64" => Payload::full_url_base64(param("param")?),
-                "hostname-plus-id" => {
-                    Payload::hostname_plus_id(param("host_param")?, param("id_param")?)
-                }
-                "full-url-plain" => Payload::full_url_plain(param("param")?),
-                "domain-only" => Payload::domain_only(param("param")?),
-                other => return Err(format!("unknown payload kind {other}")),
-            }
-        }
-        None => return Err("call missing payload".to_string()),
-    };
-    Ok(NativeCall {
-        host: text("host")?.to_string(),
-        path: text("path")?.to_string(),
-        method: Method::parse(text("method")?).ok_or("bad method")?,
-        payload,
-        body_pad: v.get("body_pad").and_then(|x| x.as_i64()).ok_or("call missing body_pad")?
-            as u32,
-        count: v.get("count").and_then(|x| x.as_i64()).ok_or("call missing count")? as u32,
-        respects_incognito: v
-            .get("respects_incognito")
-            .and_then(|x| x.as_bool())
-            .ok_or("call missing respects_incognito")?,
-    })
-}
-
 fn instrumentation_slug(i: Instrumentation) -> &'static str {
     match i {
         Instrumentation::Cdp => "cdp",
@@ -688,29 +449,11 @@ fn instrumentation_slug(i: Instrumentation) -> &'static str {
     }
 }
 
-fn instrumentation_from_slug(slug: &str) -> Option<Instrumentation> {
-    Some(match slug {
-        "cdp" => Instrumentation::Cdp,
-        "frida-webview" => Instrumentation::FridaWebView,
-        "frida-internal-api" => Instrumentation::FridaInternalApi,
-        _ => return None,
-    })
-}
-
 fn resolver_slug(r: ResolverKind) -> String {
     match r {
         ResolverKind::LocalStub => "stub".to_string(),
         ResolverKind::Doh(provider) => format!("doh:{}", provider.host()),
     }
-}
-
-fn resolver_from_slug(slug: &str) -> Option<ResolverKind> {
-    Some(match slug {
-        "stub" => ResolverKind::LocalStub,
-        "doh:dns.google" => ResolverKind::Doh(DohProvider::Google),
-        "doh:cloudflare-dns.com" => ResolverKind::Doh(DohProvider::Cloudflare),
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -788,13 +531,5 @@ mod tests {
         assert!(a.contains("  GET api.example.com/v1/history hostname+id(host,testuid)\n"));
         assert!(a.contains("  POST mc.example.com/watch telemetry pad=100 x2\n"));
         assert!(a.contains("  every 45s GET mc.example.com/beat\n"));
-    }
-
-    #[test]
-    fn json_roundtrips() {
-        let model = sample_model();
-        let restored = BehaviorModel::from_json(&model.to_json()).unwrap();
-        assert_eq!(model, restored);
-        assert_eq!(model.canonical_text(), restored.canonical_text());
     }
 }

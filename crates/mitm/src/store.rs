@@ -364,17 +364,6 @@ impl FlowStore {
         out
     }
 
-    /// Streams the capture as JSONL into `out`, one line at a time, so
-    /// archive writers don't double-buffer the whole export.
-    pub fn write_jsonl(&self, out: &mut impl fmt::Write) -> fmt::Result {
-        let state = self.state.lock();
-        for flow in state.iter() {
-            out.write_str(&flow.to_jsonl())?;
-            out.write_char('\n')?;
-        }
-        Ok(())
-    }
-
     /// Parses a JSONL capture produced by [`Self::export_jsonl`].
     /// Returns the line number (1-based) of the first malformed record on
     /// failure.
@@ -556,17 +545,6 @@ mod tests {
         assert_eq!(text.lines().count(), 5);
         let restored = FlowStore::import_jsonl(&text).unwrap();
         assert!(restored.snapshot().iter().eq(store.snapshot().iter()));
-    }
-
-    #[test]
-    fn streamed_export_matches_buffered() {
-        let store = FlowStore::new();
-        for i in 0..7 {
-            store.push(flow(i, FlowClass::Native, "p"));
-        }
-        let mut streamed = String::new();
-        store.write_jsonl(&mut streamed).unwrap();
-        assert_eq!(streamed, store.export_jsonl());
     }
 
     #[test]

@@ -175,25 +175,21 @@ proptest! {
         prop_assert!(snap.by_package("no-such-package").is_empty());
     }
 
-    /// The streaming JSONL writer and the buffered exporter emit the
-    /// same bytes, and the reserve estimate never undershoots.
+    /// The exporter's reserve estimate never undershoots its output.
     #[test]
-    fn jsonl_export_variants_agree(
+    fn jsonl_export_reserve_estimate_never_undershoots(
         flows in proptest::collection::vec(arb_flow(), 0..20),
     ) {
         let store = FlowStore::new();
         for f in &flows {
             store.push(f.clone());
         }
-        let buffered = store.export_jsonl();
-        let mut streamed = String::new();
-        store.write_jsonl(&mut streamed).unwrap();
-        prop_assert_eq!(&streamed, &buffered);
+        let exported = store.export_jsonl();
         let estimate: usize =
             store.snapshot().iter().map(Flow::jsonl_len_estimate).sum();
         prop_assert!(
-            estimate >= buffered.len(),
-            "estimate {} < actual {}", estimate, buffered.len()
+            estimate >= exported.len(),
+            "estimate {} < actual {}", estimate, exported.len()
         );
     }
 }

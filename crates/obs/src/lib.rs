@@ -30,8 +30,8 @@
 //! a branch (no handle resolution, no formatting, no allocation) until
 //! [`enable`] turns the layer on. `repro` runs without `--metrics` /
 //! `--trace-out` are therefore byte- and allocation-identical to the
-//! uninstrumented pipeline; `bench_obs` pins the disabled-path cost
-//! below 2% of the capture and study paths.
+//! uninstrumented pipeline; `tests/obs_determinism.rs` pins the
+//! disabled-path cost below 2% of the capture and study paths.
 //!
 //! The [`progress`] module is the third, always-compiled-in piece: the
 //! structured, tear-free progress sink the fleet narrates through

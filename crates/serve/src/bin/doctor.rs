@@ -1,8 +1,8 @@
 //! `panoptes-doctor` — offline analysis of serve-path evidence.
 //!
-//! Reads one or more files, each either a request-scoped trace
-//! (`panoptes_obs` JSONL, e.g. from a traced `bench_serve` run or
-//! `repro --trace-out`) or a flight-recorder post-mortem dump, and
+//! Reads one or more files, each either a trace (`panoptes_obs` JSONL,
+//! e.g. from `repro --trace-out` or drained from a traced server) or a
+//! flight-recorder post-mortem dump, and
 //! prints per-request waterfalls, latency attribution with the
 //! critical phase called out, the top-N slowest studies, and cache
 //! causality (who built each key, who replayed or waited on it).
@@ -11,9 +11,11 @@
 //! panoptes-doctor [--top N] [--check] FILE...
 //! ```
 //!
-//! `--check` additionally validates every timing trailer (phases +
-//! other must reconcile with the measured completion) and exits
-//! non-zero on a violation — the CI smoke gate.
+//! `--check` additionally checks each trace document (it re-emits byte
+//! for byte, its spans balance, a span starts and ends in the same
+//! request, no span is its own parent) and validates every timing
+//! trailer (phases + other must reconcile with the measured
+//! completion), and exits non-zero on a violation — the CI smoke gate.
 
 use std::process::ExitCode;
 
@@ -78,6 +80,15 @@ fn main() -> ExitCode {
             Ok(report) => {
                 print!("{}", doctor::render_report(&report, top));
                 if check {
+                    if let Err(e) = doctor::check_trace(&text) {
+                        eprintln!("panoptes-doctor: {file}: CHECK FAILED: {e}");
+                        failed = true;
+                    } else {
+                        println!(
+                            "check: the trace re-emits byte for byte; its spans balance and \
+                             stay in their requests"
+                        );
+                    }
                     // 2ms of slack: phase slots are timed with separate
                     // Instant reads, so sub-ms drift per phase is
                     // measurement noise, not an attribution hole.

@@ -3,18 +3,17 @@
 //! ```text
 //! serve [--port N] [--workers N] [--cache-budget-mb N] [--no-cache]
 //!       [--max-active N] [--max-waiting N] [--narrate]
-//!       [--trace] [--flightrec DIR] [--watchdog-secs N]
+//!       [--flightrec DIR] [--watchdog-secs N]
 //! ```
 //!
 //! Serves `GET /study` (streamed study results, byte-identical to
 //! offline `repro`), `GET /healthz`, and `GET /metrics` on
 //! `127.0.0.1`. Runs until killed.
 //!
-//! Observability flags: `--trace` records request-scoped trace events
-//! (served bytes are identical either way); `--flightrec DIR` arms the
-//! stall watchdog and panic hook, writing post-mortems under `DIR`
-//! (readable with `panoptes-doctor`); `--watchdog-secs N` sets the
-//! no-progress deadline the watchdog enforces.
+//! Observability flags: `--flightrec DIR` arms the stall watchdog and
+//! panic hook, writing post-mortems under `DIR` (readable with
+//! `panoptes-doctor`); `--watchdog-secs N` sets the no-progress
+//! deadline the watchdog enforces.
 
 use panoptes_serve::server::{self, ServerConfig};
 
@@ -43,7 +42,6 @@ fn main() {
             "--max-active" => config.max_active = (next_number("--max-active") as usize).max(1),
             "--max-waiting" => config.max_waiting = next_number("--max-waiting") as usize,
             "--narrate" => config.narrate = true,
-            "--trace" => config.trace = true,
             "--flightrec" => {
                 let Some(dir) = args.next() else {
                     die("--flightrec needs a directory")
@@ -59,7 +57,7 @@ fn main() {
                 eprintln!(
                     "usage: serve [--port N] [--workers N] [--cache-budget-mb N] [--no-cache] \
                      [--max-active N] [--max-waiting N] [--narrate] \
-                     [--trace] [--flightrec DIR] [--watchdog-secs N]"
+                     [--flightrec DIR] [--watchdog-secs N]"
                 );
                 return;
             }

@@ -1,6 +1,6 @@
-//! A minimal blocking client for the study server: used by the
-//! determinism tests and `bench_serve` to drive real TCP round trips
-//! against an in-process server.
+//! A minimal blocking client for the study server: used by the serve
+//! tests and the repository benchmark (`studybench/`) to drive real TCP
+//! round trips against a server.
 
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};

@@ -20,7 +20,9 @@
 //! built each cache key versus which requests replayed it.
 //! [`Report::validate`] cross-checks every trailer: the seven phases
 //! plus `other_us` must reconcile with `total_us` — the acceptance
-//! gate for the attribution math.
+//! gate for the attribution math. [`check_trace`] checks the trace
+//! document itself: it re-emits byte for byte, and its spans balance
+//! and stay within their request.
 //!
 //! Everything here is read-only over strings: the doctor never loads
 //! the pipeline, so it can dissect a dump from a wedged or crashed
@@ -28,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use panoptes_obs::trace::{parse_jsonl, EventKind, TraceEvent};
+use panoptes_obs::trace::{parse_jsonl, to_jsonl, EventKind, TraceEvent};
 
 use crate::json;
 
@@ -340,6 +342,42 @@ pub fn analyze(events: &[TraceEvent]) -> Report {
 /// Parses a trace JSONL document and analyzes it.
 pub fn analyze_jsonl(text: &str) -> Result<Report, String> {
     Ok(analyze(&parse_jsonl(text)?))
+}
+
+/// Checks a trace JSONL document: it parses and re-emits byte for byte,
+/// every span that starts also ends, a span starts and ends in the same
+/// request, and no span is its own parent. Rings overwrite their oldest
+/// events under pressure, so a start can outlive its end in a huge
+/// trace; in a smoke trace every span must balance.
+pub fn check_trace(text: &str) -> Result<(), String> {
+    let events = parse_jsonl(text)?;
+    if to_jsonl(&events) != text {
+        return Err("re-emit is not byte-identical to the input".to_string());
+    }
+    let count = |kind| events.iter().filter(|e| e.kind == kind).count();
+    let (starts, ends) = (count(EventKind::Start), count(EventKind::End));
+    if starts != ends {
+        return Err(format!("{starts} span starts vs {ends} ends"));
+    }
+    let start_req: BTreeMap<u64, Option<u64>> = events
+        .iter()
+        .filter(|e| e.kind == EventKind::Start)
+        .map(|e| (e.span, e.req))
+        .collect();
+    for e in &events {
+        if e.kind == EventKind::End {
+            if let Some(req) = start_req.get(&e.span).filter(|&&req| req != e.req) {
+                return Err(format!(
+                    "span {} ({}) starts in request {req:?} but ends in {:?}",
+                    e.span, e.name, e.req
+                ));
+            }
+        }
+        if e.parent == Some(e.span) {
+            return Err(format!("span {} ({}) parents on itself", e.span, e.name));
+        }
+    }
+    Ok(())
 }
 
 /// True when `text` is a flight-recorder dump rather than a trace
@@ -707,6 +745,28 @@ mod tests {
         let t = report.requests[0].timing.as_mut().expect("trailer");
         t.total_us = t.phase_sum() + 1000;
         assert!(report.validate(5).is_err());
+    }
+
+    #[test]
+    fn check_trace_passes_a_well_formed_trace_and_names_each_fault() {
+        let text = format!("{}\n", trace_fixture());
+        assert_eq!(check_trace(&text), Ok(()));
+        assert!(check_trace(&trace_fixture()).is_err(), "no final newline: re-emit differs");
+
+        let unit_end = r#"{"ev":"end","name":"serve.unit","span":13,"thread":2,"seq":1,"wall_ns":90000,"req":1"#;
+        let unbalanced = text.replace(&format!("{unit_end},\"parent\":10}}\n"), "");
+        assert_eq!(check_trace(&unbalanced), Err("5 span starts vs 4 ends".to_string()));
+
+        let moved = text.replace(unit_end, &unit_end.replace("\"req\":1", "\"req\":2"));
+        let fault = check_trace(&moved).unwrap_err();
+        assert!(fault.contains("starts in request Some(1) but ends in Some(2)"), "{fault}");
+
+        let wait_start = r#""span":11,"thread":1,"seq":1,"wall_ns":1100,"req":1"#;
+        let self_parent = text.replace(
+            &format!("{wait_start},\"parent\":10"),
+            &format!("{wait_start},\"parent\":11"),
+        );
+        assert!(check_trace(&self_parent).unwrap_err().contains("parents on itself"));
     }
 
     #[test]

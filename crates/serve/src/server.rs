@@ -49,8 +49,7 @@ pub const DEFAULT_WATCHDOG_DEADLINE: Duration = Duration::from_secs(30);
 pub struct ServerConfig {
     /// Pool worker threads shared by all studies.
     pub workers: usize,
-    /// Shared-artifact cache budget; `None` disables the cache (the
-    /// A/B baseline).
+    /// Shared-artifact cache budget; `None` disables the cache.
     pub cache_budget: Option<u64>,
     /// Studies allowed to run concurrently.
     pub max_active: usize,
@@ -59,10 +58,6 @@ pub struct ServerConfig {
     pub max_waiting: usize,
     /// Tagged per-unit narration on stderr.
     pub narrate: bool,
-    /// Record request-scoped trace events (`panoptes_obs::TRACE`).
-    /// The served bytes are identical either way; tracing only adds
-    /// out-of-band events.
-    pub trace: bool,
     /// Directory for flight-recorder post-mortems. When set, the stall
     /// watchdog runs and the panic hook dumps here; the in-memory ring
     /// itself is always on.
@@ -82,7 +77,6 @@ impl Default for ServerConfig {
             max_active: 8,
             max_waiting: 128,
             narrate: false,
-            trace: false,
             flightrec_dir: None,
             watchdog_deadline: None,
         }
@@ -156,9 +150,6 @@ pub fn spawn(port: u16, config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     let addr = listener.local_addr()?;
     panoptes_obs::enable(panoptes_obs::METRICS);
-    if config.trace {
-        panoptes_obs::enable(panoptes_obs::TRACE);
-    }
     let mut engine = StudyEngine::new(config.workers, config.cache_budget);
     if config.narrate {
         engine = engine.with_narration();

@@ -353,9 +353,8 @@ type UnitJob = fn(
 
 /// The shared study engine: one per server process. Owns the worker
 /// pool every study's units interleave on, and (optionally) the
-/// shared-artifact cache. `cache: None` is the honest A/B baseline —
-/// every request builds its world, population, filterlist and document
-/// from scratch.
+/// shared-artifact cache. With `cache: None` every request builds its
+/// world, population, filterlist and document from scratch.
 pub struct StudyEngine {
     pool: WorkPool,
     cache: Option<Arc<ArtifactCache>>,

@@ -47,6 +47,9 @@ fn finding1_native_traffic_can_reach_a_third_of_total() {
             assert!(r.request_ratio < 0.10, "{}: {}", r.browser, r.request_ratio);
         }
     }
+    // Figure 4: by volume, QQ's native traffic tops 30 %.
+    let qq = rows.iter().find(|r| r.browser == "QQ").unwrap();
+    assert!(qq.volume_ratio > 0.3, "QQ volume ratio {}", qq.volume_ratio);
 }
 
 #[test]
@@ -131,6 +134,8 @@ fn finding6_ad_servers_and_pii() {
         let row = fig3.iter().find(|r| r.browser == name).unwrap();
         assert!(row.ad_percent > 0.0, "{name} must contact ad servers");
     }
+    let kiwi = fig3.iter().find(|r| r.browser == "Kiwi").unwrap();
+    assert!(kiwi.ad_percent > 30.0, "Kiwi's ad-server share {}", kiwi.ad_percent);
     let zero: Vec<&str> = fig3
         .iter()
         .filter(|r| r.ad_percent == 0.0)

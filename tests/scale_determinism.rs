@@ -3,8 +3,8 @@
 //! The generator's contract is *prefix stability*: growing the tail
 //! must never perturb the head. The paper's 1,000 sites are the first
 //! 1,000 sites of the 10k (and 100k) worlds, byte for byte, which is
-//! what keeps `repro_output.md` identical while `bench_scale` pushes
-//! the same pipeline to 100k sites. And at the grown scale, the fleet
+//! what keeps `repro_output.md` identical while `repro --sites 100000`
+//! pushes the same pipeline to 100k sites. And at the grown scale, the fleet
 //! must still be a pure reordering: jobs 1 and jobs 8 capture the
 //! exact same flows.
 

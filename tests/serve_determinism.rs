@@ -2,10 +2,10 @@
 //! real TCP: the bytes a served study streams (concatenated
 //! `header`/`section` event payloads) are **identical** to what the
 //! offline `repro` pipeline prints for the same parameters — for
-//! concurrent requests with distinct seeds, whichever offline worker
-//! count (`--jobs 1` or `--jobs 8`) is used as the reference — and a
-//! client that disconnects mid-stream neither poisons the shared
-//! cache nor leaks worker-pool lanes.
+//! concurrent requests with distinct seeds, with the shared cache on or
+//! off, whichever offline worker count (`--jobs 1` or `--jobs 8`) is
+//! used as the reference — and a client that disconnects mid-stream
+//! neither poisons the shared cache nor leaks worker-pool lanes.
 
 use std::time::{Duration, Instant};
 
@@ -65,36 +65,42 @@ fn concurrent_served_studies_match_offline_repro_at_jobs_1_and_8() {
         })
         .collect();
 
-    let handle = server::spawn(
-        0,
-        ServerConfig { workers: 3, cache_budget: Some(64 << 20), ..ServerConfig::default() },
-    )
-    .expect("bind study server");
-    let addr = handle.addr;
+    // The shared cache must be invisible in the bytes: the same load
+    // against a server with the cache off builds every document.
+    for cache_budget in [Some(64 << 20), None] {
+        let handle =
+            server::spawn(0, ServerConfig { workers: 3, cache_budget, ..ServerConfig::default() })
+                .expect("bind study server");
+        let addr = handle.addr;
 
-    // Two concurrent requests per seed: exercises cross-study pool
-    // interleaving AND whole-document single-flight (the second
-    // request for a seed replays the first's document).
-    let clients: Vec<_> = seeds
-        .iter()
-        .flat_map(|&seed| [seed, seed])
-        .map(|seed| {
-            std::thread::spawn(move || {
-                (seed, client::collect_study(addr, &query(&params(seed))))
+        // Two concurrent requests per seed: exercises cross-study pool
+        // interleaving AND, with the cache on, whole-document
+        // single-flight (the second request for a seed replays the
+        // first's document).
+        let clients: Vec<_> = seeds
+            .iter()
+            .flat_map(|&seed| [seed, seed])
+            .map(|seed| {
+                std::thread::spawn(move || {
+                    (seed, client::collect_study(addr, &query(&params(seed))))
+                })
             })
-        })
-        .collect();
-    for thread in clients {
-        let (seed, capture) = thread.join().expect("client thread");
-        let capture = capture.expect("served study completes");
-        let reference =
-            &references[seeds.iter().position(|&s| s == seed).expect("known seed")];
-        assert_eq!(
-            &capture.doc, reference,
-            "served bytes diverged from offline repro at seed {seed:#x}"
-        );
+            .collect();
+        for thread in clients {
+            let (seed, capture) = thread.join().expect("client thread");
+            let capture = capture.expect("served study completes");
+            let reference = &references[seeds.iter().position(|&s| s == seed).expect("known seed")];
+            assert_eq!(
+                &capture.doc, reference,
+                "served bytes diverged from offline repro at seed {seed:#x} \
+                 (cache budget {cache_budget:?})"
+            );
+            if cache_budget.is_none() {
+                assert!(!capture.cached, "a server without a cache replays nothing");
+            }
+        }
+        handle.shutdown();
     }
-    handle.shutdown();
 }
 
 #[test]

@@ -67,13 +67,13 @@ fn replays_reuse_parked_handlers_flush_their_rings_and_a_burst_gets_every_byte()
     let p = params();
     let offline = offline_doc(&p);
     let max_active = 4;
+    panoptes_obs::enable(panoptes_obs::TRACE);
     let handle = server::spawn(
         0,
         ServerConfig {
             workers: 2,
             cache_budget: Some(16 << 20),
             max_active,
-            trace: true,
             ..ServerConfig::default()
         },
     )

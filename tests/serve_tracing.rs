@@ -10,9 +10,9 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use panoptes_obs::trace::{self, EventKind, TraceEvent};
-use panoptes_serve::client;
 use panoptes_serve::server::{self, ServerConfig};
 use panoptes_serve::study::StudyParams;
+use panoptes_serve::{client, doctor};
 
 /// The trace layer and its flush list are process-global; tests that
 /// enable tracing or drain events serialise here.
@@ -67,12 +67,12 @@ fn tracing_and_flightrec_change_no_served_byte_and_scope_every_event() {
     let flight_dir = std::env::temp_dir().join(format!("panoptes-trace-test-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&flight_dir);
     drop(trace::drain());
+    panoptes_obs::enable(panoptes_obs::TRACE);
     let traced = server::spawn(
         0,
         ServerConfig {
             workers: 2,
             cache_budget: Some(64 << 20),
-            trace: true,
             flightrec_dir: Some(flight_dir.clone()),
             watchdog_deadline: Some(Duration::from_secs(120)),
             ..ServerConfig::default()
@@ -136,12 +136,18 @@ fn tracing_and_flightrec_change_no_served_byte_and_scope_every_event() {
         assert_ne!(unit.thread, root.thread, "units run on pool threads, not the handler");
     }
 
-    // The doctor reconstructs the run: both requests present, phases
-    // reconciling, and whole-document cache causality (request 1 built
-    // the doc key, request 2 replayed it).
-    let report = panoptes_serve::doctor::analyze(&events);
+    // The doctor reconstructs the run: a well-formed trace, both
+    // requests present, phases reconciling, a waterfall with its
+    // critical path, and whole-document cache causality (request 1
+    // built the doc key, request 2 replayed it).
+    doctor::check_trace(&trace::to_jsonl(&events)).expect("doctor: the trace is well formed");
+    let report = doctor::analyze(&events);
     assert_eq!(report.requests.len(), 2);
     report.validate(2_000).expect("doctor: timing attribution reconciles");
+    let rendered = doctor::render_report(&report, 5);
+    for needle in ["critical path:", "waterfall"] {
+        assert!(rendered.contains(needle), "doctor report lacks {needle:?}:\n{rendered}");
+    }
     let doc_causality = report.cache.get(&p.doc_key()).expect("doc key causality");
     assert_eq!(doc_causality.builders.len(), 1, "one single-flight builder");
     assert_eq!(doc_causality.hits.len(), 1, "the replay request hit the ready doc");
